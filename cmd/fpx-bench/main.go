@@ -63,15 +63,12 @@ type perfRecord struct {
 	DetectorSites    uint64 `json:"detector_sites"`
 	// Schema 5: shadow-sanitizer site programs compiled.
 	ShadowSites uint64 `json:"shadow_sites"`
-	// Schema 4: superinstruction-fusion and hot-tier counters.
+	// Schema 4: superinstruction-fusion counters. Baselines may carry
+	// extra hot_* counters; decoding ignores unknown fields.
 	FusedKernels  uint64 `json:"fused_kernels"`
 	FusedRegions  uint64 `json:"fused_regions"`
 	FusedInstrs   uint64 `json:"fused_instrs"`
 	FusedChainOps uint64 `json:"fused_chain_ops"`
-	HotRecompiles uint64 `json:"hot_recompiles"`
-	HotHits       uint64 `json:"hot_hits"`
-	FoldedOps     uint64 `json:"hot_folded_operands"`
-	ElidedPreds   uint64 `json:"hot_elided_pred_writes"`
 	// Block-parallel launch counters (-p flag); the full proof record is
 	// the schema-6 BENCH_6.json written by -parproof.
 	Parallelism  int    `json:"parallelism,omitempty"`
@@ -211,8 +208,6 @@ func main() {
 	rec.ShadowSites = hs.ShadowSites
 	rec.FusedKernels, rec.FusedRegions = hs.FusedKernels, hs.FusedRegions
 	rec.FusedInstrs, rec.FusedChainOps = hs.FusedInstrs, hs.FusedChainOps
-	rec.HotRecompiles, rec.HotHits = hs.HotRecompiles, hs.HotHits
-	rec.FoldedOps, rec.ElidedPreds = hs.FoldedOperands, hs.ElidedPredWrites
 	ps := device.ParStatsSnapshot()
 	rec.Parallelism, rec.ParLaunches, rec.ParFallbacks = *par, ps.Launches, ps.Fallbacks
 

@@ -26,7 +26,6 @@ import (
 
 func main() {
 	tool := flag.String("tool", "", "report kind: detector (default), analyzer or shadow")
-	analyzer := flag.Bool("analyzer", false, "deprecated: use -tool analyzer")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fpx-diff [-tool detector|analyzer|shadow] before.json after.json\n")
 		flag.PrintDefaults()
@@ -39,10 +38,6 @@ func main() {
 	kind := *tool
 	if kind == "" {
 		kind = "detector"
-		if *analyzer {
-			kind = "analyzer"
-			fmt.Fprintln(os.Stderr, "fpx-diff: -analyzer is deprecated; use -tool analyzer")
-		}
 	}
 
 	before, err := os.Open(flag.Arg(0))

@@ -31,16 +31,13 @@ func main() {
 		grid     = flag.Int("grid", 1, "grid dimension for -sass")
 		block    = flag.Int("block", 32, "block dimension for -sass")
 		tool     = flag.String("tool", "", "instrumentation tool: detector (default), analyzer, shadow, binfpe, memcheck or plain")
-		analyzer = flag.Bool("analyzer", false, "deprecated: use -tool analyzer")
-		baseline = flag.Bool("binfpe", false, "deprecated: use -tool binfpe")
-		mcheck   = flag.Bool("memcheck", false, "deprecated: use -tool memcheck")
 		fastmath = flag.Bool("fastmath", false, "compile the program with --use_fast_math")
 		turing   = flag.Bool("turing", false, "use the Turing division expansion (default Ampere)")
 		demote   = flag.Bool("demote-f64", false, "compile FP64 arithmetic as FP32")
 		fixed    = flag.Bool("fixed", false, "run the repaired variant, when the program has one")
 		freq     = flag.Int("k", 0, "freq-redn-factor: instrument 1 in k invocations (0 = all)")
 		kernels  = flag.String("kernels", "", "comma-separated kernel whitelist (Algorithm 3's user-specified list)")
-		execFlag = flag.String("exec", "", "executor dispatch: interp (reference interpreter), lowered (direct-threaded programs) or fused (superinstructions + profile-guided hot tier); reports are identical in all three")
+		execFlag = flag.String("exec", "", "executor dispatch: interp (reference interpreter), lowered (direct-threaded programs) or fused (superinstructions); reports are identical in all three")
 		par      = flag.Int("p", 0, "intra-launch block parallelism: run each launch's blocks on up to p workers with deterministic tool-state reduction (0/1 = sequential; reports are byte-identical either way)")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		list     = flag.Bool("list", false, "list the corpus programs and exit")
@@ -87,23 +84,7 @@ func main() {
 	if *kernels != "" {
 		opts = append(opts, gpufpx.WithKernelWhitelist(strings.Split(*kernels, ",")...))
 	}
-	toolName := *tool
-	if toolName == "" {
-		// Legacy boolean selectors, in their historical precedence. Each use
-		// warns once; they will be removed one release after -tool.
-		switch {
-		case *mcheck:
-			toolName = "memcheck"
-			deprecatedFlag("-memcheck", "memcheck")
-		case *baseline:
-			toolName = "binfpe"
-			deprecatedFlag("-binfpe", "binfpe")
-		case *analyzer:
-			toolName = "analyzer"
-			deprecatedFlag("-analyzer", "analyzer")
-		}
-	}
-	t, err := gpufpx.ParseTool(toolName)
+	t, err := gpufpx.ParseTool(*tool)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,15 +129,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fpx-run:", err)
 	os.Exit(1)
-}
-
-// deprecatedFlag warns once per process about a legacy boolean tool flag.
-var warnedFlags = map[string]bool{}
-
-func deprecatedFlag(old, tool string) {
-	if warnedFlags[old] {
-		return
-	}
-	warnedFlags[old] = true
-	fmt.Fprintf(os.Stderr, "fpx-run: %s is deprecated; use -tool %s\n", old, tool)
 }

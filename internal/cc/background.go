@@ -1,52 +1,6 @@
 package cc
 
-// A background recompilation worker. The hot execution tier respecializes
-// fused programs from launch profiles; that work is pure compilation and
-// must never stall a launching goroutine, so it is queued here and drained
-// by a single worker off the critical path. One worker (rather than a pool)
-// keeps recompilation strictly ordered and bounds the concurrent compile
-// memory to one program; the queue is small because each kernel enqueues at
-// most one respecialization per profile change.
-
-import "sync"
-
-const backgroundQueueLen = 64
-
-var (
-	bgOnce    sync.Once
-	bgTasks   chan func()
-	bgPending sync.WaitGroup
-)
-
-func bgStart() {
-	bgTasks = make(chan func(), backgroundQueueLen)
-	go func() {
-		for task := range bgTasks {
-			task()
-			bgPending.Done()
-		}
-	}()
-}
-
-// EnqueueBackground hands a task to the shared background compilation
-// worker. The worker starts lazily on first use and runs for the life of
-// the process. When the queue is full the task runs synchronously on the
-// caller instead — under that much pressure the caller is a sweep worker
-// that has already amortized its launch cost, and dropping respecialization
-// work would be worse than a one-off stall.
-func EnqueueBackground(task func()) {
-	bgOnce.Do(bgStart)
-	bgPending.Add(1)
-	select {
-	case bgTasks <- task:
-	default:
-		task()
-		bgPending.Done()
-	}
-}
-
-// WaitBackground blocks until every task enqueued so far has finished
-// (tests and benchmark harnesses that need deterministic recompile state).
-func WaitBackground() {
-	bgPending.Wait()
-}
+// WaitBackground returns immediately: the package runs no background work.
+// It is kept only because the repository benchmark (perfbench) still calls
+// it; drop it with that caller.
+func WaitBackground() {}

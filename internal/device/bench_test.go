@@ -141,8 +141,8 @@ func TestFusedStepNoAllocs(t *testing.T) {
 		if _, err := d.Launch(l); err != nil {
 			t.Fatal(err)
 		}
-		fe := fuseFor(k)
-		if fe == nil {
+		fk := fuseFor(k)
+		if fk == nil {
 			t.Fatalf("%s: no fused program", k.Name)
 		}
 		ex := &executor{
@@ -151,7 +151,7 @@ func TestFusedStepNoAllocs(t *testing.T) {
 			budget: 64 << 20,
 			meta:   metaFor(k),
 			low:    lowerFor(k),
-			fk:     fe.pick(d),
+			fk:     fk,
 		}
 		if ex.fk.maxUni > 0 {
 			ex.uniBuf = make([]uint32, ex.fk.maxUni)

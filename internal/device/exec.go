@@ -88,16 +88,10 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 	}
 	// Fused dispatch executes regions in bulk, which is incompatible with
 	// the per-instruction fault hook; chaos-mode launches fall back to the
-	// lowered tier (bit-identical results, per-instruction stepping). The
-	// fused program is picked exactly once per launch — pick feeds the
-	// hot-tier profile, so the block-parallel fallback path below must not
-	// pick a second time. Params are stored above, so the profile and hot
-	// validation see the constant bank exactly as this launch runs.
+	// lowered tier (bit-identical results, per-instruction stepping).
 	var fk *fusedKernel
 	if mode == ExecFused && d.fault == nil {
-		if fe := fuseFor(l.Kernel); fe != nil {
-			fk = fe.pick(d)
-		}
+		fk = fuseFor(l.Kernel)
 	}
 	var err error
 	ran := false

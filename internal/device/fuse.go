@@ -19,15 +19,8 @@ import (
 // a region head (fast dispatch) or on an un-fused PC (ordinary stepping);
 // entering a region mid-body is impossible by construction.
 //
-// On top sits the profile-guided hot tier: the first launches of a kernel
-// record which constant-bank words its chains read and whether they stay
-// stable across launches. Once a kernel crosses the hot threshold, a
-// background recompile re-specializes it — stable constant-bank operands
-// fold to immediates, predicate registers no instruction in the kernel
-// reads are elided from SETP/FCHK writes — and every later launch
-// revalidates the assumptions against the live constant bank before using
-// the hot program, falling back to the base fusion on mismatch. Results
-// are bit-identical either way; only the dispatch cost changes.
+// A kernel is fused once, on first use, and every launch dispatches that
+// same program.
 
 // fusedSeg is one segment of a region body: either a fused chain or a
 // single lowered thunk. Segment PC ranges tile the body in order.
@@ -70,14 +63,11 @@ type fusedKernel struct {
 	// nsegs is the total segment count across regions.
 	nsegs int
 	// per-program fusion statistics.
-	seqs, fusedInstrs, chainOps, folded, elided uint64
+	seqs, fusedInstrs, chainOps uint64
 }
 
-// fuseKernel builds the fused program. fold and dead are nil/0 for the base
-// tier; the hot tier passes the profiled constant-bank words and the static
-// never-read predicate mask. slots, when non-nil, collects the constant-bank
-// words chain operands reference (the hot tier's profile targets).
-func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel, fold map[cbKey]uint32, dead uint8, slots map[cbKey]struct{}) *fusedKernel {
+// fuseKernel builds the fused program.
+func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 	n := len(k.Instrs)
 	fk := &fusedKernel{regionAt: make([]int32, n)}
 	for i := range fk.regionAt {
@@ -139,12 +129,10 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel, fold map[cbKey
 				}
 				fk.chainOps += uint64(len(curCB.mops))
 			} else {
-				// Every mop was elided; keep the range covered for the
+				// Every mop wrote only PT; keep the range covered for the
 				// instrumented slow path.
 				seg.th = nopThunk
 			}
-			fk.folded += curCB.folded
-			fk.elided += curCB.elided
 			r.segs = append(r.segs, seg)
 			curCB = nil
 		}
@@ -159,7 +147,7 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel, fold map[cbKey
 				}
 			case fuseChain:
 				if curCB == nil {
-					curCB = &chainBuilder{fold: fold, dead: dead, slots: slots}
+					curCB = &chainBuilder{}
 					chainStart = bp
 				}
 				curCB.buildMop(in, m, bp)
@@ -209,22 +197,18 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel, fold map[cbKey
 
 // ---- fusion cache and counters ----
 
-// fuseCache maps *sass.Kernel → *fusedEntry, with the same lifetime
+// fuseCache maps *sass.Kernel → *fusedKernel, with the same lifetime
 // contract as lowerCache: kernels are immutable and process-shared.
 var fuseCache sync.Map
 
 var (
-	fuseKernelsN    atomic.Uint64
-	fuseRegionsN    atomic.Uint64
-	fuseInstrsN     atomic.Uint64
-	fuseChainOpsN   atomic.Uint64
-	fuseFoldedN     atomic.Uint64
-	fuseElidedN     atomic.Uint64
-	fuseRecompilesN atomic.Uint64
-	fuseHotHitsN    atomic.Uint64
+	fuseKernelsN  atomic.Uint64
+	fuseRegionsN  atomic.Uint64
+	fuseInstrsN   atomic.Uint64
+	fuseChainOpsN atomic.Uint64
 )
 
-// FuseStats is a snapshot of the process-wide fusion and hot-tier counters.
+// FuseStats is a snapshot of the process-wide fusion counters.
 type FuseStats struct {
 	// Kernels counts distinct kernels with a fused program.
 	Kernels uint64
@@ -236,247 +220,38 @@ type FuseStats struct {
 	FusedInstrs uint64
 	// ChainOps counts fused chain micro-ops compiled.
 	ChainOps uint64
-	// HotRecompiles counts background hot-tier re-specializations and
-	// HotHits launches that ran a validated hot program.
-	HotRecompiles, HotHits uint64
-	// FoldedOperands counts constant-bank operands folded to immediates and
-	// ElidedPredWrites dead predicate writes removed by hot recompiles.
-	FoldedOperands, ElidedPredWrites uint64
+	// HotHits is always zero. It is kept only because the repository
+	// benchmark (perfbench) still reads it; drop it with that reader.
+	HotHits uint64
 }
 
 // FuseStatsSnapshot returns the current fusion counters.
 func FuseStatsSnapshot() FuseStats {
 	return FuseStats{
-		Kernels:          fuseKernelsN.Load(),
-		Regions:          fuseRegionsN.Load(),
-		FusedInstrs:      fuseInstrsN.Load(),
-		ChainOps:         fuseChainOpsN.Load(),
-		HotRecompiles:    fuseRecompilesN.Load(),
-		HotHits:          fuseHotHitsN.Load(),
-		FoldedOperands:   fuseFoldedN.Load(),
-		ElidedPredWrites: fuseElidedN.Load(),
+		Kernels:     fuseKernelsN.Load(),
+		Regions:     fuseRegionsN.Load(),
+		FusedInstrs: fuseInstrsN.Load(),
+		ChainOps:    fuseChainOpsN.Load(),
 	}
 }
 
-// fuseFor returns the shared fused entry for a kernel (nil for kernels that
-// fail static validation — those never launch anyway).
-func fuseFor(k *sass.Kernel) *fusedEntry {
+// fuseFor returns the shared fused program for a kernel (nil for kernels
+// that fail static validation — those never launch anyway).
+func fuseFor(k *sass.Kernel) *fusedKernel {
 	if v, ok := fuseCache.Load(k); ok {
-		return v.(*fusedEntry)
+		return v.(*fusedKernel)
 	}
 	m := metaFor(k)
 	if m.verr != nil {
 		return nil
 	}
-	lk := lowerFor(k)
-	slots := make(map[cbKey]struct{})
-	fk := fuseKernel(k, m, lk, nil, 0, slots)
-	fe := &fusedEntry{k: k, base: fk, profile: make(map[cbKey]cbObs)}
-	fe.slots = make([]cbKey, 0, len(slots))
-	for s := range slots {
-		fe.slots = append(fe.slots, s)
-	}
-	fe.dead = deadPredMask(k)
-	fe.spec = len(fe.slots) > 0 || fe.dead != 0
-	v, loaded := fuseCache.LoadOrStore(k, fe)
+	fk := fuseKernel(k, m, lowerFor(k))
+	v, loaded := fuseCache.LoadOrStore(k, fk)
 	if !loaded {
 		fuseKernelsN.Add(1)
 		fuseRegionsN.Add(fk.seqs)
 		fuseInstrsN.Add(fk.fusedInstrs)
 		fuseChainOpsN.Add(fk.chainOps)
 	}
-	return v.(*fusedEntry)
-}
-
-// ---- profile-guided hot tier ----
-
-// fusedEntry is the per-kernel fusion state: the base program, the launch
-// profile, and the (eventual) hot re-specialization.
-type fusedEntry struct {
-	k    *sass.Kernel
-	base *fusedKernel
-	// slots are the constant-bank words chain operands read — the profile
-	// observes their values across launches.
-	slots []cbKey
-	// dead is the static mask of predicate registers no instruction reads.
-	dead uint8
-	// spec reports whether a recompile could specialize anything at all.
-	spec bool
-
-	launches atomic.Uint64
-	queued   atomic.Bool
-	hot      atomic.Pointer[hotProgram]
-
-	mu      sync.Mutex
-	profile map[cbKey]cbObs
-}
-
-// cbObs is one profiled constant-bank word: its first observed value and
-// whether a later launch contradicted it.
-type cbObs struct {
-	val      uint32
-	unstable bool
-}
-
-// hotProgram is a re-specialized fused program plus the constant-bank
-// assumptions it was compiled under.
-type hotProgram struct {
-	fk     *fusedKernel
-	assume []cbAssume
-}
-
-type cbAssume struct {
-	bank, off int
-	val       uint32
-}
-
-// validate checks the hot program's constant-bank assumptions against the
-// launching device; a mismatch falls back to the base fusion, keeping
-// results identical regardless of what earlier launches profiled.
-func (hp *hotProgram) validate(d *Device) bool {
-	for i := range hp.assume {
-		a := &hp.assume[i]
-		if d.CBankRead(a.bank, a.off) != a.val {
-			return false
-		}
-	}
-	return true
-}
-
-// hotThresholdV is the launch count at which a kernel is considered hot.
-var hotThresholdV atomic.Uint64
-
-const defaultHotThreshold = 8
-
-func init() { hotThresholdV.Store(defaultHotThreshold) }
-
-// SetHotThreshold sets how many fused launches of a kernel trigger the
-// background hot-tier recompile; 0 restores the default (8).
-func SetHotThreshold(n uint64) {
-	if n == 0 {
-		n = defaultHotThreshold
-	}
-	hotThresholdV.Store(n)
-}
-
-// HotThreshold returns the current hot-tier launch threshold.
-func HotThreshold() uint64 { return hotThresholdV.Load() }
-
-// hotRunner dispatches hot-tier recompile tasks. The default runs them on
-// their own goroutine; the facade routes them through the cc background
-// compile worker so serve deployments share one recompile queue.
-var hotRunner atomic.Value // func(func())
-
-// SetHotRunner installs the asynchronous runner for hot-tier recompiles.
-// Passing nil restores the default (a fresh goroutine per task).
-func SetHotRunner(run func(task func())) {
-	if run == nil {
-		run = func(task func()) { go task() }
-	}
-	hotRunner.Store(run)
-}
-
-func runHotTask(task func()) {
-	if v := hotRunner.Load(); v != nil {
-		v.(func(func()))(task)
-		return
-	}
-	go task()
-}
-
-// pick selects the fused program for one launch: the validated hot program
-// when available, otherwise the base — recording the launch in the profile
-// and queueing the recompile once the kernel crosses the hot threshold.
-// Launch parameters are already stored when pick runs, so the profile sees
-// the constant bank exactly as the launch will.
-func (fe *fusedEntry) pick(d *Device) *fusedKernel {
-	if hp := fe.hot.Load(); hp != nil {
-		if hp.validate(d) {
-			fuseHotHitsN.Add(1)
-			return hp.fk
-		}
-		return fe.base
-	}
-	if !fe.spec {
-		return fe.base
-	}
-	fe.observe(d)
-	if fe.launches.Add(1) >= hotThresholdV.Load() && !fe.queued.Swap(true) {
-		runHotTask(fe.recompile)
-	}
-	return fe.base
-}
-
-// observe records the chain-referenced constant-bank words of one launch.
-func (fe *fusedEntry) observe(d *Device) {
-	if len(fe.slots) == 0 {
-		return
-	}
-	fe.mu.Lock()
-	for _, s := range fe.slots {
-		v := d.CBankRead(s.bank, s.off)
-		o, ok := fe.profile[s]
-		switch {
-		case !ok:
-			fe.profile[s] = cbObs{val: v}
-		case !o.unstable && o.val != v:
-			o.unstable = true
-			fe.profile[s] = o
-		}
-	}
-	fe.mu.Unlock()
-}
-
-// recompile builds the hot program: constant-bank words that stayed stable
-// across every profiled launch fold to immediates, and predicate registers
-// the kernel never reads drop out of SETP/FCHK writes.
-func (fe *fusedEntry) recompile() {
-	fold := make(map[cbKey]uint32)
-	fe.mu.Lock()
-	for s, o := range fe.profile {
-		if !o.unstable {
-			fold[s] = o.val
-		}
-	}
-	fe.mu.Unlock()
-	fk := fuseKernel(fe.k, metaFor(fe.k), lowerFor(fe.k), fold, fe.dead, nil)
-	assume := make([]cbAssume, 0, len(fold))
-	for s, v := range fold {
-		assume = append(assume, cbAssume{s.bank, s.off, v})
-	}
-	fuseFoldedN.Add(fk.folded)
-	fuseElidedN.Add(fk.elided)
-	fuseRecompilesN.Add(1)
-	fe.hot.Store(&hotProgram{fk: fk, assume: assume})
-}
-
-// deadPredMask returns the predicate registers (P0..P6) no instruction in
-// the kernel reads — not as a guard, not as a SETP combiner input, not as a
-// select/min-max condition. Writes to them are unobservable (tools read
-// registers and report streams, not predicate files), so the hot tier
-// elides them. SETP writes its first two operands and FCHK its first; every
-// other predicate operand is a read.
-func deadPredMask(k *sass.Kernel) uint8 {
-	var read uint8
-	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		if in.Guard != sass.PT {
-			read |= 1 << uint(in.Guard)
-		}
-		skip := 0
-		switch in.Op {
-		case sass.OpFSETP, sass.OpDSETP, sass.OpISETP:
-			skip = 2
-		case sass.OpFCHK:
-			skip = 1
-		}
-		for oi := range in.Operands {
-			op := &in.Operands[oi]
-			if oi < skip || op.Type != sass.OperandPred || op.Pred == sass.PT {
-				continue
-			}
-			read |= 1 << uint(op.Pred)
-		}
-	}
-	return ^read & 0x7F
+	return v.(*fusedKernel)
 }

@@ -169,8 +169,7 @@ type mop struct {
 	a, b, c mopSrc
 	cmpF    func(a, b float64) bool
 	cmpI    func(a, b int32) bool
-	// pd and pq are predicate destinations (-1 when absent, PT, or elided
-	// by the hot tier's dead-predicate pass).
+	// pd and pq are predicate destinations (-1 when absent or PT).
 	pd, pq int32
 	ps     srcP   // predicate source (SEL selector, FMNMX min, SETP combiner input)
 	tbits  uint32 // FSET true-result bits
@@ -206,26 +205,10 @@ func newChain(mops []mop, pre []prefetch) *chain {
 	return c
 }
 
-// chainBuilder accumulates mops for one chain. fold carries the hot tier's
-// assumed constant-bank words (nil for the base program); dead is the
-// static never-read predicate mask for dead-write elision (0 for base).
+// chainBuilder accumulates mops for one chain.
 type chainBuilder struct {
-	mops   []mop
-	pre    []prefetch
-	fold   map[cbKey]uint32
-	dead   uint8
-	slots  map[cbKey]struct{} // distinct cb slots referenced (profile targets)
-	folded uint64             // operands folded to constants by the hot tier
-	elided uint64             // dead predicate writes elided by the hot tier
-}
-
-// cbKey identifies one 32-bit constant-bank word.
-type cbKey struct{ bank, off int }
-
-func (cb *chainBuilder) noteSlot(bank, off int) {
-	if cb.slots != nil {
-		cb.slots[cbKey{bank, off}] = struct{}{}
-	}
+	mops []mop
+	pre  []prefetch
 }
 
 // src32 resolves a lowered FP32/raw-bits source into a chain operand.
@@ -235,13 +218,6 @@ func (cb *chainBuilder) src32(op *sass.Operand, ftz bool) mopSrc {
 		return mopSrc{reg: int32(s.reg), uni: -1, neg: s.neg, abs: s.abs, ftz: s.ftz}
 	}
 	if s.cb {
-		cb.noteSlot(s.bank, s.off)
-		if cb.fold != nil {
-			if raw, ok := cb.fold[cbKey{s.bank, s.off}]; ok {
-				cb.folded++
-				return mopSrc{reg: -1, uni: -1, bits: s.apply(raw)}
-			}
-		}
 		slot := int32(len(cb.pre))
 		cb.pre = append(cb.pre, prefetch{f: s})
 		return mopSrc{reg: -1, uni: slot}
@@ -256,17 +232,6 @@ func (cb *chainBuilder) srcI(op *sass.Operand) mopSrc {
 		return mopSrc{reg: int32(s.reg), uni: -1, ineg: s.neg}
 	}
 	if s.cb {
-		cb.noteSlot(s.bank, s.off)
-		if cb.fold != nil {
-			if raw, ok := cb.fold[cbKey{s.bank, s.off}]; ok {
-				v := raw
-				if s.neg {
-					v = uint32(-int32(v))
-				}
-				cb.folded++
-				return mopSrc{reg: -1, uni: -1, bits: v}
-			}
-		}
 		slot := int32(len(cb.pre))
 		cb.pre = append(cb.pre, prefetch{isInt: true, i: s})
 		return mopSrc{reg: -1, uni: slot}
@@ -274,14 +239,10 @@ func (cb *chainBuilder) srcI(op *sass.Operand) mopSrc {
 	return mopSrc{reg: -1, uni: -1, bits: s.bits}
 }
 
-// predDst maps a predicate-destination register through PT discarding and
-// the hot tier's dead-predicate elision.
-func (cb *chainBuilder) predDst(p int) int32 {
+// predDst maps a predicate-destination register to its chain encoding: PT
+// discards the write (-1).
+func predDst(p int) int32 {
 	if p == sass.PT {
-		return -1
-	}
-	if cb.dead&(1<<uint(p)) != 0 {
-		cb.elided++
 		return -1
 	}
 	return int32(p)
@@ -331,12 +292,12 @@ func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
 		op.kind = mopFSETP
 		op.a, op.b = cb.src32(&ops[2], ftz), cb.src32(&ops[3], ftz)
 		op.cmpF = fcmpFn(m.cmp[pc])
-		cb.setpTail(&op, in, m, pc)
+		setpTail(&op, in, m, pc)
 	case sass.OpISETP:
 		op.kind = mopISETP
 		op.a, op.b = cb.srcI(&ops[2]), cb.srcI(&ops[3])
 		op.cmpI = icmpFn(m.cmp[pc])
-		cb.setpTail(&op, in, m, pc)
+		setpTail(&op, in, m, pc)
 	case sass.OpFMNMX:
 		op.kind = mopFMNMX
 		op.dst = int32(ops[0].Reg)
@@ -388,11 +349,11 @@ func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
 		}
 	case sass.OpFCHK:
 		op.kind = mopFCHK
-		op.pd = cb.predDst(ops[0].Pred)
+		op.pd = predDst(ops[0].Pred)
 		op.a, op.b = cb.src32(&ops[1], false), cb.src32(&ops[2], false)
 	}
 	if (op.kind == mopFCHK || op.kind == mopFSETP || op.kind == mopISETP) && emptySetp(&op) {
-		// Every write was PT or elided as dead; nothing observable remains.
+		// Every write was PT; nothing observable remains.
 		// The caller still accounts the instruction via bulk region stats.
 		return
 	}
@@ -400,15 +361,15 @@ func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
 }
 
 // setpTail resolves the shared SETP predicate-write tail (pd, pq, combiner,
-// combiner input), applying dead-predicate elision. A SETP whose writes are
-// all elided vanishes: buildMop's caller still accounts the instruction.
-func (cb *chainBuilder) setpTail(op *mop, in *sass.Instr, m *kernelMeta, pc int) {
+// combiner input). A SETP that writes only PT vanishes: buildMop's caller
+// still accounts the instruction.
+func setpTail(op *mop, in *sass.Instr, m *kernelMeta, pc int) {
 	core := lowerSetpCore(in, m, pc)
 	op.sub = core.comb
 	op.ps = core.pc
-	op.pd = cb.predDst(core.pd)
+	op.pd = predDst(core.pd)
 	if core.pq >= 0 {
-		op.pq = cb.predDst(core.pq)
+		op.pq = predDst(core.pq)
 	}
 }
 
@@ -933,7 +894,7 @@ func compileMop(m *mop) mopFn {
 	panic("device: unreachable mop kind")
 }
 
-// applyChainSetp mirrors setpCore.apply with elision-resolved destinations.
+// applyChainSetp mirrors setpCore.apply with PT-resolved destinations.
 func applyChainSetp(w *Warp, l int, op *mop, c bool) {
 	pcv := op.ps.lane(w, l)
 	if op.pd >= 0 {

@@ -34,8 +34,7 @@ const (
 	// ExecInterp uses the original per-lane interpreter switch.
 	ExecInterp
 	// ExecFused dispatches fused superinstructions: straight-line runs of
-	// lowered thunks collapsed into single region bodies (see fuse.go), with
-	// profile-guided hot-kernel specialization on top.
+	// lowered thunks collapsed into single region bodies (see fuse.go).
 	ExecFused
 )
 
@@ -159,9 +158,8 @@ func lowerFor(k *sass.Kernel) *loweredKernel {
 
 // Prelower decodes and lowers a kernel ahead of its first launch, so the
 // cc compile path can hand sweep workers a ready-to-run program. When the
-// process default executor is the fused tier, the base fused program is
-// built ahead of time too; hot-tier respecialization still waits for launch
-// profiles.
+// process default executor is the fused tier, the fused program is built
+// ahead of time too.
 func Prelower(k *sass.Kernel) {
 	// Bake the listing strings while the kernel is still private: location
 	// tables render every instrumented site's SASS text on each run, and

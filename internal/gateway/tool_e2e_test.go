@@ -3,7 +3,7 @@ package gateway
 // Tool-selection end-to-end through the gateway: a shadow check proxied via
 // the fleet returns the exact bytes a direct node request produces, and the
 // gateway passes a legacy boolean selector through untouched so the node's
-// 422 migration hint reaches the client verbatim.
+// 400 unknown-field answer reaches the client verbatim.
 
 import (
 	"bytes"
@@ -66,8 +66,8 @@ func TestGatewayPassesLegacySelectorRejectionThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status through gateway = %d, want 422", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status through gateway = %d, want 400", resp.StatusCode)
 	}
 	var eb struct {
 		Error string `json:"error"`
@@ -75,7 +75,7 @@ func TestGatewayPassesLegacySelectorRejectionThrough(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(eb.Error, "no longer accepted") || !strings.Contains(eb.Error, `"tool_config"`) {
-		t.Fatalf("error through gateway = %q, want the node's migration hint verbatim", eb.Error)
+	if !strings.Contains(eb.Error, `unknown field "analyzer"`) {
+		t.Fatalf("error through gateway = %q, want the node's unknown-field error verbatim", eb.Error)
 	}
 }

@@ -39,9 +39,8 @@ type CheckRequest struct {
 
 	// Tool selects the instrumentation: "detector" (default), "analyzer",
 	// "shadow", "binfpe", "memcheck" or "plain". This string enum is the
-	// only tool selector the wire accepts; the pre-redesign boolean
-	// selectors ("analyzer": true, ...) are rejected at admission with a
-	// 422 migration hint.
+	// only tool selector the wire accepts; a per-tool boolean such as
+	// "analyzer": true is an unknown field and gets a 400.
 	Tool string `json:"tool,omitempty"`
 
 	// ToolConfig tunes the selected tool; every knob is optional. Only

@@ -76,10 +76,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("gpufpx_fused_regions_total", "Superinstruction regions built by the fusion pass.", hs.FusedRegions)
 	counter("gpufpx_fused_instrs_total", "Instructions covered by fused regions.", hs.FusedInstrs)
 	counter("gpufpx_fused_chain_ops_total", "Fused instructions compiled into lane-major chain micro-ops.", hs.FusedChainOps)
-	counter("gpufpx_hot_recompiles_total", "Profile-guided hot-tier respecializations.", hs.HotRecompiles)
-	counter("gpufpx_hot_hits_total", "Launches dispatched to a hot-tier program.", hs.HotHits)
-	counter("gpufpx_hot_folded_operands_total", "Constant-bank operands folded to immediates by hot respecialization.", hs.FoldedOperands)
-	counter("gpufpx_hot_elided_pred_writes_total", "Dead predicate writes elided by hot respecialization.", hs.ElidedPredWrites)
 
 	fd, fc, fs := fault.Counters()
 	counter("gpufpx_fault_injected_device_total", "Injected device-plane faults (bit flips).", fd)

@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,6 +115,11 @@ type Server struct {
 
 	jobs   sync.Map // id → *job
 	nextID atomic.Uint64
+
+	// finishedMu guards finished: the ids of finished jobs still in jobs,
+	// oldest completion first (see retire).
+	finishedMu sync.Mutex
+	finished   []string
 
 	// paceMu/paceNext implement the cycle-rate governor: a virtual
 	// completion clock shared by all workers. Charging c cycles advances
@@ -230,11 +234,30 @@ func (s *Server) enqueue(j *job) error {
 	}
 }
 
+// maxFinishedJobs bounds how many finished jobs stay pollable at
+// /v1/jobs/{id}. Past it the oldest finished job is forgotten and its id
+// answers 404; queued and running jobs are never evicted.
+const maxFinishedJobs = 1024
+
 // worker drains the queue until Drain closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.runJob(j)
+		s.retire(j)
+	}
+}
+
+// retire records a finished job and evicts the oldest finished job once
+// more than maxFinishedJobs are held. Waiters that already hold the job
+// are unaffected; only later lookups by id miss.
+func (s *Server) retire(j *job) {
+	s.finishedMu.Lock()
+	defer s.finishedMu.Unlock()
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > maxFinishedJobs {
+		s.jobs.Delete(s.finished[0])
+		s.finished = s.finished[1:]
 	}
 }
 
@@ -361,54 +384,10 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Kind: kind.String()})
 }
 
-// legacyToolKeys are the pre-redesign boolean tool selectors. The wire
-// takes exactly one "tool" string (plus an optional "tool_config" object);
-// a body still selecting tools through per-tool booleans is ambiguous —
-// several can be true at once — so it is rejected with 422 and a migration
-// hint rather than the generic unknown-field 400.
-var legacyToolKeys = []string{"detector", "analyzer", "shadow", "binfpe", "memcheck", "plain"}
-
-// legacyToolHint scans a request body that failed strict decoding for
-// legacy boolean tool selectors; non-empty means "explain the migration".
-func legacyToolHint(body []byte) string {
-	var top map[string]json.RawMessage
-	if json.Unmarshal(body, &top) != nil {
-		return ""
-	}
-	if h := legacyKeysIn(top); h != "" {
-		return h
-	}
-	if items, ok := top["items"]; ok {
-		var list []map[string]json.RawMessage
-		if json.Unmarshal(items, &list) == nil {
-			for i, it := range list {
-				if h := legacyKeysIn(it); h != "" {
-					return fmt.Sprintf("item %d: %s", i, h)
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// legacyKeysIn names the legacy selectors present in one decoded object.
-func legacyKeysIn(m map[string]json.RawMessage) string {
-	var found []string
-	for _, k := range legacyToolKeys {
-		if _, ok := m[k]; ok {
-			found = append(found, `"`+k+`"`)
-		}
-	}
-	if len(found) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("boolean tool selector %s is no longer accepted: select the instrumentation with a single \"tool\" field (\"detector\", \"analyzer\", \"shadow\", \"binfpe\", \"memcheck\" or \"plain\") and tune it via \"tool_config\"",
-		strings.Join(found, ", "))
-}
-
 // decodeStrict reads and strictly decodes a JSON request body into v,
-// writing the failure response itself when it returns false: 422 with a
-// migration hint for legacy boolean tool selectors, 400 otherwise.
+// writing the failure response itself (400) when it returns false. Unknown
+// fields are errors, so a misspelled or retired key is never silently
+// dropped.
 func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -418,10 +397,6 @@ func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) boo
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		if hint := legacyToolHint(body); hint != "" {
-			writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: hint})
-			return false
-		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return false
 	}

@@ -2,8 +2,9 @@ package serve
 
 // Wire-level tests for the unified tool-selection API: the "tool" enum and
 // the "tool_config" object are the only way to select and tune the
-// instrumentation, legacy boolean selectors come back as a 422 with a
-// migration hint (for /v1/check and for items inside /v1/batch), config-less
+// instrumentation, legacy boolean selectors are unknown fields and come back
+// as the strict decoder's 400 (for /v1/check and for items inside
+// /v1/batch), config-less
 // tools reject tool_config, the DTO round-trips through JSON, and a shadow
 // check's report body matches a direct facade run byte-for-byte.
 
@@ -112,6 +113,9 @@ func legacyPost(t *testing.T, url, path, body string) (int, errorBody) {
 	return resp.StatusCode, eb
 }
 
+// TestLegacyBooleanSelectorMaps422 keeps its historical name; the retired
+// per-tool boolean selectors used to map to 422 with a migration hint and
+// are now ordinary unknown fields, rejected with 400 naming the key.
 func TestLegacyBooleanSelectorMaps422(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -126,41 +130,39 @@ func TestLegacyBooleanSelectorMaps422(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			code, eb := legacyPost(t, ts.URL, "/v1/check", tc.body)
-			if code != http.StatusUnprocessableEntity {
-				t.Fatalf("status = %d, want 422", code)
+			if code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", code)
 			}
-			if !strings.Contains(eb.Error, "no longer accepted") || !strings.Contains(eb.Error, tc.key) {
-				t.Fatalf("error = %q, want a migration hint naming %s", eb.Error, tc.key)
-			}
-			if !strings.Contains(eb.Error, `"tool"`) || !strings.Contains(eb.Error, `"tool_config"`) {
-				t.Fatalf("error = %q, want it to point at the tool/tool_config form", eb.Error)
+			if !strings.Contains(eb.Error, "unknown field "+tc.key) {
+				t.Fatalf("error = %q, want an unknown-field error naming %s", eb.Error, tc.key)
 			}
 		})
 	}
 }
 
+// TestLegacyBooleanSelectorInBatchItemMaps422 keeps its historical name; a
+// retired boolean selector inside a batch item is an unknown field too.
 func TestLegacyBooleanSelectorInBatchItemMaps422(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	body := `{"items": [{"prog": "myocyte"}, {"prog": "GRAMSCHM", "analyzer": true}], "wait": true}`
 	code, eb := legacyPost(t, ts.URL, "/v1/batch", body)
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", code)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", code)
 	}
-	if !strings.Contains(eb.Error, "no longer accepted") || !strings.Contains(eb.Error, `"analyzer"`) {
-		t.Fatalf("error = %q, want a migration hint naming the legacy item key", eb.Error)
+	if !strings.Contains(eb.Error, `unknown field "analyzer"`) {
+		t.Fatalf("error = %q, want an unknown-field error naming the item key", eb.Error)
 	}
 }
 
 func TestUnknownFieldStillPlain400(t *testing.T) {
-	// Typos that are not legacy selectors keep the ordinary strict-decode
-	// 400; the 422 hint is reserved for the migration case.
+	// Typos get the same strict-decode 400 as retired keys.
 	_, ts := newTestServer(t, Config{Workers: 1})
 	code, eb := legacyPost(t, ts.URL, "/v1/check", `{"prog": "myocyte", "tol": "shadow"}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", code)
 	}
-	if strings.Contains(eb.Error, "no longer accepted") {
-		t.Fatalf("error = %q: plain unknown field got the migration hint", eb.Error)
+	if !strings.Contains(eb.Error, `unknown field "tol"`) {
+		t.Fatalf("error = %q, want an unknown-field error naming the key", eb.Error)
 	}
 }
 

@@ -273,7 +273,7 @@ func RunFleet(cfg FleetConfig) (*report.FleetRecord, error) {
 func probeCandidates(cfg FleetConfig) ([]mixEntry, error) {
 	var out []mixEntry
 	for _, p := range progs.All() {
-		s := gpufpx.New(gpufpx.WithDetector(gpufpx.DefaultDetectorConfig()))
+		s := gpufpx.New(gpufpx.WithTool(gpufpx.Detector(gpufpx.DefaultDetectorConfig())))
 		rep, err := s.Run(context.Background(), gpufpx.Program(p.Name))
 		if err != nil {
 			continue // hang/budget programs have no place in a load mix

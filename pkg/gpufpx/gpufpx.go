@@ -35,9 +35,6 @@ func init() {
 	// consumer of the facade — sweep workers, serve jobs, one-shot CLI
 	// runs — receives kernels that are already decoded and lowered.
 	cc.OnCompile(device.Prelower)
-	// Hot-tier respecializations run on cc's background compile worker,
-	// off the launch path.
-	device.SetHotRunner(cc.EnqueueBackground)
 }
 
 // toolKind selects the instrumentation a session attaches.
@@ -176,8 +173,8 @@ type Option func(*Session)
 // This is the one tool-selection surface: every tool — detector, analyzer,
 // shadow sanitizer, BinFPE, memcheck, plain — is a Tool constructor, so the
 // selection and its configuration travel together and cannot conflict.
-// When several WithTool (or legacy tool) options are given, the last one
-// wins, in option order.
+// When several WithTool options are given, the last one wins, in option
+// order.
 func WithTool(t Tool) Option {
 	return func(s *Session) {
 		s.tool = t.kind
@@ -194,37 +191,6 @@ func WithTool(t Tool) Option {
 		}
 	}
 }
-
-// WithShadow selects the shadow-precision sanitizer with the given
-// configuration. Equivalent to WithTool(Shadow(cfg)).
-func WithShadow(cfg ShadowConfig) Option { return WithTool(Shadow(cfg)) }
-
-// WithDetector selects the GPU-FPX detector with the given configuration.
-//
-// Deprecated: use WithTool(Detector(cfg)). The five per-tool options predate
-// the typed Tool surface and will be removed one release after WithTool; they
-// remain exact aliases until then (last tool option still wins).
-func WithDetector(cfg DetectorConfig) Option { return WithTool(Detector(cfg)) }
-
-// WithAnalyzer selects the exception-flow analyzer.
-//
-// Deprecated: use WithTool(Analyzer(cfg)).
-func WithAnalyzer(cfg AnalyzerConfig) Option { return WithTool(Analyzer(cfg)) }
-
-// WithBinFPE selects the BinFPE baseline tool.
-//
-// Deprecated: use WithTool(BinFPE()).
-func WithBinFPE() Option { return WithTool(BinFPE()) }
-
-// WithMemcheck selects the out-of-bounds memory checker.
-//
-// Deprecated: use WithTool(Memcheck()).
-func WithMemcheck() Option { return WithTool(Memcheck()) }
-
-// WithPlain runs uninstrumented — the slowdown baseline.
-//
-// Deprecated: use WithTool(Plain()).
-func WithPlain() Option { return WithTool(Plain()) }
 
 // WithCompile sets the compiler options (fast math, FP64 demotion, Turing
 // or Ampere division expansion) for corpus-program sources.
@@ -253,8 +219,8 @@ func WithFreq(k int) Option {
 
 // WithExec pins the executor dispatch (interp, lowered or fused) for this
 // session's launches, independent of the process-wide default. ExecFused
-// adds superinstruction fusion and the profile-guided hot tier on top of
-// the lowered programs; reports are bit-identical across all three modes.
+// adds superinstruction fusion on top of the lowered programs; reports are
+// bit-identical across all three modes.
 func WithExec(mode ExecMode) Option { return func(s *Session) { s.exec = mode } }
 
 // WithParallelism lets eligible launches execute their blocks as up to n

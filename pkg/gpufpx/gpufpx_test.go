@@ -95,7 +95,7 @@ func TestSessionRunMatchesDirectAnalyzerPath(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := New(WithAnalyzer(DefaultAnalyzerConfig())).Run(context.Background(), Program(name))
+			rep, err := New(WithTool(Analyzer(DefaultAnalyzerConfig()))).Run(context.Background(), Program(name))
 			if err != nil {
 				t.Fatalf("Run(%s): %v", name, err)
 			}

@@ -18,11 +18,11 @@ import (
 // alias names are the public schema; the internal packages stay free to
 // grow unexported machinery behind them.
 type (
-	// DetectorConfig configures the GPU-FPX detector (WithDetector).
+	// DetectorConfig configures the GPU-FPX detector (Detector).
 	DetectorConfig = fpx.DetectorConfig
-	// AnalyzerConfig configures the exception-flow analyzer (WithAnalyzer).
+	// AnalyzerConfig configures the exception-flow analyzer (Analyzer).
 	AnalyzerConfig = fpx.AnalyzerConfig
-	// ShadowConfig configures the shadow-precision sanitizer (WithShadow).
+	// ShadowConfig configures the shadow-precision sanitizer (Shadow).
 	ShadowConfig = fpx.ShadowConfig
 	// CompileOptions are the kernel-compiler flags (WithCompile).
 	CompileOptions = cc.Options

@@ -30,11 +30,6 @@ type HarnessStats struct {
 	// covered by fused regions and FusedChainOps the subset compiled into
 	// lane-major chain micro-ops.
 	FusedKernels, FusedRegions, FusedInstrs, FusedChainOps uint64
-	// HotRecompiles counts profile-guided hot-tier respecializations,
-	// HotHits launches dispatched to a hot program, FoldedOperands constant
-	// bank operands folded to immediates, and ElidedPredWrites dead
-	// predicate writes elided by hot respecialization.
-	HotRecompiles, HotHits, FoldedOperands, ElidedPredWrites uint64
 }
 
 // Stats returns the current shared-cache and lowering counters.
@@ -51,7 +46,5 @@ func Stats() HarnessStats {
 	fs := device.FuseStatsSnapshot()
 	s.FusedKernels, s.FusedRegions = fs.Kernels, fs.Regions
 	s.FusedInstrs, s.FusedChainOps = fs.FusedInstrs, fs.ChainOps
-	s.HotRecompiles, s.HotHits = fs.HotRecompiles, fs.HotHits
-	s.FoldedOperands, s.ElidedPredWrites = fs.FoldedOperands, fs.ElidedPredWrites
 	return s
 }

@@ -21,7 +21,7 @@ func TestRunStreamMatchesSyncFullCorpus(t *testing.T) {
 	}
 	tools := map[string]func() *Session{
 		"detector": func() *Session { return New() },
-		"analyzer": func() *Session { return New(WithAnalyzer(DefaultAnalyzerConfig())) },
+		"analyzer": func() *Session { return New(WithTool(Analyzer(DefaultAnalyzerConfig()))) },
 	}
 	for toolName, mk := range tools {
 		toolName, mk := toolName, mk
@@ -77,7 +77,7 @@ func TestRunStreamEmitsIncrementally(t *testing.T) {
 // fragments but still return the normal report.
 func TestRunStreamNonStreamingTool(t *testing.T) {
 	frags := 0
-	rep, err := New(WithPlain()).RunStream(context.Background(), Program("GRAMSCHM"), func([]byte) { frags++ })
+	rep, err := New(WithTool(Plain())).RunStream(context.Background(), Program("GRAMSCHM"), func([]byte) { frags++ })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package gpufpx
 
 // Tool-selection contract tests: WithTool is the single tool surface, the
-// deprecated per-tool options are exact aliases, the last tool option in the
-// option list always wins, and a shadow session is byte-identical to driving
-// the internal sanitizer directly.
+// last tool option in the option list always wins, and a shadow session is
+// byte-identical to driving the internal sanitizer directly.
 
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
 	"gpufpx/internal/cuda"
@@ -29,12 +27,6 @@ func TestWithToolPrecedenceMatrix(t *testing.T) {
 		{"single WithTool", []Option{WithTool(ana)}, "analyzer"},
 		{"last WithTool wins", []Option{WithTool(det), WithTool(sha)}, "shadow"},
 		{"three in a row", []Option{WithTool(sha), WithTool(ana), WithTool(BinFPE())}, "binfpe"},
-		{"deprecated option alone", []Option{WithAnalyzer(DefaultAnalyzerConfig())}, "analyzer"},
-		{"WithTool beats earlier deprecated", []Option{WithMemcheck(), WithTool(sha)}, "shadow"},
-		{"deprecated beats earlier WithTool", []Option{WithTool(sha), WithPlain()}, "plain"},
-		{"mixed chain, last wins", []Option{
-			WithDetector(DefaultDetectorConfig()), WithTool(ana), WithBinFPE(), WithShadow(DefaultShadowConfig()),
-		}, "shadow"},
 		{"unrelated options do not reset the tool", []Option{
 			WithTool(sha), WithFreq(4), WithVerbose(true), WithParallelism(4),
 		}, "shadow"},
@@ -70,45 +62,6 @@ func TestWithToolKeepsLastConfigPerTool(t *testing.T) {
 	if s2.shaCfg.SigBits != strict.SigBits {
 		t.Errorf("plain selection clobbered the stored shadow config: %+v", s2.shaCfg)
 	}
-}
-
-func TestDeprecatedOptionsAreExactAliases(t *testing.T) {
-	detCfg := DefaultDetectorConfig()
-	detCfg.Verbose = true
-	anaCfg := DefaultAnalyzerConfig()
-	shaCfg := DefaultShadowConfig()
-	shaCfg.SigBits = 6
-	pairs := []struct {
-		name     string
-		old, new Option
-	}{
-		{"detector", WithDetector(detCfg), WithTool(Detector(detCfg))},
-		{"analyzer", WithAnalyzer(anaCfg), WithTool(Analyzer(anaCfg))},
-		{"shadow", WithShadow(shaCfg), WithTool(Shadow(shaCfg))},
-		{"binfpe", WithBinFPE(), WithTool(BinFPE())},
-		{"memcheck", WithMemcheck(), WithTool(Memcheck())},
-		{"plain", WithPlain(), WithTool(Plain())},
-	}
-	for _, p := range pairs {
-		a, b := New(p.old), New(p.new)
-		a.output, b.output = nil, nil // funcs/interfaces aside, compare state
-		if !reflect.DeepEqual(stripFuncs(a), stripFuncs(b)) {
-			t.Errorf("%s: legacy option built a different session than WithTool", p.name)
-		}
-	}
-}
-
-// stripFuncs copies the comparable session state (configs hold io.Writer and
-// callback fields that DeepEqual handles fine when nil; OnFinding is a func
-// and must be dropped).
-func stripFuncs(s *Session) Session {
-	c := *s
-	c.shaCfg.OnFinding = nil
-	c.shaCfg.Output = nil
-	c.detCfg.Output = nil
-	c.detCfg.OnRecord = nil
-	c.anaCfg.Output = nil
-	return c
 }
 
 func TestParseToolRoundTrip(t *testing.T) {
