@@ -15,7 +15,6 @@
 //	fpx-bench -tool shadow     # time one tool (detector, analyzer, shadow, ...) over the corpus
 //	fpx-bench -json perf.json  # machine-readable wall-clock record
 //	fpx-bench -compare old.json  # print per-artifact deltas vs a saved record
-//	fpx-bench -compare BENCH_6.json  # re-prove the block-parallel cycle ledger vs the saved baseline
 //	fpx-bench -campaign BENCH_7.json  # SDC vulnerability campaigns: per-site AVF + detection coverage
 //	fpx-bench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -24,13 +23,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"gpufpx/internal/bench"
-	"gpufpx/internal/device"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -69,11 +68,6 @@ type perfRecord struct {
 	FusedRegions  uint64 `json:"fused_regions"`
 	FusedInstrs   uint64 `json:"fused_instrs"`
 	FusedChainOps uint64 `json:"fused_chain_ops"`
-	// Block-parallel launch counters (-p flag); the full proof record is
-	// the schema-6 BENCH_6.json written by -parproof.
-	Parallelism  int    `json:"parallelism,omitempty"`
-	ParLaunches  uint64 `json:"par_launches,omitempty"`
-	ParFallbacks uint64 `json:"par_fallbacks,omitempty"`
 }
 
 type artifactTiming struct {
@@ -99,8 +93,6 @@ func main() {
 		summary    = flag.Bool("summary", false, "headline numbers only")
 		toolFlag   = flag.String("tool", "", "time one tool over the whole corpus: detector, analyzer, shadow, binfpe, memcheck or plain")
 		jobs       = flag.Int("j", 0, "worker goroutines for corpus runs (0 = GOMAXPROCS)")
-		par        = flag.Int("p", 0, "intra-launch block parallelism per run (0 or 1 = sequential)")
-		parproof   = flag.String("parproof", "", "run the block-parallel speedup proof and write the schema-6 record to this file")
 		campaign   = flag.String("campaign", "", "run the SDC vulnerability-profiling campaigns and write the schema-7 record to this file")
 		campSeed   = flag.Uint64("campaign-seed", 7, "campaign trial-plan seed (with -campaign)")
 		campTrials = flag.Int("campaign-trials", 8, "fault-injection trials per instruction site (with -campaign)")
@@ -127,7 +119,6 @@ func main() {
 	}
 
 	bench.Workers = *jobs
-	bench.Parallelism = *par
 
 	mode, err := gpufpx.ParseExecMode(*execFlag)
 	if err != nil {
@@ -136,24 +127,6 @@ func main() {
 	}
 	gpufpx.SetDefaultExecMode(mode)
 
-	// A schema-6 baseline asks for the block-parallel cycle-ledger proof,
-	// not a wall-clock diff: rerun the proof at the baseline's parallelism
-	// and demand the deterministic fields match exactly.
-	if *compare != "" {
-		base6, ok, serr := loadParProofBase(*compare)
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "fpx-bench: %v\n", serr)
-			os.Exit(1)
-		}
-		if ok {
-			if cerr := bench.CompareParProof(os.Stdout, base6); cerr != nil {
-				fmt.Fprintf(os.Stderr, "fpx-bench: %v\n", cerr)
-				os.Exit(1)
-			}
-			return
-		}
-	}
-
 	if *campaign != "" {
 		rec, cerr := bench.Campaign(os.Stdout, *campSeed, *campTrials, *campSites)
 		if cerr == nil {
@@ -161,18 +134,6 @@ func main() {
 		}
 		if cerr != nil {
 			fmt.Fprintf(os.Stderr, "fpx-bench: %v\n", cerr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parproof != "" {
-		rec, perr := bench.ParProof(os.Stdout, *par)
-		if perr == nil {
-			perr = writeJSON(*parproof, rec)
-		}
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "fpx-bench: %v\n", perr)
 			os.Exit(1)
 		}
 		return
@@ -208,8 +169,6 @@ func main() {
 	rec.ShadowSites = hs.ShadowSites
 	rec.FusedKernels, rec.FusedRegions = hs.FusedKernels, hs.FusedRegions
 	rec.FusedInstrs, rec.FusedChainOps = hs.FusedInstrs, hs.FusedChainOps
-	ps := device.ParStatsSnapshot()
-	rec.Parallelism, rec.ParLaunches, rec.ParFallbacks = *par, ps.Launches, ps.Fallbacks
 
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -237,34 +196,13 @@ func main() {
 	}
 }
 
-// loadParProofBase sniffs the baseline's schema and, when it is a schema-6
-// block-parallel proof record, decodes it fully. Older perf-record schemas
-// return ok=false and flow to the wall-clock comparison instead.
-func loadParProofBase(path string) (*bench.ParProofRecord, bool, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, err
-	}
-	var head struct {
-		Schema int `json:"schema"`
-	}
-	if err := json.Unmarshal(b, &head); err != nil {
-		return nil, false, fmt.Errorf("parsing %s: %v", path, err)
-	}
-	if head.Schema != bench.ParProofSchema {
-		return nil, false, nil
-	}
-	var base bench.ParProofRecord
-	if err := json.Unmarshal(b, &base); err != nil {
-		return nil, false, fmt.Errorf("parsing %s: %v", path, err)
-	}
-	return &base, true, nil
-}
-
 // printCompare renders this run's per-artifact wall-clock against a saved
 // perf record, flagging regressions with a sign and ratio. Artifacts present
-// on only one side are listed without a delta.
-func printCompare(w *os.File, path string, rec *perfRecord) error {
+// on only one side are listed without a delta. A baseline without artifact
+// timings is some other kind of record (BENCH_5, 6 and 7 are fleet,
+// block-parallel and campaign records) and is refused rather than read as
+// an empty perf record.
+func printCompare(w io.Writer, path string, rec *perfRecord) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -272,6 +210,9 @@ func printCompare(w *os.File, path string, rec *perfRecord) error {
 	var base perfRecord
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("parsing %s: %v", path, err)
+	}
+	if len(base.Artifacts) == 0 {
+		return fmt.Errorf("%s is not a perf record (schema %d, no artifacts)", path, base.Schema)
 	}
 	fmt.Fprintf(w, "\nperf vs %s (baseline exec=%s j=%d, this run exec=%s j=%d)\n",
 		path, orUnknown(base.ExecMode), base.Workers, rec.ExecMode, rec.Workers)

@@ -38,7 +38,6 @@ func main() {
 		freq     = flag.Int("k", 0, "freq-redn-factor: instrument 1 in k invocations (0 = all)")
 		kernels  = flag.String("kernels", "", "comma-separated kernel whitelist (Algorithm 3's user-specified list)")
 		execFlag = flag.String("exec", "", "executor dispatch: interp (reference interpreter), lowered (direct-threaded programs) or fused (superinstructions); reports are identical in all three")
-		par      = flag.Int("p", 0, "intra-launch block parallelism: run each launch's blocks on up to p workers with deterministic tool-state reduction (0/1 = sequential; reports are byte-identical either way)")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		list     = flag.Bool("list", false, "list the corpus programs and exit")
 	)
@@ -71,9 +70,6 @@ func main() {
 	}
 
 	opts := []gpufpx.Option{gpufpx.WithCompile(compile), gpufpx.WithFreq(*freq)}
-	if *par > 1 {
-		opts = append(opts, gpufpx.WithParallelism(*par))
-	}
 	if *execFlag != "" {
 		mode, err := gpufpx.ParseExecMode(*execFlag)
 		if err != nil {

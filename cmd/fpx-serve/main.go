@@ -47,7 +47,6 @@ func main() {
 		rate    = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
 		execF   = flag.String("exec", "fused", "default executor for jobs that do not pin one: interp, lowered or fused")
 		cycRate = flag.Float64("cycle-rate", 0, "node capacity in simulated cycles/sec (0 = unlimited); fleet benchmarks pin this")
-		par     = flag.Int("p", 0, "intra-launch block parallelism per job (0/1 = sequential; reports are byte-identical either way)")
 		campDir = flag.String("campaign-dir", "", "checkpoint root for POST /v1/profile campaigns (empty = no persistence; drained campaigns resume on re-POST when set)")
 		campWrk = flag.Int("campaign-workers", 0, "trial fan-out per campaign (0/1 = sequential; profiles are byte-identical either way)")
 	)
@@ -65,7 +64,6 @@ func main() {
 		DefaultCycleBudget: *budget,
 		MaxBodyBytes:       *maxBody,
 		CycleRate:          *cycRate,
-		Parallelism:        *par,
 		CampaignDir:        *campDir,
 		CampaignWorkers:    *campWrk,
 	}

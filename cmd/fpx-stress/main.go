@@ -55,7 +55,6 @@ func main() {
 		clients  = flag.Int("clients", 64, "concurrent clients in the service storm (with -chaos)")
 		requests = flag.Int("requests", 4, "requests per storm client (with -chaos)")
 		execF    = flag.String("exec", "fused", "executor dispatch: interp, lowered or fused")
-		par      = flag.Int("p", 0, "intra-launch block parallelism for search launches (0/1 = sequential; findings are identical either way)")
 
 		fleetOn       = flag.Bool("fleet", false, "run the sharded-fleet throughput proof instead of an input search")
 		fleetNodes    = flag.Int("fleet-nodes", 3, "serve nodes in the fleet phase (with -fleet)")
@@ -100,7 +99,7 @@ func main() {
 	}
 	cfg := stress.DefaultConfig()
 	cfg.Rounds = *rounds
-	target := &stress.Target{Def: def, N: 64, Opts: gpufpx.CompileOptions{FastMath: *fastmath}, Parallel: *par, Tool: *toolF}
+	target := &stress.Target{Def: def, N: 64, Opts: gpufpx.CompileOptions{FastMath: *fastmath}, Tool: *toolF}
 	res, err := stress.Search(target, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpx-stress:", err)

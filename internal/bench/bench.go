@@ -122,9 +122,6 @@ type RunResult struct {
 	// kernel — what the per-kernel sampling memoization in Figure6
 	// reasons about (freq-redn-factor counts invocations per kernel).
 	KernelLaunches int
-	// MaxGridDim is the largest grid any of the program's launches used —
-	// how the block-parallel proof selects its large-grid subset.
-	MaxGridDim int
 }
 
 // Failed reports a non-hang run failure.
@@ -144,25 +141,16 @@ type Options struct {
 	FreqRedn int
 	// Fixed runs the repaired variant when available.
 	Fixed bool
-	// Parallel, when > 1, enables intra-launch block-parallel execution
-	// (gpufpx.WithParallelism) for every launch of the run.
-	Parallel int
 }
 
 // Run executes one program under one tool configuration. Tool construction
 // goes through the public session facade — the same path fpx-run and
 // fpx-serve use — with the evaluation device's cost model swapped in.
 func Run(p progs.Program, tool Tool, opt Options) RunResult {
-	if opt.Parallel == 0 {
-		opt.Parallel = Parallelism
-	}
 	sOpts := []gpufpx.Option{
 		gpufpx.WithDeviceConfig(deviceConfig()),
 		gpufpx.WithCompile(opt.Compiler),
 		gpufpx.WithFreq(opt.FreqRedn),
-	}
-	if opt.Parallel > 1 {
-		sOpts = append(sOpts, gpufpx.WithParallelism(opt.Parallel))
 	}
 	switch tool {
 	case ToolNone:
@@ -192,7 +180,6 @@ func Run(p progs.Program, tool Tool, opt Options) RunResult {
 		res.Summary = rep.Summary
 		res.Launches = rep.Launches
 		res.KernelLaunches = rep.MaxKernelLaunches
-		res.MaxGridDim = rep.MaxGridDim
 	}
 	if err != nil {
 		res.Err = err
@@ -233,12 +220,6 @@ var sweepTools = [4]Tool{ToolNone, ToolBinFPE, ToolFPXNoGT, ToolFPX}
 // (program, tool) run is dispatched to the worker pool and written back by
 // index, so the result slices are identical for any worker count.
 func RunSweepOn(ps []progs.Program) *Sweep {
-	return RunSweepOpts(ps, Options{})
-}
-
-// RunSweepOpts is RunSweepOn with shared per-run options — how the
-// block-parallel differential suite runs the same sweep at -p 1 and -p N.
-func RunSweepOpts(ps []progs.Program, opt Options) *Sweep {
 	n := len(ps)
 	s := &Sweep{
 		Programs: ps,
@@ -250,7 +231,7 @@ func RunSweepOpts(ps []progs.Program, opt Options) *Sweep {
 	cols := [4][]RunResult{s.Plain, s.BinFPE, s.NoGT, s.FPX}
 	forEach(n*4, func(j int) {
 		pi, ti := j/4, j%4
-		cols[ti][pi] = Run(ps[pi], sweepTools[ti], opt)
+		cols[ti][pi] = Run(ps[pi], sweepTools[ti], Options{})
 	})
 	return s
 }

@@ -40,6 +40,22 @@ func TestRunSingleProgram(t *testing.T) {
 	}
 }
 
+// TestSweepInvariants pins the sweep's exact simulated totals. Cycle counts
+// are deterministic for any schedule and executor, so any drift is a
+// behavioural change in the simulator or a tool, never noise.
+func TestSweepInvariants(t *testing.T) {
+	s := getSweep(t)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TotalCycles(); got != 6573844076 {
+		t.Errorf("sweep total cycles = %d, want 6573844076", got)
+	}
+	if got := s.Hangs(); got != 2 {
+		t.Errorf("sweep hangs = %d, want 2", got)
+	}
+}
+
 func TestHeadlineGeomeanSpeedup(t *testing.T) {
 	s := getSweep(t)
 	// The paper reports a 16x geometric-mean speedup over BinFPE ("12x on

@@ -85,7 +85,6 @@ func Campaign(w io.Writer, seed uint64, trialsPerSite, maxSites int) (*CampaignR
 			s := gpufpx.New(
 				campaignTool(tool),
 				gpufpx.WithCycleBudget(1<<24),
-				gpufpx.WithParallelism(Parallelism),
 				gpufpx.WithCampaign(gpufpx.CampaignConfig{
 					Seed:          seed,
 					TrialsPerSite: trialsPerSite,

@@ -27,12 +27,6 @@ import (
 // schedules.
 var Workers int
 
-// Parallelism is the intra-launch block parallelism runs default to when
-// their Options don't pin one (fpx-bench's -p flag). Zero or one runs
-// launches sequentially. Orthogonal to Workers: Workers fans out across
-// (program, tool) runs, Parallelism splits the blocks inside each launch.
-var Parallelism int
-
 // forEach runs fn(i) for every i in [0, n), fanned out over the configured
 // worker pool. fn must confine its writes to index-i result slots; forEach
 // guarantees completion of all calls before returning, and degrades to a

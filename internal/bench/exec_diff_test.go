@@ -2,11 +2,23 @@ package bench
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
+	"gpufpx/internal/cc"
 	"gpufpx/internal/device"
 	"gpufpx/internal/progs"
 )
+
+// execModes enumerates the executors every differential must agree across.
+var execModes = []struct {
+	name string
+	mode device.ExecMode
+}{
+	{"interp", device.ExecInterp},
+	{"lowered", device.ExecLowered},
+	{"fused", device.ExecFused},
+}
 
 // setExecMode pins the process-wide default executor for one test and
 // restores it afterwards.
@@ -89,4 +101,71 @@ func TestExecutorsDifferentialSubsetParallel(t *testing.T) {
 	}
 
 	diffSweeps(t, ps, interp, lowered, "subset -j 8")
+}
+
+// TestConcurrentLaunchesShareCachedKernel launches one cached kernel from
+// many devices at once — the configuration the -race CI job uses to prove
+// concurrent launches never race on shared kernel state (lowered programs,
+// fused chains). Every device must land on the sequential reference's
+// cycle count.
+func TestConcurrentLaunchesShareCachedKernel(t *testing.T) {
+	def := &cc.KernelDef{
+		Name:       "shared_kernel",
+		SourceFile: "shared.cu",
+		Params:     []cc.Param{{Name: "buf", Kind: cc.PtrF32}},
+		Body: []cc.Stmt{
+			cc.Let("x", cc.At("buf", cc.Gid())),
+			cc.Store("buf", cc.Gid(), cc.AddE(cc.MulE(cc.V("x"), cc.V("x")), cc.F(1))),
+		},
+	}
+	k, err := cc.CompileCached(def, cc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := func(dev *device.Device, buf uint32) error {
+		_, err := dev.Launch(&device.Launch{Kernel: k, GridDim: 8, BlockDim: 32, Params: []uint32{buf}})
+		return err
+	}
+
+	for _, em := range execModes {
+		setExecMode(t, em.mode)
+
+		ref := device.New(device.DefaultConfig())
+		refBuf := ref.Alloc(4 * 1024)
+		for iter := 0; iter < 4; iter++ {
+			if err := launch(ref, refBuf); err != nil {
+				t.Fatalf("%s: reference: %v", em.name, err)
+			}
+		}
+
+		const devices = 4
+		var cycles [devices]uint64
+		errs := make([]error, devices)
+		var wg sync.WaitGroup
+		wg.Add(devices)
+		for d := 0; d < devices; d++ {
+			go func(d int) {
+				defer wg.Done()
+				dev := device.New(device.DefaultConfig())
+				buf := dev.Alloc(4 * 1024)
+				for iter := 0; iter < 4; iter++ {
+					if err := launch(dev, buf); err != nil {
+						errs[d] = err
+						return
+					}
+				}
+				cycles[d] = dev.Cycles
+			}(d)
+		}
+		wg.Wait()
+		for d := 0; d < devices; d++ {
+			if errs[d] != nil {
+				t.Fatalf("%s: device %d: %v", em.name, d, errs[d])
+			}
+			if cycles[d] != ref.Cycles {
+				t.Errorf("%s: device %d saw %d cycles, reference saw %d",
+					em.name, d, cycles[d], ref.Cycles)
+			}
+		}
+	}
 }

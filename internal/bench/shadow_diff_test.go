@@ -12,8 +12,7 @@ import (
 
 // These tests are the shadow sanitizer's correctness contract: the same
 // workload must produce byte-identical shadow reports (text and JSON),
-// stats and cycle counts under every executor and at -p 4 vs -p 1 — and
-// the precision suite must be flagged by shadow while staying invisible
+// stats and cycle counts under every executor — and the precision suite must be flagged by shadow while staying invisible
 // to the detector and the analyzer.
 
 // shadowObservation is everything one shadowed run externalizes.
@@ -27,10 +26,9 @@ type shadowObservation struct {
 }
 
 // observeShadow runs one program under the shadow sanitizer.
-func observeShadow(p progs.Program, parallel int) shadowObservation {
+func observeShadow(p progs.Program) shadowObservation {
 	var buf bytes.Buffer
 	ctx := cuda.NewContext()
-	ctx.Parallelism = parallel
 	cfg := fpx.DefaultShadowConfig()
 	cfg.Output = &buf
 	sh := fpx.AttachShadow(ctx, cfg)
@@ -98,33 +96,31 @@ func shadowSubset() []progs.Program {
 }
 
 // observeShadowAll observes every program through the worker pool.
-func observeShadowAll(ps []progs.Program, parallel int) []shadowObservation {
+func observeShadowAll(ps []progs.Program) []shadowObservation {
 	out := make([]shadowObservation, len(ps))
-	forEach(len(ps), func(i int) { out[i] = observeShadow(ps[i], parallel) })
+	forEach(len(ps), func(i int) { out[i] = observeShadow(ps[i]) })
 	return out
 }
 
 // TestShadowDifferentialSubset runs in -short and under the -race CI job:
-// every executor, sequential vs -p 4, byte-identical shadow output.
+// every executor, byte-identical shadow output.
 func TestShadowDifferentialSubset(t *testing.T) {
 	ps := shadowSubset()
 	setWorkers(t, 4)
 	var base []shadowObservation
 	for _, em := range execModes {
 		setExecMode(t, em.mode)
-		seq := observeShadowAll(ps, 1)
-		par := observeShadowAll(ps, 4)
-		diffShadowObs(t, ps, seq, par, "shadow -p 4 "+em.name)
+		got := observeShadowAll(ps)
 		if base == nil {
-			base = seq
+			base = got
 		} else {
-			diffShadowObs(t, ps, base, seq, "shadow interp vs "+em.name)
+			diffShadowObs(t, ps, base, got, "shadow interp vs "+em.name)
 		}
 	}
 }
 
 // TestShadowDifferentialFullCorpus is the acceptance gate: the full paper
-// corpus plus the precision suite, all three executors, sequential vs -p 4.
+// corpus plus the precision suite, all three executors.
 func TestShadowDifferentialFullCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-corpus shadow differential in -short mode")
@@ -133,13 +129,11 @@ func TestShadowDifferentialFullCorpus(t *testing.T) {
 	var base []shadowObservation
 	for _, em := range execModes {
 		setExecMode(t, em.mode)
-		seq := observeShadowAll(ps, 1)
-		par := observeShadowAll(ps, 4)
-		diffShadowObs(t, ps, seq, par, "shadow corpus -p 4 "+em.name)
+		got := observeShadowAll(ps)
 		if base == nil {
-			base = seq
+			base = got
 		} else {
-			diffShadowObs(t, ps, base, seq, "shadow corpus interp vs "+em.name)
+			diffShadowObs(t, ps, base, got, "shadow corpus interp vs "+em.name)
 		}
 	}
 }
@@ -151,18 +145,18 @@ func TestPrecisionSuiteVerdicts(t *testing.T) {
 	for _, p := range progs.Precision() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			det := mustOK(Run(p, ToolFPX, Options{Parallel: 1}))
+			det := mustOK(Run(p, ToolFPX, Options{}))
 			if n := det.Summary.Total(); n != 0 {
 				t.Errorf("detector reports %d unique records, want clean", n)
 			}
-			ana := observeAnalyzerPar(p, 1)
+			ana := observeAnalyzer(p)
 			if ana.err != nil {
 				t.Fatalf("analyzer run: %v", ana.err)
 			}
 			if len(ana.events) != 0 {
 				t.Errorf("analyzer reports %d events, want quiet", len(ana.events))
 			}
-			sh := observeShadow(p, 1)
+			sh := observeShadow(p)
 			if sh.err != nil {
 				t.Fatalf("shadow run: %v", sh.err)
 			}

@@ -36,18 +36,6 @@ type LaunchEvent struct {
 	// (another table, or an AddCall) forces a private copy.
 	injectTab   *device.InjectTable
 	injectOwned bool
-
-	// sharders collects the block-range tool-state sharder factories
-	// attached by AttachSharder. A launch can only run block-parallel when
-	// exactly one tool attached one against the table the launch actually
-	// runs with (see Context.Launch).
-	sharders []func() device.LaunchSharder
-}
-
-// AttachSharder attaches a block-range tool-state sharder factory for this
-// launch's instrumentation (see device.LaunchSharder).
-func (ev *LaunchEvent) AttachSharder(f func() device.LaunchSharder) {
-	ev.sharders = append(ev.sharders, f)
 }
 
 // AddCall appends an injected call at the given instruction PC.
@@ -147,20 +135,12 @@ type Context struct {
 	// context once closed (the context.Context.Done plumbing of the public
 	// API); a stopped launch surfaces as device.ErrCanceled.
 	Cancel <-chan struct{}
-	// Parallelism, when > 1, lets eligible launches from this context run
-	// their blocks as up to that many concurrent ranges (the facade's
-	// WithParallelism knob). Results are byte-identical to sequential
-	// execution; ineligible launches fall back transparently.
-	Parallelism int
 
 	interceptors []Interceptor
 	invocations  map[string]int
 
 	// LaunchesDone counts completed kernel launches.
 	LaunchesDone int
-	// MaxGridDim is the largest grid any completed launch used — how much
-	// intra-launch block parallelism the workload can expose.
-	MaxGridDim int
 }
 
 // NewContext creates a context on a fresh device with the default cost
@@ -197,14 +177,6 @@ func (c *Context) Launch(k *sass.Kernel, gridDim, blockDim int, params ...uint32
 		i.OnLaunch(ev)
 	}
 	c.Dev.AdvanceHost(ev.HostCycles)
-	// A sharder is only trustworthy when it matches the table the launch
-	// runs with: exactly one was attached, against the borrowed cache table
-	// that no later interceptor mutated or merged. Anything else (multiple
-	// tools, AddCall edits, raw Inject maps) runs sequentially.
-	var sharder func() device.LaunchSharder
-	if len(ev.sharders) == 1 && !ev.injectOwned && ev.Inject == nil {
-		sharder = ev.sharders[0]
-	}
 	_, err := c.Dev.Launch(&device.Launch{
 		Kernel:      ev.Kernel,
 		GridDim:     ev.GridDim,
@@ -215,8 +187,6 @@ func (c *Context) Launch(k *sass.Kernel, gridDim, blockDim int, params ...uint32
 		Exec:        c.Exec,
 		MaxDynInstr: c.MaxDynInstr,
 		Cancel:      c.Cancel,
-		Parallel:    c.Parallelism,
-		Sharder:     sharder,
 	})
 	// An owned table was cloned (or built) for this launch alone; hand it
 	// back to the pool. Borrowed tables belong to a tool's cache and stay
@@ -230,9 +200,6 @@ func (c *Context) Launch(k *sass.Kernel, gridDim, blockDim int, params ...uint32
 		return fmt.Errorf("cuda: launching %s: %w", k.Name, err)
 	}
 	c.LaunchesDone++
-	if gridDim > c.MaxGridDim {
-		c.MaxGridDim = gridDim
-	}
 	return nil
 }
 

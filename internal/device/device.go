@@ -89,12 +89,6 @@ type Device struct {
 	// fault, when set, observes every retired instruction (see FaultHook).
 	fault FaultHook
 
-	// track, when set, records the global-memory words this device reads
-	// and writes — the conflict ledger of a block-parallel range shadow
-	// (exec_par.go). nil on every sequential device, so the hot path pays
-	// one predictable branch per access.
-	track *memTracker
-
 	// Stats accumulates per-device counters across launches.
 	Stats Stats
 }
@@ -181,36 +175,24 @@ func (d *Device) Reset() {
 // Load32 reads a 32-bit word from global memory.
 func (d *Device) Load32(addr uint32) uint32 {
 	d.checkAddr(addr, 4)
-	if d.track != nil {
-		d.track.read(addr, 4)
-	}
 	return binary.LittleEndian.Uint32(d.mem[addr:])
 }
 
 // Store32 writes a 32-bit word to global memory.
 func (d *Device) Store32(addr uint32, v uint32) {
 	d.checkAddr(addr, 4)
-	if d.track != nil {
-		d.track.write(addr, 4)
-	}
 	binary.LittleEndian.PutUint32(d.mem[addr:], v)
 }
 
 // Load64 reads a 64-bit word from global memory.
 func (d *Device) Load64(addr uint32) uint64 {
 	d.checkAddr(addr, 8)
-	if d.track != nil {
-		d.track.read(addr, 8)
-	}
 	return binary.LittleEndian.Uint64(d.mem[addr:])
 }
 
 // Store64 writes a 64-bit word to global memory.
 func (d *Device) Store64(addr uint32, v uint64) {
 	d.checkAddr(addr, 8)
-	if d.track != nil {
-		d.track.write(addr, 8)
-	}
 	binary.LittleEndian.PutUint64(d.mem[addr:], v)
 }
 

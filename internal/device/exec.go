@@ -33,18 +33,6 @@ type Launch struct {
 	// polls it every 1024 dynamic instructions and returns ErrCanceled once
 	// it is closed, bounding the work done after a cancellation.
 	Cancel <-chan struct{}
-	// Parallel, when > 1, lets the executor run the launch's blocks as up
-	// to Parallel contiguous block ranges on concurrent workers (see
-	// exec_par.go). Results are byte-identical to sequential execution;
-	// launches that cannot be parallelized safely (barriers, fault hooks,
-	// instrumentation without a Sharder) run sequentially.
-	Parallel int
-	// Sharder builds the per-launch tool-state sharder an instrumented
-	// launch needs to run block-parallel: each worker range gets a private
-	// injection table and the recorded tool events are merged back in block
-	// order. nil (or a factory returning nil) keeps instrumented launches
-	// sequential.
-	Sharder func() LaunchSharder
 }
 
 // LaunchStats summarizes one launch.
@@ -93,15 +81,7 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 	if mode == ExecFused && d.fault == nil {
 		fk = fuseFor(l.Kernel)
 	}
-	var err error
-	ran := false
-	if d.parEligible(l, meta) {
-		ran, err = d.launchPar(l, meta, mode, budget, fk)
-	}
-	if !ran {
-		_, err = d.launchRange(l, meta, mode, budget, fk, nil, 0, l.GridDim)
-	}
-	if err != nil {
+	if err := d.runGrid(l, meta, mode, budget, fk); err != nil {
 		return LaunchStats{}, err
 	}
 	return LaunchStats{
@@ -111,27 +91,19 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 	}, nil
 }
 
-// launchRange executes the contiguous block range [lo, hi) of a launch on
-// this device — the whole grid for a sequential launch, one worker's share
-// for a block-parallel one. tab overrides the launch's injection table (a
-// sharded range runs its range-private table); nil selects the launch's own
-// table or map. The returned issued count feeds the parallel driver's
-// whole-launch budget check.
-func (d *Device) launchRange(l *Launch, meta *kernelMeta, mode ExecMode, budget uint64, fk *fusedKernel, tab *InjectTable, lo, hi int) (uint64, error) {
+// runGrid executes every block of a launch on this device, in block order.
+func (d *Device) runGrid(l *Launch, meta *kernelMeta, mode ExecMode, budget uint64, fk *fusedKernel) error {
 	sc := getScratch()
 	ex := &executor{d: d, l: l, budget: budget, meta: meta, cancel: l.Cancel, fk: fk}
 	if mode != ExecInterp {
 		ex.low = lowerFor(l.Kernel)
 	}
-	if tab == nil {
-		tab = l.InjectTab
-	}
 	// Lower the PC→calls injection map into PC-indexed before/after slices
 	// once per launch, so the per-dynamic-instruction path is a slice index
 	// instead of a map lookup plus a When filter. A pre-split table skips
 	// even that: its slices are shared directly.
-	if !tab.Empty() {
-		ex.injBefore, ex.injAfter = tab.split(len(l.Kernel.Instrs))
+	if !l.InjectTab.Empty() {
+		ex.injBefore, ex.injAfter = l.InjectTab.split(len(l.Kernel.Instrs))
 	} else if len(l.Inject) > 0 {
 		n := len(l.Kernel.Instrs)
 		ex.injBefore = make([][]InjectedCall, n)
@@ -175,13 +147,13 @@ func (d *Device) launchRange(l *Launch, meta *kernelMeta, mode ExecMode, budget 
 		if lanes > WarpSize {
 			lanes = WarpSize
 		}
-		warps[wi] = newWarp(lo*warpsPerBlock+wi, lo, wi, l.Kernel.NumRegs, lanes)
+		warps[wi] = newWarp(wi, 0, wi, l.Kernel.NumRegs, lanes)
 	}
 	// Shared memory is allocated once and zeroed in place per block, like
 	// the warp pool above.
 	ex.shared = growBytes(sc.shared, l.Kernel.SharedBytes)
-	for b := lo; b < hi; b++ {
-		if b > lo {
+	for b := 0; b < l.GridDim; b++ {
+		if b > 0 {
 			for i := range ex.shared {
 				ex.shared[i] = 0
 			}
@@ -192,12 +164,12 @@ func (d *Device) launchRange(l *Launch, meta *kernelMeta, mode ExecMode, budget 
 		if err := ex.runBlock(warps, hasBar); err != nil {
 			releaseWarps(warps)
 			done()
-			return ex.issued, err
+			return err
 		}
 	}
 	releaseWarps(warps)
 	done()
-	return ex.issued, nil
+	return nil
 }
 
 // releaseWarps returns a launch's register backings to the shared pool on
@@ -1361,3 +1333,11 @@ func putLeU32(b []byte, v uint32) {
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
 }
+
+// ParStats is always zero: launches run their blocks sequentially. It is
+// kept only because the repository benchmark (perfbench) still reads it;
+// drop it with that reader.
+type ParStats struct{ Launches, Fallbacks uint64 }
+
+// ParStatsSnapshot returns the zero ParStats.
+func ParStatsSnapshot() ParStats { return ParStats{} }

@@ -92,23 +92,6 @@ func (t *InjectTable) Clone() *InjectTable {
 	return c
 }
 
-// SwapFn replaces the body of the first call of the given phase at pc,
-// keeping its cost and schedule position, and reports whether such a call
-// existed. Like Add, it may only be used on an owned (cloned or freshly
-// built) table — this is how a LaunchSharder rebinds a cached table's tool
-// bodies to per-range recording bodies without touching the shared cache.
-func (t *InjectTable) SwapFn(when When, pc int, fn InjectFn) bool {
-	phase := t.after
-	if when == Before {
-		phase = t.before
-	}
-	if pc < 0 || pc >= len(phase) || len(phase[pc]) == 0 {
-		return false
-	}
-	phase[pc][0].Fn = fn
-	return true
-}
-
 // Merge appends every call of o. The receiver must be an owned (cloned or
 // freshly built) table.
 func (t *InjectTable) Merge(o *InjectTable) {

@@ -12,10 +12,6 @@ package fault
 //     register at one dynamic occurrence of one site. Everything else about
 //     the run stays golden, so any downstream divergence is attributable to
 //     that single flip.
-//
-// Because both are fault hooks they inherit the executor's sequential veto
-// (exec_par.go refuses block parallelism when a hook is attached), so hooked
-// runs are deterministic regardless of the session's parallelism setting.
 
 import (
 	"hash/fnv"

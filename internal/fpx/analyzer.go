@@ -132,25 +132,6 @@ type Analyzer struct {
 	// block, reused across instructions and launches — the lowered
 	// replacement for a per-instruction map insert/delete.
 	scratch []siteClasses
-
-	// kern is the per-kernel site registry Instrument builds, the basis of
-	// block-range sharding (analyzer_shard.go): shard workers need each
-	// site's compiled program and each output-check's operands to install
-	// recording bodies in their private tables.
-	kern map[*sass.Kernel]*anaKernel
-}
-
-// anaKernel is one instrumented kernel's analyzer site registry.
-type anaKernel struct {
-	sites  []*siteProg
-	stores []anaStore
-}
-
-// anaStore is one global-store output check (the storeFn sites).
-type anaStore struct {
-	pc   int
-	reg  int
-	wide bool
 }
 
 // NewAnalyzer builds an analyzer tool.
@@ -205,14 +186,12 @@ func (a *Analyzer) ShouldInstrument(k *sass.Kernel, invocation int) bool {
 // injected-SASS cost model, but no host work runs.
 func (a *Analyzer) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 	inj := make(map[int][]device.InjectedCall)
-	reg := &anaKernel{}
 	hasFP := k.FPInstrCount() > 0
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		switch {
 		case a.tracked(in):
 			s := a.compileSite(k.Name, in)
-			reg.sites = append(reg.sites, s)
 			var beforeFn device.InjectFn
 			if s.needBefore() {
 				beforeFn = s.before
@@ -222,15 +201,10 @@ func (a *Analyzer) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 				device.InjectedCall{When: device.After, Cost: a.cfg.AfterCost, Fn: s.after},
 			)
 		case hasFP && in.Op == sass.OpSTG:
-			reg.stores = append(reg.stores, anaStore{pc: in.PC, reg: in.Operands[1].Reg, wide: in.HasMod("64")})
 			inj[in.PC] = append(inj[in.PC],
 				device.InjectedCall{When: device.Before, Cost: a.cfg.BeforeCost, Fn: a.storeFn(in)})
 		}
 	}
-	if a.kern == nil {
-		a.kern = make(map[*sass.Kernel]*anaKernel)
-	}
-	a.kern[k] = reg
 	return inj
 }
 

@@ -158,8 +158,7 @@ func (s *siteProg) capture(ctx *device.InjCtx, slot *siteClasses) (bef, aft site
 
 // triage classifies one execution into its Table 2 state; ok is false for
 // the no-exception case (the overwhelmingly common one) and for the
-// dynamic shapes that produce no state. It is pure: the live after call,
-// and the block-range shard's worker (analyzer_shard.go), share it.
+// dynamic shapes that produce no state.
 func (s *siteProg) triage(bef, aft *siteClasses) (state FlowState, ok bool) {
 	n := s.n
 	if !anyExceptional(bef[:n]) && !anyExceptional(aft[:n]) {
@@ -185,27 +184,25 @@ func (s *siteProg) triage(bef, aft *siteClasses) (state FlowState, ok bool) {
 	return 0, false
 }
 
-// bump adds n occurrences of a state to the aggregate counters.
-func (st *AnalyzerStats) bump(state FlowState, n uint64) {
+// bump counts one occurrence of a state in the aggregate counters.
+func (st *AnalyzerStats) bump(state FlowState) {
 	switch state {
 	case StateSharedRegister:
-		st.SharedRegister += n
+		st.SharedRegister++
 	case StateComparison:
-		st.Comparisons += n
+		st.Comparisons++
 	case StateAppearance:
-		st.Appearances += n
+		st.Appearances++
 	case StatePropagation:
-		st.Propagations += n
+		st.Propagations++
 	case StateDisappearance:
-		st.Disappearances += n
+		st.Disappearances++
 	}
 }
 
 // emit materializes and ships one flow event — the under-cap path of the
-// after call, also driven by the shard merge (with an `at` hook positioning
-// the timeline before the channel push). The caller has already checked the
-// per-location cap.
-func (a *Analyzer) emit(s *siteProg, state FlowState, bef, aft *siteClasses, dev *device.Device, at func()) error {
+// after call. The caller has already checked the per-location cap.
+func (a *Analyzer) emit(s *siteProg, state FlowState, bef, aft *siteClasses, dev *device.Device) error {
 	s.counts.emitted++
 	n := s.n
 	before := make([]fpval.Class, n)
@@ -227,9 +224,6 @@ func (a *Analyzer) emit(s *siteProg, state FlowState, bef, aft *siteClasses, dev
 	}
 	a.report(ev)
 	// Ship the event to the host channel (analysis data).
-	if at != nil {
-		at()
-	}
 	return dev.PushPacket(device.Packet{Words: a.cfg.EventWords, Payload: ev})
 }
 
@@ -241,12 +235,12 @@ func (s *siteProg) after(ctx *device.InjCtx) error {
 	if !ok {
 		return nil
 	}
-	a.stats.bump(state, 1)
+	a.stats.bump(state)
 	s.counts.states[state]++
 	if s.counts.emitted < a.cfg.MaxEventsPerLocation {
 		// Only now — when the event will actually be emitted — is the
 		// FlowEvent materialized.
-		return a.emit(s, state, &bef, &aft, ctx.Dev, nil)
+		return a.emit(s, state, &bef, &aft, ctx.Dev)
 	}
 	return nil
 }

@@ -94,14 +94,6 @@ type Detector struct {
 	hostSeen  map[Key]bool    // host-side dedup for the w/o-GT phase
 	announced map[string]bool // kernels already greeted in verbose mode
 
-	// kern is the per-kernel injection-site registry, built by Instrument.
-	// It is what makes the detector shardable (detector_shard.go): each
-	// site's identity and saturation state live here rather than inside the
-	// injected closures, so a block-range shard can record site events and
-	// the merge can replay them against the same state the sequential path
-	// uses.
-	kern map[*sass.Kernel]*detKernel
-
 	gtCharged bool
 
 	// scratchKey is the in-flight record key. Channel delivery is
@@ -190,10 +182,9 @@ func (d *Detector) ShouldInstrument(k *sass.Kernel, invocation int) bool {
 // function per FP instruction.
 func (d *Detector) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 	inj := make(map[int][]device.InjectedCall)
-	reg := &detKernel{}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
-		fn := d.selectInjection(k.Name, in, reg)
+		fn := d.selectInjection(k.Name, in)
 		if fn == nil {
 			continue
 		}
@@ -204,19 +195,7 @@ func (d *Detector) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 			Fn:   fn,
 		})
 	}
-	if d.kern == nil {
-		d.kern = make(map[*sass.Kernel]*detKernel)
-	}
-	d.kern[k] = reg
 	return inj
-}
-
-// detKernel is one instrumented kernel's site registry.
-type detKernel struct {
-	sites []*detSite
-	// hmma marks kernels with tensor-core sites, whose value-level checks
-	// the block-range shard cannot record mask-wise.
-	hmma bool
 }
 
 // detSite is one injection site: the static identity checkFn closes over,
@@ -224,7 +203,6 @@ type detKernel struct {
 // Instrument time, so sat persists across launches exactly as the previous
 // closure-captured state did.
 type detSite struct {
-	pc      int
 	loc     uint16
 	fp      fpval.Format
 	regBase int
@@ -246,56 +224,18 @@ func (s *detSite) masks(ctx *device.InjCtx) (nan, inf, sub uint32) {
 	}
 }
 
-// nKeys is the size of the site's ⟨exception, location, format⟩ key space —
-// the saturation bound of siteState.
-func (s *detSite) nKeys() int {
-	if s.div0 {
-		return 2 // {DIV0, Subnormal}
-	}
-	return 3 // {NaN, INF, Subnormal}
-}
-
-// keyOf enumerates the site's key space; the index order is the shard's
-// key-mask bit order.
-func (s *detSite) keyOf(i int) Key {
-	var e fpval.Except
-	if s.div0 {
-		if i == 0 {
-			e = fpval.ExcDiv0
-		} else {
-			e = fpval.ExcSub
-		}
-	} else {
-		switch i {
-		case 0:
-			e = fpval.ExcNaN
-		case 1:
-			e = fpval.ExcInf
-		default:
-			e = fpval.ExcSub
-		}
-	}
-	return EncodeID(e, s.loc, s.fp)
-}
-
-// newDetSite registers one site with the kernel registry.
-func (reg *detKernel) add(s *detSite) *detSite {
-	reg.sites = append(reg.sites, s)
-	return s
-}
-
 // selectInjection is the body of Algorithm 1.
-func (d *Detector) selectInjection(kernel string, in *sass.Instr, reg *detKernel) device.InjectFn {
+func (d *Detector) selectInjection(kernel string, in *sass.Instr) device.InjectFn {
 	dest, hasDest := in.DestReg()
 	if !hasDest || dest == sass.RZ {
 		return nil
 	}
 	loc := d.locs.ID(kernel, in)
 	site := func(fp fpval.Format, regBase int, wide, div0 bool) *detSite {
-		return reg.add(&detSite{
-			pc: in.PC, loc: loc, fp: fp, regBase: regBase,
+		return &detSite{
+			loc: loc, fp: fp, regBase: regBase,
 			wide: wide, div0: div0, sat: newSiteState(div0),
-		})
+		}
 	}
 	switch {
 	case in.IsRcp():
@@ -320,7 +260,6 @@ func (d *Detector) selectInjection(kernel string, in *sass.Instr, reg *detKernel
 		// accumulator elements — an FP32 register pair, or two FP16 halves
 		// packed into one register — and both must be checked.
 		if fmt, ok := in.HMMADestFormat(); ok {
-			reg.hmma = true
 			return d.checkHMMAFn(loc, fmt, dest)
 		}
 		return nil
@@ -351,15 +290,13 @@ func (d *Detector) checkFn(site *detSite) device.InjectFn {
 		if nan|inf|sub == 0 {
 			return nil
 		}
-		return d.checkMasks(site, nan, inf, sub, ctx.Dev, nil)
+		return d.checkMasks(site, nan, inf, sub, ctx.Dev)
 	}
 }
 
-// checkMasks is the per-bit half of the Algorithm 2 check, shared by the
-// live injected call and the block-range shard's merge replay (which passes
-// an `at` hook to position the timeline before each push). It classifies,
+// checkMasks is the per-bit half of the Algorithm 2 check. It classifies,
 // dedups through GT, and ships table-missing records.
-func (d *Detector) checkMasks(site *detSite, nan, inf, sub uint32, dev *device.Device, at func()) error {
+func (d *Detector) checkMasks(site *detSite, nan, inf, sub uint32, dev *device.Device) error {
 	all := nan | inf | sub
 	for m := all; m != 0; m &= m - 1 {
 		bit := m & -m
@@ -388,9 +325,6 @@ func (d *Detector) checkMasks(site *detSite, nan, inf, sub uint32, dev *device.D
 		}
 		d.stats.RecordsPushed++
 		d.scratchKey = key
-		if at != nil {
-			at()
-		}
 		if err := dev.PushPacket(device.Packet{Words: 1, Payload: &d.scratchKey}); err != nil {
 			return err
 		}

@@ -134,15 +134,15 @@ type ShadowStats struct {
 	Divergences        uint64
 }
 
-// bump adds n occurrences of a kind to the aggregate counters.
-func (st *ShadowStats) bump(kind ShadowKind, n uint64) {
+// bump counts one finding of a kind in the aggregate counters.
+func (st *ShadowStats) bump(kind ShadowKind) {
 	switch kind {
 	case KindSignificanceLoss:
-		st.SignificanceLosses += n
+		st.SignificanceLosses++
 	case KindCancellation:
-		st.Cancellations += n
+		st.Cancellations++
 	case KindDivergence:
-		st.Divergences += n
+		st.Divergences++
 	}
 }
 
@@ -154,10 +154,9 @@ type Shadow struct {
 
 	// epoch is the current launch's generation, drawn from the process-wide
 	// shadowEpoch counter once per launch (ShouldInstrument runs exactly
-	// once per launch) and again when a parallel attempt is discarded; a
-	// shadow cell is live only under the generation tag of the current
-	// ⟨epoch, block⟩. Because every epoch is globally unique, slab reuse
-	// across launches, blocks, discarded attempts and even other Shadow
+	// once per launch); a shadow cell is live only under the generation tag
+	// of the current ⟨epoch, block⟩. Because every epoch is globally
+	// unique, slab reuse across launches, blocks and even other Shadow
 	// instances sharing the warp pool never resurrects stale values.
 	epoch uint64
 
@@ -171,22 +170,13 @@ type Shadow struct {
 	sites map[locKey]*shadowCounts
 	stats ShadowStats
 
-	// slabs is the sequential path's shadow register file, indexed by warp
+	// slabs is the shadow register file, indexed by warp
 	// in block and reused across blocks and launches — the generation tag
 	// makes clearing unnecessary, exactly like the detector's pooled GT.
 	slabs shadowSlabs
 	// scratch holds one fixed-size operand capture buffer per warp in a
 	// block, reused across instructions and launches.
 	scratch []shadowScratch
-
-	// kern is the per-kernel site registry Instrument builds, the basis of
-	// block-range sharding (shadow_shard.go).
-	kern map[*sass.Kernel]*shadowKernel
-}
-
-// shadowKernel is one instrumented kernel's shadow site registry.
-type shadowKernel struct {
-	sites []*shadowSite
 }
 
 // NewShadow builds a shadow-precision sanitizer tool.
@@ -259,7 +249,6 @@ func (sh *Shadow) ShouldInstrument(k *sass.Kernel, invocation int) bool {
 // and updates the destination's shadow cell.
 func (sh *Shadow) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 	inj := make(map[int][]device.InjectedCall)
-	reg := &shadowKernel{}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if !shadowTracked(in) {
@@ -269,16 +258,11 @@ func (sh *Shadow) Instrument(k *sass.Kernel) map[int][]device.InjectedCall {
 		if s == nil {
 			continue
 		}
-		reg.sites = append(reg.sites, s)
 		inj[in.PC] = append(inj[in.PC],
 			device.InjectedCall{When: device.Before, Cost: sh.cfg.BeforeCost, Fn: s.before},
 			device.InjectedCall{When: device.After, Cost: sh.cfg.AfterCost, Fn: s.after},
 		)
 	}
-	if sh.kern == nil {
-		sh.kern = make(map[*sass.Kernel]*shadowKernel)
-	}
-	sh.kern[k] = reg
 	return inj
 }
 

@@ -109,8 +109,8 @@ type shadowCounts struct {
 	emitted int
 }
 
-// shadowCand is one warp execution's worst-lane finding candidate — the pure
-// triage output shared by the live after call and the block-range shard.
+// shadowCand is one warp execution's worst-lane finding candidate — the
+// triage output of judge.
 type shadowCand struct {
 	kind         ShadowKind
 	lane         int
@@ -216,9 +216,8 @@ func (sh *Shadow) compileShadowSite(kernel string, in *sass.Instr) *shadowSite {
 }
 
 // gen is the live generation tag for a block in the current launch: stale
-// cells from other launches (epoch) or other blocks sharing the slab never
-// match, which is what makes the sequential slab (reused across blocks) and
-// the shard's per-range slabs (fresh per range) behave identically.
+// cells from other launches (epoch) or earlier blocks sharing the slab never
+// match, so the slab is reused across blocks without clearing.
 func (sh *Shadow) gen(block int) uint64 {
 	return sh.epoch<<32 | uint64(block+1)
 }
@@ -257,8 +256,7 @@ func (s *shadowSite) capture(ctx *device.InjCtx, ws *warpShadow, gen uint64, slo
 // judge runs the paired FP64 execution for every executing lane, updates the
 // destination's shadow cells, and reduces the lanes to at most one finding
 // candidate (worst kind first, then largest damage; ties keep the lowest
-// lane). It is pure with respect to shared sanitizer state: the live after
-// call and the block-range shard (shadow_shard.go) share it.
+// lane).
 func (s *shadowSite) judge(ctx *device.InjCtx, ws *warpShadow, gen uint64, slot *shadowScratch) (best shadowCand, found bool) {
 	for m := ctx.ExecMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
@@ -370,10 +368,8 @@ func lostSignificandBits(relErr float64, f fpval.Format) int {
 }
 
 // emit materializes and ships one finding — the under-cap path of the after
-// call, also driven by the shard merge (with an `at` hook positioning the
-// timeline before the channel push). The caller has already checked the
-// per-location cap.
-func (sh *Shadow) emit(s *shadowSite, c *shadowCand, dev *device.Device, at func()) error {
+// call. The caller has already checked the per-location cap.
+func (sh *Shadow) emit(s *shadowSite, c *shadowCand, dev *device.Device) error {
 	s.counts.emitted++
 	f := Finding{
 		Kind:     c.kind,
@@ -392,9 +388,6 @@ func (sh *Shadow) emit(s *shadowSite, c *shadowCand, dev *device.Device, at func
 		sh.cfg.OnFinding(f)
 	}
 	sh.report(f)
-	if at != nil {
-		at()
-	}
 	return dev.PushPacket(device.Packet{Words: sh.cfg.FindingWords, Payload: f})
 }
 
@@ -416,10 +409,10 @@ func (s *shadowSite) after(ctx *device.InjCtx) error {
 	if !ok {
 		return nil
 	}
-	sh.stats.bump(cand.kind, 1)
+	sh.stats.bump(cand.kind)
 	s.counts.kinds[cand.kind]++
 	if s.counts.emitted < sh.cfg.MaxFindingsPerSite {
-		return sh.emit(s, &cand, ctx.Dev, nil)
+		return sh.emit(s, &cand, ctx.Dev)
 	}
 	return nil
 }
@@ -434,4 +427,3 @@ func (sh *Shadow) scratchFor(warpInBlock int) *shadowScratch {
 	}
 	return &sh.scratch[warpInBlock]
 }
-

@@ -50,18 +50,6 @@ type Tool interface {
 	OnExit()
 }
 
-// ShardableTool is a Tool whose launch-time state can be sharded across
-// block ranges for the device layer's block-parallel executor. Sharder
-// returns a per-launch factory building LaunchSharders for kernel k running
-// with the cached injection table tab, or nil when this kernel must stay
-// sequential (the tool's state is not reducible for it). The framework
-// attaches the factory to instrumented launches; whether a launch actually
-// runs parallel is the device layer's decision.
-type ShardableTool interface {
-	Tool
-	Sharder(k *sass.Kernel, tab *device.InjectTable) func() device.LaunchSharder
-}
-
 // Stats counts framework activity for the sampling experiments.
 type Stats struct {
 	Launches             int
@@ -116,11 +104,6 @@ func (n *NVBit) OnLaunch(ev *cuda.LaunchEvent) {
 	n.Stats.JITCycles += jit
 
 	ev.AttachTable(tab)
-	if st, ok := n.tool.(ShardableTool); ok && !tab.Empty() {
-		if f := st.Sharder(ev.Kernel, tab); f != nil {
-			ev.AttachSharder(f)
-		}
-	}
 }
 
 // OnExit implements cuda.Interceptor.

@@ -56,7 +56,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the item, before the batch costs a queue slot.
 	items := make([]batchItem, len(req.Items))
 	for i, cr := range req.Items {
-		session, source, err := cr.build(s.cfg.DefaultCycleBudget, s.cfg.Faults, s.cfg.Parallelism)
+		session, source, err := cr.build(s.cfg.DefaultCycleBudget, s.cfg.Faults)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
 			return

@@ -43,7 +43,7 @@ func postRaw(t *testing.T, url, path string, v any) (int, []byte, http.Header) {
 // returns the canonical report body the service must reproduce.
 func syncToolBody(t *testing.T, req CheckRequest) []byte {
 	t.Helper()
-	session, source, err := req.build(0, gpufpx.FaultPlan{}, 0)
+	session, source, err := req.build(0, gpufpx.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}

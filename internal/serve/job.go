@@ -130,8 +130,8 @@ func (req CheckRequest) tool() (gpufpx.Tool, error) {
 // (SASS parse failures, unknown programs) surface when the job runs and map
 // through the taxonomy instead. A non-zero faults plan (chaos mode) attaches
 // the device and channel injection planes to every job session.
-func (req CheckRequest) build(defaultBudget uint64, faults gpufpx.FaultPlan, parallelism int) (*gpufpx.Session, gpufpx.Source, error) {
-	opts, src, err := req.options(defaultBudget, faults, parallelism)
+func (req CheckRequest) build(defaultBudget uint64, faults gpufpx.FaultPlan) (*gpufpx.Session, gpufpx.Source, error) {
+	opts, src, err := req.options(defaultBudget, faults)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,7 +141,7 @@ func (req CheckRequest) build(defaultBudget uint64, faults gpufpx.FaultPlan, par
 // options validates the request into the session option list and source —
 // the decomposed form of build, so admission paths that need to graft
 // extra options (a campaign plan) can do so before gpufpx.New.
-func (req CheckRequest) options(defaultBudget uint64, faults gpufpx.FaultPlan, parallelism int) ([]gpufpx.Option, gpufpx.Source, error) {
+func (req CheckRequest) options(defaultBudget uint64, faults gpufpx.FaultPlan) ([]gpufpx.Option, gpufpx.Source, error) {
 	if (req.Prog == "") == (req.SASS == "") {
 		return nil, nil, fmt.Errorf(`exactly one of "prog" or "sass" must be set`)
 	}
@@ -185,9 +185,6 @@ func (req CheckRequest) options(defaultBudget uint64, faults gpufpx.FaultPlan, p
 	}
 	if faults.Enabled() {
 		opts = append(opts, gpufpx.WithFaults(faults))
-	}
-	if parallelism > 1 {
-		opts = append(opts, gpufpx.WithParallelism(parallelism))
 	}
 
 	var src gpufpx.Source

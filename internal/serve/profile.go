@@ -65,7 +65,7 @@ func (req ProfileRequest) plan(cfg Config) ([]gpufpx.Option, gpufpx.Source, gpuf
 	if req.MaxSites < 0 || req.MaxSites > maxCampaignSites {
 		return nil, nil, zero, fmt.Errorf("max_sites %d out of range [0, %d]", req.MaxSites, maxCampaignSites)
 	}
-	opts, src, err := req.CheckRequest.options(cfg.DefaultCycleBudget, gpufpx.FaultPlan{}, cfg.Parallelism)
+	opts, src, err := req.CheckRequest.options(cfg.DefaultCycleBudget, gpufpx.FaultPlan{})
 	if err != nil {
 		return nil, nil, zero, err
 	}

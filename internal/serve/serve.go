@@ -75,15 +75,6 @@ type Config struct {
 	// only trades one campaign's latency against the node's job
 	// throughput.
 	CampaignWorkers int
-	// Parallelism, when > 1, turns on intra-launch block-parallel
-	// execution for every job session: eligible launches run their blocks
-	// as up to this many concurrent ranges, with reports byte-identical to
-	// sequential execution. It composes with Workers — total concurrency
-	// is bounded by Workers × Parallelism — so size both against the
-	// node's cores: many small jobs favour Workers, a few huge-grid jobs
-	// favour Parallelism (it is what shortens a single launch's critical
-	// path, and with it p99 under the fleet).
-	Parallelism int
 }
 
 // withDefaults resolves zero fields.
@@ -412,7 +403,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	session, source, err := req.build(s.cfg.DefaultCycleBudget, s.cfg.Faults, s.cfg.Parallelism)
+	session, source, err := req.build(s.cfg.DefaultCycleBudget, s.cfg.Faults)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

@@ -32,10 +32,6 @@ type Target struct {
 	N int
 	// Opts are the compiler flags to test under.
 	Opts cc.Options
-	// Parallel, when > 1, runs each launch's blocks on up to that many
-	// workers (intra-launch block parallelism). Findings are identical
-	// either way; only wall clock changes.
-	Parallel int
 	// Tool selects the watching instrumentation: "detector" (default, the
 	// paper's exception search) or "shadow" (search for precision-loss
 	// inputs — significance loss and cancellation that fire no IEEE
@@ -241,11 +237,7 @@ func runOnce(t *Target, inputs []float64) ([]fpx.Record, []fpx.Finding, error) {
 		cfg.OnFinding = func(f fpx.Finding) { finds = append(finds, f) }
 		tool = gpufpx.Shadow(cfg)
 	}
-	opts := []gpufpx.Option{gpufpx.WithTool(tool)}
-	if t.Parallel > 1 {
-		opts = append(opts, gpufpx.WithParallelism(t.Parallel))
-	}
-	a := gpufpx.New(opts...).Start()
+	a := gpufpx.New(gpufpx.WithTool(tool)).Start()
 	ctx := a.Ctx
 	inElem, _ := t.Def.Params[0].Kind.Elem()
 	var in, out uint32

@@ -151,11 +151,10 @@ type Session struct {
 	devCfg    DeviceConfig
 	hasDevCfg bool
 
-	exec     ExecMode
-	budget   uint64
-	faults   FaultPlan
-	parallel int
-	camp     CampaignConfig
+	exec   ExecMode
+	budget uint64
+	faults FaultPlan
+	camp   CampaignConfig
 
 	white      []string
 	freq       int
@@ -222,14 +221,6 @@ func WithFreq(k int) Option {
 // adds superinstruction fusion on top of the lowered programs; reports are
 // bit-identical across all three modes.
 func WithExec(mode ExecMode) Option { return func(s *Session) { s.exec = mode } }
-
-// WithParallelism lets eligible launches execute their blocks as up to n
-// concurrent block ranges inside a single launch (the block-parallel
-// engine). Reports stay byte-identical to sequential execution in every
-// exec mode: launches the engine cannot prove equivalent — barrier kernels,
-// fault planes, non-shardable tools, cross-range memory conflicts — fall
-// back to sequential transparently. n ≤ 1 (the default) disables it.
-func WithParallelism(n int) Option { return func(s *Session) { s.parallel = n } }
 
 // WithCycleBudget caps every launch at n dynamic instructions; exceeding it
 // fails the run with KindBudget. This is the deterministic per-job timeout
@@ -323,7 +314,6 @@ func (s *Session) start(inj *fault.Injector, hook device.FaultHook) *Active {
 	ctx := cuda.NewContextOn(dev)
 	ctx.Exec = s.exec
 	ctx.MaxDynInstr = s.budget
-	ctx.Parallelism = s.parallel
 
 	a := &Active{Ctx: ctx, tool: s.tool, compile: s.compile, inj: inj, digest: hook != nil}
 	switch s.tool {
@@ -383,7 +373,6 @@ func (a *Active) Finish() *Report {
 		Cycles:            a.Ctx.Dev.Cycles,
 		Launches:          a.Ctx.LaunchesDone,
 		MaxKernelLaunches: a.Ctx.MaxKernelLaunches(),
-		MaxGridDim:        a.Ctx.MaxGridDim,
 	}
 	if a.det != nil {
 		r := a.det.ReportJSON()

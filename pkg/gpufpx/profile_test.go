@@ -39,8 +39,8 @@ func baseCampaign() gpufpx.CampaignConfig {
 }
 
 // TestProfileDeterminismProof is the determinism + durability proof over a
-// real program: full run, canceled-and-resumed run, and parallel runs all
-// yield the same profile bytes.
+// real program: full run, canceled-and-resumed run, and a run fanned over
+// campaign workers all yield the same profile bytes.
 func TestProfileDeterminismProof(t *testing.T) {
 	const prog = "interval"
 	ctx := context.Background()
@@ -54,12 +54,10 @@ func TestProfileDeterminismProof(t *testing.T) {
 		t.Fatalf("empty campaign: %+v", full.Totals)
 	}
 
-	// Campaign workers + block-parallel sessions: the fault hook vetoes
-	// block parallelism into the sequential path, so -p 4 must change
-	// nothing.
+	// Campaign workers change only the trial schedule, never the profile.
 	par := baseCampaign()
 	par.Workers = 4
-	rep, err := profileSession(t, par, gpufpx.WithParallelism(4)).Profile(ctx, gpufpx.Program(prog))
+	rep, err := profileSession(t, par).Profile(ctx, gpufpx.Program(prog))
 	if err != nil {
 		t.Fatalf("parallel campaign: %v", err)
 	}

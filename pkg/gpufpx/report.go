@@ -137,9 +137,6 @@ type Report struct {
 	// the per-kernel bound sampling-saturation arguments reason about,
 	// since freq-redn-factor counts invocations per kernel.
 	MaxKernelLaunches int
-	// MaxGridDim is the largest grid any launch used — how much
-	// intra-launch block parallelism the workload can expose.
-	MaxGridDim int
 
 	// Detector is the versioned detector report; nil for other tools.
 	Detector *DetectorReport

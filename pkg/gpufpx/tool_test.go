@@ -28,7 +28,7 @@ func TestWithToolPrecedenceMatrix(t *testing.T) {
 		{"last WithTool wins", []Option{WithTool(det), WithTool(sha)}, "shadow"},
 		{"three in a row", []Option{WithTool(sha), WithTool(ana), WithTool(BinFPE())}, "binfpe"},
 		{"unrelated options do not reset the tool", []Option{
-			WithTool(sha), WithFreq(4), WithVerbose(true), WithParallelism(4),
+			WithTool(sha), WithFreq(4), WithVerbose(true), WithCycleBudget(1 << 20),
 		}, "shadow"},
 	}
 	for _, tc := range cases {
