@@ -310,7 +310,7 @@ func eval64As32(e expr64, a, b float32) float32 {
 	case fma64:
 		x, y := eval64As32(n.x, a, b), eval64As32(n.y, a, b)
 		z := eval64As32(n.z, a, b)
-		return float32(math.FMA(float64(x), float64(y), float64(z)))
+		return fma32Ref(x, y, z)
 	case un64:
 		bits := math.Float32bits(eval64As32(n.x, a, b))
 		if n.op == Neg {

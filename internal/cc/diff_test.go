@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +13,10 @@ import (
 // Differential testing of the whole compile-and-execute stack: random FP32
 // expression trees are lowered to SASS, run on the simulator, and compared
 // against a host-side interpreter that evaluates the same tree with the
-// device's documented semantics (plain IEEE float32 arithmetic, FMA through
-// a fused double-precision multiply-add, IEEE-2008 min/max, ordered
-// comparisons false on NaN). Inputs are raw random bit patterns, so NaNs,
-// infinities and subnormals all flow through every operator shape.
+// device's documented semantics (plain IEEE float32 arithmetic, FMA rounded
+// once to float32, IEEE-2008 min/max, ordered comparisons false on NaN).
+// Inputs are raw random bit patterns, so NaNs, infinities and subnormals
+// all flow through every operator shape.
 
 // expr is the host-side mirror of a generated expression tree.
 type expr interface {
@@ -113,11 +114,25 @@ func refMinMax(a, b float32, min bool) float32 {
 
 func (e fma) build() Expr { return FMA(e.x.build(), e.y.build(), e.z.build()) }
 func (e fma) eval(a, b float32) float32 {
-	x, y, z := e.x.eval(a, b), e.y.eval(a, b), e.z.eval(a, b)
-	// Mirrors the device's FFMA: fused in double, rounded once to float32.
-	return float32(math.FMA(float64(x), float64(y), float64(z)))
+	return fma32Ref(e.x.eval(a, b), e.y.eval(a, b), e.z.eval(a, b))
 }
 func (e fma) String() string { return fmt.Sprintf("fma(%s, %s, %s)", e.x, e.y, e.z) }
+
+// fma32Ref is the FFMA reference: x*y+z formed exactly with math/big and
+// rounded once to float32. float32(math.FMA(...)) would round twice — to
+// float64, then to float32 — which differs when the float64 sum lands on a
+// float32 rounding midpoint. Non-finite operands keep math.FMA's result.
+func fma32Ref(x, y, z float32) float32 {
+	for _, v := range [...]float32{x, y, z} {
+		if math.IsInf(float64(v), 0) || v != v {
+			return float32(math.FMA(float64(x), float64(y), float64(z)))
+		}
+	}
+	exact := func(v float32) *big.Float { return new(big.Float).SetPrec(1024).SetFloat64(float64(v)) }
+	p := exact(x)
+	r, _ := p.Add(p.Mul(p, exact(y)), exact(z)).Float32()
+	return r
+}
 
 func (e un) build() Expr {
 	if e.op == Neg {

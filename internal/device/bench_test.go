@@ -48,6 +48,49 @@ ISETP.LT.AND P1, PT, R1, 0x100, PT ;
 EXIT ;
 `)
 
+// fmulLoop is the libor-shaped multiply chain: a loop of dependent FMULs
+// whose operands come from the constant bank. With c[0x160] = c[0x164] =
+// 1e-20 every product is a subnormal (1e-40), the case where a host float32
+// multiply takes a microcode assist; with 1.0 every product is normal.
+var fmulLoop = sass.MustParse("bench_fmul_loop", `
+MOV32I R1, 0x0 ;
+MOV R2, c[0x0][0x160] ;
+MOV R3, c[0x0][0x164] ;
+MOV32I R4, 0x3f800000 ;
+L_top:
+FMUL R5, R2, R3 ;
+FMUL R6, R5, R4 ;
+FMUL R7, R6, R4 ;
+FMUL R8, R7, R4 ;
+IADD R1, R1, 0x1 ;
+ISETP.LT.AND P0, PT, R1, 0x100, PT ;
+@P0 BRA L_top ;
+EXIT ;
+`)
+
+// benchFMUL launches fmulLoop with operand bits x under each tier.
+func benchFMUL(b *testing.B, x uint32) {
+	for _, mode := range []ExecMode{ExecFused, ExecLowered, ExecInterp} {
+		b.Run(mode.String(), func(b *testing.B) {
+			d := New(DefaultConfig())
+			l := &Launch{Kernel: fmulLoop, GridDim: 4, BlockDim: 64, Exec: mode, Params: []uint32{x, x}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Launch(l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFMULSubnormal and BenchmarkFMULNormal run the same loop with
+// subnormal and normal products; their ratio is the host cost of
+// exception-dense FP32 code, ~1 when the multiply is assist-free.
+func BenchmarkFMULSubnormal(b *testing.B) { benchFMUL(b, 0x1e3ce508) }
+func BenchmarkFMULNormal(b *testing.B)    { benchFMUL(b, 0x3f800000) }
+
 // benchLaunch runs one kernel repeatedly on a reused device under the given
 // executor, optionally with an injected per-FFMA call (the instrumented
 // case).

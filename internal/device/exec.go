@@ -727,7 +727,7 @@ func (ex *executor) hmma(w *Warp, in *sass.Instr, exec uint32) {
 		for j := 0; j < 8; j++ {
 			acc := float32(0)
 			for k := 0; k < 4; k++ {
-				acc += a[i][k] * b[k][j]
+				acc += mul32(a[i][k], b[k][j])
 			}
 			d[i][j] = acc + c[i][j]
 		}
@@ -763,7 +763,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		ex.putF32(w, l, &ops[0], a+b, ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
-		ex.putF32(w, l, &ops[0], a*b, ftz)
+		ex.putF32(w, l, &ops[0], mul32(a, b), ftz)
 	case sass.OpFFMA, sass.OpFFMA32I:
 		a, b, c := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz), ex.srcF32(w, l, &ops[3], ftz)
 		ex.putF32(w, l, &ops[0], float32(fma32(a, b, c)), ftz)
@@ -811,7 +811,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		ex.putF16(w, l, &ops[0], a+b)
 	case sass.OpHMUL2:
 		a, b := ex.srcF16(w, l, &ops[1]), ex.srcF16(w, l, &ops[2])
-		ex.putF16(w, l, &ops[0], a*b)
+		ex.putF16(w, l, &ops[0], mul32(a, b))
 	case sass.OpHFMA2:
 		a, b, c := ex.srcF16(w, l, &ops[1]), ex.srcF16(w, l, &ops[2]), ex.srcF16(w, l, &ops[3])
 		ex.putF16(w, l, &ops[0], float32(fma32(a, b, c)))
@@ -1173,11 +1173,48 @@ func (ex *executor) putF64(w *Warp, l int, dst *sass.Operand, v float64) {
 
 // ---- arithmetic helpers ----
 
-// fma32 computes an FP32 fused multiply-add. a*b is exact in float64
-// (24+24 ≤ 53 mantissa bits), so only the final float32 conversion rounds in
-// all but pathological double-rounding corner cases.
+// mul32 computes an FP32 product. The float64 product of two float32 values
+// is exact (24+24 ≤ 53 mantissa bits, exponents far inside float64's range),
+// so the single float32 conversion rounds it exactly as a float32 multiply
+// would. It exists because x86 takes a microcode assist on every float32
+// multiply whose result is subnormal (~2 µs against ~50 ns per 32 lanes);
+// the float64 route never produces a subnormal. A NaN product takes a's
+// payload, quieted, whenever a is NaN: the host multiply returns whichever
+// NaN operand the compiler placed first at each call site, and the executor
+// tiers would disagree on a product of two NaNs.
+func mul32(a, b float32) float32 {
+	p := float64(a) * float64(b)
+	if p != p && a != a {
+		return float32(float64(a))
+	}
+	return float32(p)
+}
+
+// fma32 computes an FP32 fused multiply-add with one rounding. a*b is exact
+// in float64, so math.FMA rounds only the sum, and converting that to
+// float32 rounds a second time. The two roundings agree with one unless the
+// float64 sum s lands exactly on a float32 rounding midpoint (its low 29
+// fraction bits are 1<<28) or lies in the float32 subnormal range, where the
+// float32 grid no longer follows s's exponent. Those finite sums are redone
+// exactly: TwoSum recovers the error e of s, and folding e into s's last bit
+// rounds a*b+c to odd, which keeps enough bits (53 ≥ 24+2) for the float32
+// conversion to round correctly. Non-finite sums keep math.FMA's bits.
 func fma32(a, b, c float32) float32 {
-	return float32(math.FMA(float64(a), float64(b), float64(c)))
+	s := math.FMA(float64(a), float64(b), float64(c))
+	u := math.Float64bits(s)
+	if u<<35 != 1<<63 && u<<1 >= (1023-126)<<53 || u<<1 >= 0x7ff<<53 {
+		return float32(s)
+	}
+	p, q := float64(a)*float64(b), float64(c)
+	t := s - p
+	e := p - (s - t) + (q - t)
+	if e*s < 0 { // a*b+c lies between s and zero: truncate
+		u--
+	}
+	if e != 0 { // inexact: set the sticky bit
+		u |= 1
+	}
+	return float32(math.Float64frombits(u))
 }
 
 // fmnmx32 implements FMNMX's IEEE-2008 min/max: when exactly one operand is

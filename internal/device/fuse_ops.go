@@ -546,13 +546,13 @@ func compileMop(m *mop) mopFn {
 						n := (WarpSize-1)*st + 1
 						pd, pa, pb := laneCol(w, d, n), laneCol(w, a, n), laneCol(w, b, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) * math.Float32frombits(pb[base]))
+							pd[base] = math.Float32bits(mul32(math.Float32frombits(pa[base]), math.Float32frombits(pb[base])))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) * math.Float32frombits(r[b]))
+						r[d] = math.Float32bits(mul32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 					}
 				}
 			}
@@ -564,13 +564,13 @@ func compileMop(m *mop) mopFn {
 						n := (WarpSize-1)*st + 1
 						pd, pa := laneCol(w, d, n), laneCol(w, a, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) * fb)
+							pd[base] = math.Float32bits(mul32(math.Float32frombits(pa[base]), fb))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) * fb)
+						r[d] = math.Float32bits(mul32(math.Float32frombits(r[a]), fb))
 					}
 				}
 			}
@@ -579,7 +579,7 @@ func compileMop(m *mop) mopFn {
 			ea, eb := op.a.entry(uni), op.b.entry(uni)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
-				r[op.dst] = out32(laneF32(&op.a, r, ea)*laneF32(&op.b, r, eb), op.ftz)
+				r[op.dst] = out32(mul32(laneF32(&op.a, r, ea), laneF32(&op.b, r, eb)), op.ftz)
 			}
 		}
 	case mopIADD:

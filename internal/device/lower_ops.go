@@ -109,7 +109,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			return uni(func(ex *executor, w *Warp, exec uint32) {
 				a := math.Float32frombits(s1.fetch(ex.d))
 				b := math.Float32frombits(s2.fetch(ex.d))
-				broadcast32(w, dst, out32(a*b, ftz), exec)
+				broadcast32(w, dst, out32(mul32(a, b), ftz), exec)
 			})
 		}
 		// Shape-specialized fast paths: bare-register operands skip the
@@ -122,13 +122,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 					if exec == fullExec {
 						for l := 0; l < WarpSize; l++ {
 							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) * math.Float32frombits(r[b]))
+							r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) * math.Float32frombits(r[b]))
+						r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 					}
 				}
 			}
@@ -138,13 +138,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 					if exec == fullExec {
 						for l := 0; l < WarpSize; l++ {
 							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) * fb)
+							r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), fb))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) * fb)
+						r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), fb))
 					}
 				}
 			}
@@ -153,13 +153,13 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
 			if exec == fullExec {
 				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = out32(s1.f32(w, l, u1)*s2.f32(w, l, u2), ftz)
+					w.regs[l][dst] = out32(mul32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
 				}
 				return
 			}
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = out32(s1.f32(w, l, u1)*s2.f32(w, l, u2), ftz)
+				w.regs[l][dst] = out32(mul32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
 			}
 		}
 
@@ -1015,7 +1015,7 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	eval := func(a, b, c float32) float32 {
 		switch kind {
 		case h16Mul:
-			return a * b
+			return mul32(a, b)
 		case h16Fma:
 			return fma32(a, b, c)
 		default:

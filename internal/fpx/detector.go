@@ -85,14 +85,15 @@ type Detector struct {
 	// of the real table is modeled by GTBytes/GTAllocCycles; the host only
 	// needs membership, so 64 keys pack per word and a detector costs
 	// GTEntries/8 host bytes instead of GTEntries*4.
-	gt  []uint64
+	gt  keySet
 	out io.Writer
 
-	records   []Record
-	summary   Summary
-	stats     DetectorStats
-	hostSeen  map[Key]bool    // host-side dedup for the w/o-GT phase
-	announced map[string]bool // kernels already greeted in verbose mode
+	records  []Record
+	summary  Summary
+	stats    DetectorStats
+	hostSeen keySet // host-side dedup for the w/o-GT phase
+	// announced holds the kernels already greeted in verbose mode.
+	announced map[string]bool
 
 	gtCharged bool
 
@@ -103,9 +104,25 @@ type Detector struct {
 	scratchKey Key
 }
 
-// gtPool recycles the host GT mirror across detector runs: the 128 KiB
-// bitmap is cleared on reuse instead of reallocated per run.
+// keySet is a set of GT keys, one bit per key: 2^20 keys in 128 KiB.
+type keySet []uint64
+
+func (s keySet) has(k Key) bool { return s[k>>6]&(1<<(k&63)) != 0 }
+func (s keySet) add(k Key)      { s[k>>6] |= 1 << (k & 63) }
+
+// gtPool recycles key sets across detector runs — the GT mirror and the
+// w/o-GT host dedup set — so a run clears 128 KiB instead of allocating it.
 var gtPool sync.Pool
+
+// takeKeySet returns an empty key set, pooled when one is free.
+func takeKeySet() keySet {
+	if v := gtPool.Get(); v != nil {
+		s := *(v.(*keySet))
+		clear(s)
+		return s
+	}
+	return make(keySet, GTEntries/64)
+}
 
 // NewDetector builds a detector tool; use AttachDetector to hook it into a
 // context.
@@ -119,12 +136,7 @@ func NewDetector(cfg DetectorConfig) *Detector {
 		d.out = io.Discard
 	}
 	if cfg.UseGT {
-		if v := gtPool.Get(); v != nil {
-			d.gt = *(v.(*[]uint64))
-			clear(d.gt)
-		} else {
-			d.gt = make([]uint64, GTEntries/64)
-		}
+		d.gt = takeKeySet()
 	}
 	if len(cfg.Whitelist) > 0 {
 		d.white = make(map[string]bool, len(cfg.Whitelist))
@@ -296,35 +308,80 @@ func (d *Detector) checkFn(site *detSite) device.InjectFn {
 
 // checkMasks is the per-bit half of the Algorithm 2 check. It classifies,
 // dedups through GT, and ships table-missing records.
+//
+// With GT the work is per exception kind, not per lane: every lane of one
+// kind yields the same key, so the site probes GT once per kind present and
+// pushes the missing keys ordered by each kind's lowest lane — the order a
+// lane walk pushes them in. A channel error at one push counts only the
+// lanes up to that kind's lowest lane, as the lane walk would have.
 func (d *Detector) checkMasks(site *detSite, nan, inf, sub uint32, dev *device.Device) error {
+	if d.gt == nil {
+		return d.pushLanes(site, nan, inf, sub, dev)
+	}
 	all := nan | inf | sub
-	for m := all; m != 0; m &= m - 1 {
+	// A lane is NaN before INF before subnormal; reciprocal sites report
+	// NaN and INF as division by zero (Algorithm 1, lines 2-7).
+	type kind struct {
+		e fpval.Except
+		m uint32
+	}
+	kinds := [3]kind{{fpval.ExcNaN, nan}, {fpval.ExcInf, inf &^ nan}, {fpval.ExcSub, sub &^ (nan | inf)}}
+	if site.div0 {
+		kinds = [3]kind{{fpval.ExcDiv0, nan | inf}, {fpval.ExcSub, sub &^ (nan | inf)}}
+	}
+	var miss [3]struct {
+		key Key
+		low uint32 // the kind's lowest lane, as a one-bit mask
+	}
+	n := 0
+	for _, k := range kinds {
+		if k.m == 0 {
+			continue
+		}
+		key := EncodeID(k.e, site.loc, site.fp)
+		if d.gt.has(key) {
+			continue
+		}
+		low := k.m & -k.m
+		i := n
+		for ; i > 0 && miss[i-1].low > low; i-- {
+			miss[i] = miss[i-1]
+		}
+		miss[i].key, miss[i].low = key, low
+		n++
+	}
+	for _, m := range miss[:n] {
+		d.gt.add(m.key)
+		site.sat.insert()
+		d.stats.RecordsPushed++
+		d.scratchKey = m.key
+		if err := dev.PushPacket(device.Packet{Words: 1, Payload: &d.scratchKey}); err != nil {
+			d.stats.DynamicExceptions += uint64(bits.OnesCount32(all & (m.low<<1 - 1)))
+			return err
+		}
+	}
+	d.stats.DynamicExceptions += uint64(bits.OnesCount32(all))
+	return nil
+}
+
+// pushLanes is the w/o-GT check: every exceptional lane ships its record —
+// the per-occurrence traffic Figure 4 measures — and the host dedups.
+func (d *Detector) pushLanes(site *detSite, nan, inf, sub uint32, dev *device.Device) error {
+	for m := nan | inf | sub; m != 0; m &= m - 1 {
 		bit := m & -m
-		var e fpval.Except
+		e := fpval.ExcSub
 		switch {
 		case nan&bit != 0:
 			e = fpval.ExcNaN
 		case inf&bit != 0:
 			e = fpval.ExcInf
-		default:
-			e = fpval.ExcSub
 		}
 		if site.div0 && e != fpval.ExcSub {
-			// Reciprocal sites report NaN/INF as division by zero
-			// (Algorithm 1, lines 2-7).
 			e = fpval.ExcDiv0
 		}
 		d.stats.DynamicExceptions++
-		key := EncodeID(e, site.loc, site.fp)
-		if d.gt != nil {
-			if d.gt[key>>6]&(1<<(key&63)) != 0 {
-				continue
-			}
-			d.gt[key>>6] |= 1 << (key & 63)
-			site.sat.insert()
-		}
 		d.stats.RecordsPushed++
-		d.scratchKey = key
+		d.scratchKey = EncodeID(e, site.loc, site.fp)
 		if err := dev.PushPacket(device.Packet{Words: 1, Payload: &d.scratchKey}); err != nil {
 			return err
 		}
@@ -389,10 +446,10 @@ func (d *Detector) checkHMMAFn(loc uint16, fp fpval.Format, regBase int) device.
 				d.stats.DynamicExceptions++
 				key := EncodeID(e, loc, fp)
 				if d.gt != nil {
-					if d.gt[key>>6]&(1<<(key&63)) != 0 {
+					if d.gt.has(key) {
 						continue
 					}
-					d.gt[key>>6] |= 1 << (key & 63)
+					d.gt.add(key)
 					sat.insert()
 				}
 				d.stats.RecordsPushed++
@@ -420,12 +477,12 @@ func (d *Detector) onPacket(p device.Packet) {
 	if d.gt == nil {
 		// w/o GT phase: the device floods duplicates; dedupe on the host.
 		if d.hostSeen == nil {
-			d.hostSeen = make(map[Key]bool)
+			d.hostSeen = takeKeySet()
 		}
-		if d.hostSeen[key] {
+		if d.hostSeen.has(key) {
 			return
 		}
-		d.hostSeen[key] = true
+		d.hostSeen.add(key)
 	}
 	exc, loc, fp := key.Decode()
 	info, _ := d.locs.Info(loc)
@@ -457,16 +514,17 @@ func (d *Detector) OnExit() {
 // Records returns the deduplicated exception records received so far.
 func (d *Detector) Records() []Record { return d.records }
 
-// Recycle returns the detector's reusable buffers — the GT mirror and the
-// location table — to their shared pools. Call it only once the run is over
-// and its report assembled; records and summaries already extracted are
-// copies and stay valid.
+// Recycle returns the detector's reusable buffers — the GT mirror or the
+// host dedup set, and the location table — to their shared pools. Call it
+// only once the run is over and its report assembled; records and summaries
+// already extracted are copies and stay valid.
 func (d *Detector) Recycle() {
-	if d.gt != nil {
-		g := d.gt
-		d.gt = nil
-		gtPool.Put(&g)
+	for _, s := range [...]keySet{d.gt, d.hostSeen} {
+		if s != nil {
+			gtPool.Put(&s)
+		}
 	}
+	d.gt, d.hostSeen = nil, nil
 	if d.locs != nil {
 		d.locs.Recycle()
 		d.locs = nil
