@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"gpufpx/internal/bench"
+	"gpufpx/internal/progs"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -256,10 +257,9 @@ func orUnknown(s string) string {
 	return s
 }
 
-// run renders the requested artifacts. The corpus sweep and its plain
-// baseline are computed at most once and shared by every artifact that can
-// use them; single-table modes that the sweep would overshoot self-measure
-// with a nil sweep instead.
+// run renders the requested artifacts. All-mode runs every unique run of
+// the evaluation once (bench.RunSweep) and renders each artifact from the
+// results; single-artifact modes measure only what they render.
 func run(table, figure int, movielens, twophase, summary bool, toolName string, rec *perfRecord) error {
 	w := os.Stdout
 	all := table == 0 && figure == 0 && !movielens && !summary && !twophase
@@ -293,12 +293,19 @@ func run(table, figure int, movielens, twophase, summary bool, toolName string, 
 		return nil
 	}
 
+	// All-mode runs the whole evaluation plan up front, so "sweep" times
+	// every artifact's runs and the artifacts after it only render. The
+	// sweep-only modes run just the corpus sweep.
 	var s *bench.Sweep
 	if all || figure == 4 || figure == 5 || summary {
 		fmt.Fprintln(w, "running the corpus sweep (151 programs x 4 tool configurations)...")
 		var err error
 		rec.timed("sweep", func() {
-			s = bench.RunSweep()
+			if all {
+				s = bench.RunSweep()
+			} else {
+				s = bench.RunSweepOn(progs.All())
+			}
 			err = s.Err()
 		})
 		if err != nil {
@@ -336,7 +343,7 @@ func run(table, figure int, movielens, twophase, summary bool, toolName string, 
 		return nil
 	}
 
-	// all mode: one sweep, one plain baseline, shared everywhere.
+	// all mode: every artifact renders from the sweep's plan.
 	hr(w)
 	rec.timed("table4", func() { bench.Table4(w, s) })
 	hr(w)

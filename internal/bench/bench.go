@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"gpufpx/internal/cc"
 	"gpufpx/internal/device"
@@ -119,9 +121,19 @@ type RunResult struct {
 	// Launches counts the program's kernel launches.
 	Launches int
 	// KernelLaunches is the launch count of the program's most-launched
-	// kernel — what the per-kernel sampling memoization in Figure6
-	// reasons about (freq-redn-factor counts invocations per kernel).
+	// kernel — the bound of the plan's sampling clamp (freq-redn-factor
+	// counts invocations per kernel).
 	KernelLaunches int
+	// Launched names the kernels the program launched, sorted.
+	Launched []string
+	// Flagged names the kernels with detector records in first-record
+	// order, and Records counts those records (detector tools only).
+	Flagged []string
+	Records int
+	// Events counts the analyzer's flow events and Flow holds its
+	// aggregates (analyzer only).
+	Events int
+	Flow   fpx.AnalyzerStats
 }
 
 // Failed reports a non-hang run failure.
@@ -143,16 +155,36 @@ type Options struct {
 	Fixed bool
 }
 
-// Run executes one program under one tool configuration. Tool construction
-// goes through the public session facade — the same path fpx-run and
-// fpx-serve use — with the evaluation device's cost model swapped in.
+// Run executes one program under one tool configuration on the evaluation
+// device. It bypasses any plan: every call is a fresh measurement.
 func Run(p progs.Program, tool Tool, opt Options) RunResult {
-	sOpts := []gpufpx.Option{
-		gpufpx.WithDeviceConfig(deviceConfig()),
-		gpufpx.WithCompile(opt.Compiler),
-		gpufpx.WithFreq(opt.FreqRedn),
+	return execute(p, keyOf(p, tool, opt))
+}
+
+// runHook, when set, sees the key of every run execute starts — the test
+// probe behind the plan's run-once guarantee.
+var runHook func(runKey)
+
+// execute is the one runner behind Run and every plan cell. Tool
+// construction goes through the public session facade — the same path
+// fpx-run and fpx-serve use — with the key's device cost model swapped in.
+func execute(p progs.Program, k runKey) RunResult {
+	if runHook != nil {
+		runHook(k)
 	}
-	switch tool {
+	dev := deviceConfig()
+	if k.dev == stockDevice {
+		dev = device.DefaultConfig()
+	}
+	sOpts := []gpufpx.Option{
+		gpufpx.WithDeviceConfig(dev),
+		gpufpx.WithCompile(k.opt.Compiler),
+		gpufpx.WithFreq(k.opt.FreqRedn),
+	}
+	if k.white != "" {
+		sOpts = append(sOpts, gpufpx.WithKernelWhitelist(strings.Split(k.white, "\n")...))
+	}
+	switch k.tool {
 	case ToolNone:
 		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Plain()))
 	case ToolBinFPE:
@@ -171,21 +203,49 @@ func Run(p progs.Program, tool Tool, opt Options) RunResult {
 		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Memcheck()))
 	}
 
-	src := gpufpx.ProgramValue(p, opt.Fixed && p.FixedRun != nil)
+	// The program runs wrapped so the run can report which kernels it
+	// launched — what the plan's whitelist rule compares against.
+	var launched []string
+	rp := p
+	rp.Run, rp.FixedRun = recordLaunches(p.Run, &launched), recordLaunches(p.FixedRun, &launched)
+	src := gpufpx.ProgramValue(rp, k.opt.Fixed && p.FixedRun != nil)
 	rep, err := gpufpx.New(sOpts...).Run(context.Background(), src)
 
-	res := RunResult{Program: p, Tool: tool, FreqRedn: opt.FreqRedn}
+	res := RunResult{Program: p, Tool: k.tool, FreqRedn: k.opt.FreqRedn, Launched: launched}
 	if rep != nil {
 		res.Cycles = rep.Cycles
 		res.Summary = rep.Summary
 		res.Launches = rep.Launches
 		res.KernelLaunches = rep.MaxKernelLaunches
+		res.Records = len(rep.Records)
+		for _, r := range rep.Records {
+			if !slices.Contains(res.Flagged, r.Kernel) {
+				res.Flagged = append(res.Flagged, r.Kernel)
+			}
+		}
+		if rep.Analyzer != nil {
+			res.Events = len(rep.Analyzer.Events)
+			res.Flow = rep.Analyzer.Stats
+		}
 	}
 	if err != nil {
 		res.Err = err
 		res.Hung = errors.Is(err, device.ErrHang)
 	}
 	return res
+}
+
+// recordLaunches wraps a program body so that, once it returns, *into
+// holds the names of the kernels it launched. A nil body stays nil.
+func recordLaunches(run func(*progs.RunContext) error, into *[]string) func(*progs.RunContext) error {
+	if run == nil {
+		return nil
+	}
+	return func(rc *progs.RunContext) error {
+		err := run(rc)
+		*into = rc.Ctx.LaunchedKernels()
+		return err
+	}
 }
 
 // mustOK panics on a non-hang run failure: a malformed corpus program is a
@@ -205,21 +265,51 @@ type Sweep struct {
 	BinFPE   []RunResult
 	NoGT     []RunResult
 	FPX      []RunResult
+
+	// plan holds every run of the evaluation the sweep belongs to; the
+	// artifacts given this sweep read their runs from it.
+	plan *plan
 }
 
-// RunSweep measures the whole corpus under the three tools, fanning the
-// independent (program, tool) runs out over the worker pool.
+// RunSweep runs the whole evaluation: every unique run of every table and
+// figure, each exactly once, on one worker pool. It returns the corpus
+// sweep and publishes the plan as the current evaluation, which Table7
+// and TwoPhase read; the other artifacts read it through the sweep. Each
+// call starts a fresh plan, so no run is reused across regenerations.
 func RunSweep() *Sweep {
-	return RunSweepOn(progs.All())
+	ps := progs.All()
+	pl := newPlan()
+	pl.fill(evaluationNeeds(ps)...)
+	s := sweepFrom(pl, ps)
+	current.Store(pl)
+	return s
 }
 
 // sweepTools is the tool column order of the sweep.
 var sweepTools = [4]Tool{ToolNone, ToolBinFPE, ToolFPXNoGT, ToolFPX}
 
-// RunSweepOn measures the given programs under the four sweep tools. Each
-// (program, tool) run is dispatched to the worker pool and written back by
-// index, so the result slices are identical for any worker count.
+// RunSweepOn measures only the given programs under the four sweep tools —
+// the sweep-only entry for callers that need no other artifact. Results
+// are placed by index, so the slices are identical for any worker count.
 func RunSweepOn(ps []progs.Program) *Sweep {
+	pl := newPlan()
+	pl.fill(sweepNeed(ps))
+	return sweepFrom(pl, ps)
+}
+
+// sweepNeed declares the sweep: every program under the four sweep tools.
+func sweepNeed(ps []progs.Program) need {
+	var n need
+	for _, p := range ps {
+		for _, t := range sweepTools {
+			n.runs = append(n.runs, keyed{p, keyOf(p, t, Options{})})
+		}
+	}
+	return n
+}
+
+// sweepFrom assembles the sweep columns from the plan's results.
+func sweepFrom(pl *plan, ps []progs.Program) *Sweep {
 	n := len(ps)
 	s := &Sweep{
 		Programs: ps,
@@ -227,13 +317,30 @@ func RunSweepOn(ps []progs.Program) *Sweep {
 		BinFPE:   make([]RunResult, n),
 		NoGT:     make([]RunResult, n),
 		FPX:      make([]RunResult, n),
+		plan:     pl,
 	}
 	cols := [4][]RunResult{s.Plain, s.BinFPE, s.NoGT, s.FPX}
-	forEach(n*4, func(j int) {
-		pi, ti := j/4, j%4
-		cols[ti][pi] = Run(ps[pi], sweepTools[ti], Options{})
-	})
+	for i, p := range ps {
+		for ti, t := range sweepTools {
+			cols[ti][i] = pl.result(p, keyOf(p, t, Options{}))
+		}
+	}
 	return s
+}
+
+// evaluationNeeds declares the runs of every artifact of the evaluation.
+// The artifacts with runs outside the sweep come first, so their long
+// analyzer runs start early and the corpus sweep fills in around them.
+func evaluationNeeds(ps []progs.Program) []need {
+	return []need{
+		table7Need(),
+		twoPhaseNeed(twoPhasePrograms(nil), cc.Options{}),
+		table6Need(),
+		table5Need(),
+		movielensNeed(),
+		sweepNeed(ps),
+		figure6Need(ps),
+	}
 }
 
 // Err returns the non-hang failures of the sweep, if any — the loud path

@@ -3,13 +3,17 @@ package bench
 import (
 	"bytes"
 	"testing"
+
+	"gpufpx/internal/progs"
 )
 
-// TestFigure6MemoizationExact proves the sampling memoization claim: the
-// memoized Figure 6 — saturated columns copied instead of re-run — renders
-// byte-identically to the exhaustive computation that runs every (k, program)
-// pair. A memoization rule that ever copies a column whose execution would
-// have differed shows up here as a diff.
+// TestFigure6MemoizationExact proves the plan's sampling clamp: Figure 6
+// rendered from the plan — each saturated (factor, program) pair mapped to
+// one canonical run at the program's per-kernel launch bound — is
+// byte-identical to Figure 6 rendered, through the same render function,
+// from fresh unclamped runs of every (factor, program) pair. A clamp that
+// ever maps a factor whose execution would have differed shows up here as
+// a diff.
 func TestFigure6MemoizationExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus figure; skipped in -short")
@@ -17,16 +21,23 @@ func TestFigure6MemoizationExact(t *testing.T) {
 	setWorkers(t, 8)
 	plain := PlainRuns()
 
-	var memo bytes.Buffer
-	Figure6(&memo, nil, plain)
+	var clamped bytes.Buffer
+	Figure6(&clamped, nil, plain)
 
-	figure6Exhaustive = true
-	defer func() { figure6Exhaustive = false }()
+	ps := progs.All()
+	runs := make([][]RunResult, len(figure6Ks))
+	for ki := range runs {
+		runs[ki] = make([]RunResult, len(ps))
+	}
+	forEach(len(figure6Ks)*len(ps), func(j int) {
+		ki, i := j/len(ps), j%len(ps)
+		runs[ki][i] = Run(ps[i], ToolFPX, Options{FreqRedn: figure6Ks[ki]})
+	})
 	var exh bytes.Buffer
-	Figure6(&exh, nil, plain)
+	renderFigure6(&exh, ps, runs, plain)
 
-	if memo.String() != exh.String() {
-		t.Errorf("memoized Figure 6 diverges from the exhaustive computation:\nmemoized:\n%s\nexhaustive:\n%s",
-			memo.String(), exh.String())
+	if clamped.String() != exh.String() {
+		t.Errorf("clamped Figure 6 diverges from the exhaustive computation:\nclamped:\n%s\nexhaustive:\n%s",
+			clamped.String(), exh.String())
 	}
 }

@@ -129,10 +129,6 @@ func Figure5(w io.Writer, s *Sweep) []Figure5Point {
 	return pts
 }
 
-// figure6Exhaustive disables the sampling memoization — the test hook that
-// proves the memoized figure matches the exhaustive computation.
-var figure6Exhaustive = false
-
 // Figure6Point is one sampling-factor measurement.
 type Figure6Point struct {
 	K               int
@@ -140,78 +136,52 @@ type Figure6Point struct {
 	TotalExceptions int
 }
 
+// figure6Ks are Figure 6's sampling factors; 0 instruments every
+// invocation.
+var figure6Ks = []int{0, 4, 16, 64, 256}
+
+// figure6Need declares Figure 6's detector runs: every program at every
+// factor. The k=0 column is the sweep's GPU-FPX column; the plan clamps
+// the sampled columns at each program's per-kernel launch bound, so a
+// saturated (factor, program) pair runs once for all its factors.
+func figure6Need(ps []progs.Program) need {
+	var n need
+	for _, k := range figure6Ks {
+		for _, p := range ps {
+			n.runs = append(n.runs, keyed{p, keyOf(p, ToolFPX, Options{FreqRedn: k})})
+		}
+	}
+	return n
+}
+
 // Figure6 sweeps FREQ-REDN-FACTOR over the corpus: geometric-mean detector
 // slowdown (the bars) and total unique exceptions detected (the line). The
-// (factor, program) runs are all independent, so they fan out over the
-// worker pool as one flat job list; aggregation and printing stay serial in
-// (k, program) order, so the output is identical for any worker count.
-//
-// k=0 instruments every invocation — exactly the sweep's GPU-FPX column —
-// so a caller that already holds a full-corpus sweep passes it to reuse
-// those runs instead of recomputing a fifth of the figure; s may be nil.
-//
-// Columns also dedupe through the sampling memoization: the detector
-// instruments kernel invocations with invocation%k == 0, and invocations
-// are counted per kernel — so the saturation bound is the launch count of
-// the program's most-launched kernel, not its total launches. Once k
-// reaches that bound every kernel instruments exactly invocation 0: the
-// same execution for every such k, and for programs whose kernels each
-// launch once, the same as k=0. Saturated columns copy the previous
-// column's measurement instead of re-running; the figure is identical to
-// the exhaustive computation.
+// runs come from the sweep's plan; with a nil sweep the figure measures
+// them itself, in the same two waves.
 func Figure6(w io.Writer, s *Sweep, plain []RunResult) []Figure6Point {
-	ks := []int{0, 4, 16, 64, 256}
 	ps := progs.All()
-	runs := make([]RunResult, len(ks)*len(ps))
-	if s != nil && len(s.FPX) == len(ps) {
-		copy(runs, s.FPX)
-	} else {
-		forEach(len(ps), func(i int) {
-			runs[i] = mustOK(Run(ps[i], ToolFPX, Options{FreqRedn: 0}))
-		})
-	}
-	// saturated reports whether column ki's run of program i is provably
-	// identical to column ki-1's: the per-kernel max launch count (from the
-	// k=0 run) is already at or below the previous factor.
-	saturated := func(ki, i int) bool {
-		m := runs[i].KernelLaunches
-		if figure6Exhaustive || m <= 0 || runs[i].Err != nil {
-			return false
-		}
-		if ki == 1 {
-			return m == 1
-		}
-		return ks[ki-1] >= m
-	}
-	type job struct{ ki, i int }
-	var jobs []job
-	for ki := 1; ki < len(ks); ki++ {
-		for i := range ps {
-			if !saturated(ki, i) {
-				jobs = append(jobs, job{ki, i})
-			}
+	pl := planOf(s)
+	pl.fill(figure6Need(ps))
+	runs := make([][]RunResult, len(figure6Ks))
+	for ki, k := range figure6Ks {
+		runs[ki] = make([]RunResult, len(ps))
+		for i, p := range ps {
+			runs[ki][i] = pl.result(p, keyOf(p, ToolFPX, Options{FreqRedn: k}))
 		}
 	}
-	forEach(len(jobs), func(j int) {
-		jb := jobs[j]
-		runs[jb.ki*len(ps)+jb.i] = mustOK(Run(ps[jb.i], ToolFPX, Options{FreqRedn: ks[jb.ki]}))
-	})
-	for ki := 1; ki < len(ks); ki++ {
-		for i := range ps {
-			if saturated(ki, i) {
-				r := runs[(ki-1)*len(ps)+i]
-				r.FreqRedn = ks[ki]
-				runs[ki*len(ps)+i] = r
-			}
-		}
-	}
+	return renderFigure6(w, ps, runs, plain)
+}
+
+// renderFigure6 prints Figure 6 from runs[k index][program index], in
+// (k, program) order.
+func renderFigure6(w io.Writer, ps []progs.Program, runs [][]RunResult, plain []RunResult) []Figure6Point {
 	var out []Figure6Point
 	fmt.Fprintln(w, "Figure 6: impact of FREQ-REDN-FACTOR on slowdown and detection")
-	for ki, k := range ks {
+	for ki, k := range figure6Ks {
 		var slows []float64
 		total := 0
 		for i, p := range ps {
-			r := runs[ki*len(ps)+i]
+			r := mustOK(runs[ki][i])
 			if !r.Hung {
 				slows = append(slows, r.Slowdown(plain[i].Cycles))
 			}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gpufpx/internal/cc"
-	"gpufpx/internal/cuda"
 	"gpufpx/internal/fpval"
 	"gpufpx/internal/fpx"
 	"gpufpx/internal/progs"
@@ -36,72 +35,24 @@ func printCounts(w io.Writer, c Row8) {
 	fmt.Fprintf(w, "%5d %5d %5d %5d | %5d %5d %5d %5d", c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
 }
 
-// runFrom returns the sweep's measurement of the named program under a
-// sweep tool, or ok=false for a nil sweep, a program outside it, or a
-// non-default-options request — the caller measures fresh then.
-func runFrom(s *Sweep, name string, tool Tool) (RunResult, bool) {
-	if s == nil {
-		return RunResult{}, false
-	}
-	var col []RunResult
-	switch tool {
-	case ToolNone:
-		col = s.Plain
-	case ToolBinFPE:
-		col = s.BinFPE
-	case ToolFPXNoGT:
-		col = s.NoGT
-	case ToolFPX:
-		col = s.FPX
-	default:
-		return RunResult{}, false
-	}
-	for i := range s.Programs {
-		if s.Programs[i].Name == name {
-			return col[i], true
-		}
-	}
-	return RunResult{}, false
-}
-
-// corpusFPXRuns returns the full-corpus detector runs, reusing the sweep's
-// FPX column when it covers progs.All() in order; otherwise it measures
-// fresh over the worker pool. Either way the result is index-aligned with
-// progs.All().
-func corpusFPXRuns(s *Sweep) []RunResult {
-	ps := progs.All()
-	if s != nil && len(s.Programs) == len(ps) {
-		match := true
-		for i := range ps {
-			if s.Programs[i].Name != ps[i].Name {
-				match = false
-				break
-			}
-		}
-		if match {
-			return s.FPX
-		}
-	}
-	out := make([]RunResult, len(ps))
-	forEach(len(ps), func(i int) {
-		out[i] = Run(ps[i], ToolFPX, Options{})
-	})
-	return out
-}
-
 // Table4 reports every corpus program with meaningful exceptions under the
-// full GPU-FPX detector — the paper's Table 4. A sweep that already covers
-// the corpus is reused; pass nil to measure fresh.
+// full GPU-FPX detector — the paper's Table 4. The runs are the sweep's
+// GPU-FPX column; pass nil to measure fresh.
 func Table4(w io.Writer, s *Sweep) []Table4Row {
 	ps := progs.All()
-	runs := corpusFPXRuns(s)
+	pl := planOf(s)
+	var n need
+	for _, p := range ps {
+		n.runs = append(n.runs, keyed{p, keyOf(p, ToolFPX, Options{})})
+	}
+	pl.fill(n)
 	var rows []Table4Row
 	fmt.Fprintf(w, "Table 4: exceptions detected by GPU-FPX (%s)\n", countHeader)
-	for i, p := range ps {
+	for _, p := range ps {
 		if p.Meaningless {
 			continue
 		}
-		r := mustOK(runs[i])
+		r := mustOK(pl.result(p, keyOf(p, ToolFPX, Options{})))
 		if !r.Summary.HasAny() {
 			continue
 		}
@@ -115,6 +66,27 @@ func Table4(w io.Writer, s *Sweep) []Table4Row {
 	return rows
 }
 
+// byNames resolves program names, skipping unknown ones.
+func byNames(names []string) []progs.Program {
+	var ps []progs.Program
+	for _, name := range names {
+		if p, err := progs.ByName(name); err == nil {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// pairNeed declares two detector runs of each program: default options,
+// and opt.
+func pairNeed(ps []progs.Program, opt Options) need {
+	var n need
+	for _, p := range ps {
+		n.runs = append(n.runs, keyed{p, keyOf(p, ToolFPX, Options{})}, keyed{p, keyOf(p, ToolFPX, opt)})
+	}
+	return n
+}
+
 // Table5Row compares full instrumentation against freq-redn-factor 64.
 type Table5Row struct {
 	Program    string
@@ -122,43 +94,30 @@ type Table5Row struct {
 	LostSevere int
 }
 
+var (
+	table5Programs = []string{"myocyte", "Sw4lite (64)", "Laghos"}
+	table5Opt      = Options{FreqRedn: 64}
+	table6Programs = []string{"GRAMSCHM", "LU", "cfd", "myocyte", "S3D", "stencil", "wp", "rayTracing"}
+	table6Opt      = Options{Compiler: cc.Options{FastMath: true}}
+)
+
+func table5Need() need { return pairNeed(byNames(table5Programs), table5Opt) }
+func table6Need() need { return pairNeed(byNames(table6Programs), table6Opt) }
+
 // Table5 reproduces the sampling-loss table for the severe programs the
-// paper lists. The full-instrumentation runs come from the sweep when it
-// covers them; the k=64 runs are measured in parallel.
+// paper lists: full instrumentation (the sweep's runs) against
+// freq-redn-factor 64.
 func Table5(w io.Writer, s *Sweep) []Table5Row {
-	names := []string{"myocyte", "Sw4lite (64)", "Laghos"}
-	type job struct {
-		p         progs.Program
-		ok        bool
-		full, k64 RunResult
-	}
-	jobs := make([]job, len(names))
-	for i, name := range names {
-		if p, err := progs.ByName(name); err == nil {
-			jobs[i] = job{p: p, ok: true}
-		}
-	}
-	forEach(len(jobs), func(i int) {
-		j := &jobs[i]
-		if !j.ok {
-			return
-		}
-		if r, ok := runFrom(s, j.p.Name, ToolFPX); ok {
-			j.full = mustOK(r)
-		} else {
-			j.full = mustOK(Run(j.p, ToolFPX, Options{}))
-		}
-		j.k64 = mustOK(Run(j.p, ToolFPX, Options{FreqRedn: 64}))
-	})
+	pl := planOf(s)
+	pl.fill(table5Need())
 	var rows []Table5Row
 	fmt.Fprintf(w, "Table 5: detection at freq-redn-factor 64 (%s)\n", countHeader)
-	for _, j := range jobs {
-		if !j.ok {
-			continue
-		}
-		row := Table5Row{Program: j.p.Name, Full: rowOf(j.full.Summary), K64: rowOf(j.k64.Summary)}
+	for _, p := range byNames(table5Programs) {
+		full := mustOK(pl.result(p, keyOf(p, ToolFPX, Options{})))
+		k64 := mustOK(pl.result(p, keyOf(p, ToolFPX, table5Opt)))
+		row := Table5Row{Program: p.Name, Full: rowOf(full.Summary), K64: rowOf(k64.Summary)}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-16s full ", j.p.Name)
+		fmt.Fprintf(w, "%-16s full ", p.Name)
 		printCounts(w, row.Full)
 		fmt.Fprintf(w, "\n%-16s k=64 ", "")
 		printCounts(w, row.K64)
@@ -174,43 +133,19 @@ type Table6Row struct {
 }
 
 // Table6 reproduces the fast-math study over the programs whose exception
-// profile the flag changes. The precise (default-compilation) runs come
-// from the sweep when it covers them; the fast-math runs are measured in
-// parallel.
+// profile the flag changes: default compilation (the sweep's runs) against
+// --use_fast_math.
 func Table6(w io.Writer, s *Sweep) []Table6Row {
-	names := []string{"GRAMSCHM", "LU", "cfd", "myocyte", "S3D", "stencil", "wp", "rayTracing"}
-	type job struct {
-		p         progs.Program
-		ok        bool
-		pre, fast RunResult
-	}
-	jobs := make([]job, len(names))
-	for i, name := range names {
-		if p, err := progs.ByName(name); err == nil {
-			jobs[i] = job{p: p, ok: true}
-		}
-	}
-	forEach(len(jobs), func(i int) {
-		j := &jobs[i]
-		if !j.ok {
-			return
-		}
-		if r, ok := runFrom(s, j.p.Name, ToolFPX); ok {
-			j.pre = mustOK(r)
-		} else {
-			j.pre = mustOK(Run(j.p, ToolFPX, Options{}))
-		}
-		j.fast = mustOK(Run(j.p, ToolFPX, Options{Compiler: cc.Options{FastMath: true}}))
-	})
+	pl := planOf(s)
+	pl.fill(table6Need())
 	var rows []Table6Row
 	fmt.Fprintf(w, "Table 6: --use_fast_math effect on exceptions (%s)\n", countHeader)
-	for _, j := range jobs {
-		if !j.ok {
-			continue
-		}
-		row := Table6Row{Program: j.p.Name, Precise: rowOf(j.pre.Summary), FastMath: rowOf(j.fast.Summary)}
+	for _, p := range byNames(table6Programs) {
+		pre := mustOK(pl.result(p, keyOf(p, ToolFPX, Options{})))
+		fast := mustOK(pl.result(p, keyOf(p, ToolFPX, table6Opt)))
+		row := Table6Row{Program: p.Name, Precise: rowOf(pre.Summary), FastMath: rowOf(fast.Summary)}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-12s precise  ", j.p.Name)
+		fmt.Fprintf(w, "%-12s precise  ", p.Name)
 		printCounts(w, row.Precise)
 		fmt.Fprintf(w, "\n%-12s fastmath ", "")
 		printCounts(w, row.FastMath)
@@ -230,48 +165,58 @@ type Table7Row struct {
 	FixedClean     bool
 }
 
-// Table7 runs the analyzer over the severe-exception programs and prints
-// the diagnosis overview with its supporting evidence. Each program's
-// analyzer run owns a private context, so the programs measure in parallel;
-// printing stays in corpus order.
-func Table7(w io.Writer) []Table7Row {
+// table7Programs are the severe-exception programs Table 7 diagnoses.
+func table7Programs() []progs.Program {
 	var cand []progs.Program
 	for _, p := range progs.All() {
 		if p.Diag != nil {
 			cand = append(cand, p)
 		}
 	}
-	rows := make([]Table7Row, len(cand))
-	ok := make([]bool, len(cand))
-	forEach(len(cand), func(i int) {
-		p := cand[i]
-		ctx := cuda.NewContext()
-		an := fpx.AttachAnalyzer(ctx, fpx.DefaultAnalyzerConfig())
-		rc := progs.NewRunContext(ctx, cc.Options{})
-		if err := p.Run(rc); err != nil {
-			return
+	return cand
+}
+
+// table7Need declares Table 7's runs: the analyzer on the stock device, and
+// the detector over each repaired variant.
+func table7Need() need {
+	var n need
+	for _, p := range table7Programs() {
+		n.runs = append(n.runs, keyed{p, analyzerKey(p, Options{}, nil)})
+		if p.FixedRun != nil {
+			n.runs = append(n.runs, keyed{p, keyOf(p, ToolFPX, Options{Fixed: true})})
 		}
-		ctx.Exit()
-		rows[i] = Table7Row{
+	}
+	return n
+}
+
+// Table7 runs the analyzer over the severe-exception programs and prints
+// the diagnosis overview with its supporting evidence, in corpus order. It
+// reads the current evaluation's runs (see RunSweep) and measures any that
+// are missing. A program whose analyzer run fails prints an error line
+// instead of a row.
+func Table7(w io.Writer) []Table7Row {
+	pl := currentPlan()
+	pl.fill(table7Need())
+	var out []Table7Row
+	fmt.Fprintln(w, "Table 7: diagnosis and repair overview (analyzer evidence in parentheses)")
+	for _, p := range table7Programs() {
+		an := pl.result(p, analyzerKey(p, Options{}, nil))
+		if an.Err != nil {
+			fmt.Fprintf(w, "%-18s error: %v\n", p.Name, an.Err)
+			continue
+		}
+		row := Table7Row{
 			Program:        p.Name,
 			Diagnosable:    p.Diag.Diagnosable,
 			Matters:        p.Diag.Matters,
 			Fixed:          p.Diag.Fixed,
-			FlowEvents:     len(an.Events()),
-			OutputSevere:   an.Stats().OutputSevere,
-			Disappearances: an.Stats().Disappearances,
+			FlowEvents:     an.Events,
+			OutputSevere:   an.Flow.OutputSevere,
+			Disappearances: an.Flow.Disappearances,
 		}
 		if p.FixedRun != nil {
-			fr := mustOK(Run(p, ToolFPX, Options{Fixed: true}))
-			rows[i].FixedClean = fr.Summary.Severe() == 0
-		}
-		ok[i] = true
-	})
-	var out []Table7Row
-	fmt.Fprintln(w, "Table 7: diagnosis and repair overview (analyzer evidence in parentheses)")
-	for i, row := range rows {
-		if !ok[i] {
-			continue
+			fr := mustOK(pl.result(p, keyOf(p, ToolFPX, Options{Fixed: true})))
+			row.FixedClean = fr.Summary.Severe() == 0
 		}
 		out = append(out, row)
 		fmt.Fprintf(w, "%-18s diagnose=%-4s matters=%-4s fixed=%-4s (events=%d, severe-to-output=%d, fixed-clean=%v)\n",
@@ -287,35 +232,41 @@ type MovielensResult struct {
 	RecordsFull, RecordsK256                          int
 }
 
+// movielensKeys are the §4.3 runs: plain, BinFPE, the full detector and
+// k=256 sampling.
+func movielensKeys(p progs.Program) [4]runKey {
+	return [4]runKey{
+		keyOf(p, ToolNone, Options{}),
+		keyOf(p, ToolBinFPE, Options{}),
+		keyOf(p, ToolFPX, Options{}),
+		keyOf(p, ToolFPX, Options{FreqRedn: 256}),
+	}
+}
+
+func movielensNeed() need {
+	var n need
+	for _, p := range byNames([]string{"CuMF-Movielens"}) {
+		for _, k := range movielensKeys(p) {
+			n.runs = append(n.runs, keyed{p, k})
+		}
+	}
+	return n
+}
+
 // Movielens measures CuMF-Movielens under BinFPE, the full detector, and
 // k=256 sampling — the paper's 6 h / 70 min / 5 min comparison — verifying
-// that sampling loses no exceptions. The plain, BinFPE and full-detector
-// runs come from the sweep when it covers them; only k=256 is new work.
+// that sampling loses no exceptions. All but k=256 are sweep runs.
 func Movielens(w io.Writer, s *Sweep) MovielensResult {
 	p, err := progs.ByName("CuMF-Movielens")
 	if err != nil {
 		return MovielensResult{}
 	}
-	specs := [4]struct {
-		tool Tool
-		opt  Options
-	}{
-		{ToolNone, Options{}},
-		{ToolBinFPE, Options{}},
-		{ToolFPX, Options{}},
-		{ToolFPX, Options{FreqRedn: 256}},
-	}
+	pl := planOf(s)
+	pl.fill(movielensNeed())
 	var runs [4]RunResult
-	forEach(len(specs), func(i int) {
-		sp := specs[i]
-		if sp.opt == (Options{}) {
-			if r, ok := runFrom(s, p.Name, sp.tool); ok {
-				runs[i] = mustOK(r)
-				return
-			}
-		}
-		runs[i] = mustOK(Run(p, sp.tool, sp.opt))
-	})
+	for i, k := range movielensKeys(p) {
+		runs[i] = mustOK(pl.result(p, k))
+	}
 	plain, bin, full, k256 := runs[0], runs[1], runs[2], runs[3]
 	res := MovielensResult{
 		PlainCycles:  plain.Cycles,

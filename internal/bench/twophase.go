@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gpufpx/internal/cc"
-	"gpufpx/internal/cuda"
 	"gpufpx/internal/fpx"
 	"gpufpx/internal/progs"
 )
@@ -27,93 +26,104 @@ type TwoPhaseResult struct {
 	Stats fpx.AnalyzerStats
 }
 
+// twoPhaseDefaults are the multi-kernel severe programs where screening
+// pays off — TwoPhase's programs when none are named.
+var twoPhaseDefaults = []string{"HPCG", "SRU-Example", "GRAMSCHM", "myocyte", "kmeans"}
+
+// twoPhasePrograms resolves TwoPhase's program names, skipping unknown
+// ones.
+func twoPhasePrograms(names []string) []progs.Program {
+	if len(names) == 0 {
+		names = twoPhaseDefaults
+	}
+	return byNames(names)
+}
+
+// twoPhaseNeed declares the workflow's runs: the detector on the evaluation
+// device (the sweep's GPU-FPX run at default options) and the unscreened
+// analyzer; then, from the detector's records, the analyzer whitelisted to
+// the flagged kernels.
+func twoPhaseNeed(ps []progs.Program, opts cc.Options) need {
+	n := need{derived: func(pl *plan) []keyed {
+		var screened []keyed
+		for _, p := range ps {
+			if det := pl.result(p, keyOf(p, ToolFPX, Options{Compiler: opts})); det.Err == nil && len(det.Flagged) > 0 {
+				screened = append(screened, keyed{p, analyzerKey(p, Options{Compiler: opts}, det.Flagged)})
+			}
+		}
+		return screened
+	}}
+	for _, p := range ps {
+		n.runs = append(n.runs,
+			keyed{p, keyOf(p, ToolFPX, Options{Compiler: opts})},
+			keyed{p, analyzerKey(p, Options{Compiler: opts}, nil)})
+	}
+	return n
+}
+
 // RunTwoPhase executes the detector-then-analyzer workflow of Figure 2 on
-// one program and also measures the unscreened analyzer for comparison.
+// one program and also measures the unscreened analyzer for comparison. It
+// reads the current evaluation's runs (see RunSweep) and measures any that
+// are missing.
 func RunTwoPhase(p progs.Program, opts cc.Options) (TwoPhaseResult, error) {
+	pl := currentPlan()
+	pl.fill(twoPhaseNeed([]progs.Program{p}, opts))
+	return twoPhaseFrom(pl, p, opts)
+}
+
+// twoPhaseFrom assembles one program's workflow result from the plan.
+func twoPhaseFrom(pl *plan, p progs.Program, opts cc.Options) (TwoPhaseResult, error) {
 	var res TwoPhaseResult
+	o := Options{Compiler: opts}
 
 	// Phase 1: the detector over everything.
-	ctx := cuda.NewContext()
-	det := fpx.AttachDetector(ctx, fpx.DefaultDetectorConfig())
-	if err := p.Run(progs.NewRunContext(ctx, opts)); err != nil {
-		return res, fmt.Errorf("detector phase: %w", err)
+	det := pl.result(p, keyOf(p, ToolFPX, o))
+	if det.Err != nil {
+		return res, fmt.Errorf("detector phase: %w", det.Err)
 	}
-	ctx.Exit()
-	res.DetectorCycles = ctx.Dev.Cycles
-	res.Records = len(det.Records())
-	seen := map[string]bool{}
-	for _, r := range det.Records() {
-		if !seen[r.Kernel] {
-			seen[r.Kernel] = true
-			res.FlaggedKernels = append(res.FlaggedKernels, r.Kernel)
-		}
-	}
+	res.DetectorCycles = det.Cycles
+	res.Records = det.Records
+	res.FlaggedKernels = det.Flagged
 
 	// Phase 2: the analyzer, whitelisted to the flagged kernels.
 	if len(res.FlaggedKernels) > 0 {
-		ctx2 := cuda.NewContext()
-		cfg := fpx.DefaultAnalyzerConfig()
-		cfg.Whitelist = res.FlaggedKernels
-		an := fpx.AttachAnalyzer(ctx2, cfg)
-		if err := p.Run(progs.NewRunContext(ctx2, opts)); err != nil {
-			return res, fmt.Errorf("analyzer phase: %w", err)
+		an := pl.result(p, analyzerKey(p, o, res.FlaggedKernels))
+		if an.Err != nil {
+			return res, fmt.Errorf("analyzer phase: %w", an.Err)
 		}
-		ctx2.Exit()
-		res.AnalyzerCycles = ctx2.Dev.Cycles
-		res.Events = len(an.Events())
-		res.Stats = an.Stats()
+		res.AnalyzerCycles = an.Cycles
+		res.Events = an.Events
+		res.Stats = an.Flow
 	}
 
 	// The naive alternative for comparison: analyze everything.
-	ctx3 := cuda.NewContext()
-	fpx.AttachAnalyzer(ctx3, fpx.DefaultAnalyzerConfig())
-	if err := p.Run(progs.NewRunContext(ctx3, opts)); err != nil {
-		return res, fmt.Errorf("full-analyzer run: %w", err)
+	full := pl.result(p, analyzerKey(p, o, nil))
+	if full.Err != nil {
+		return res, fmt.Errorf("full-analyzer run: %w", full.Err)
 	}
-	ctx3.Exit()
-	res.FullAnalyzerCycles = ctx3.Dev.Cycles
+	res.FullAnalyzerCycles = full.Cycles
 	return res, nil
 }
 
 // TwoPhase prints the workflow comparison for a set of programs (defaults
-// to the multi-kernel severe programs where screening pays off). The
-// programs measure in parallel — each RunTwoPhase owns its contexts — and
-// print serially in the given order.
+// to the multi-kernel severe programs where screening pays off), in the
+// given order. It reads the current evaluation's runs (see RunSweep) and
+// measures any that are missing.
 func TwoPhase(w io.Writer, names []string) []TwoPhaseResult {
-	if len(names) == 0 {
-		names = []string{"HPCG", "SRU-Example", "GRAMSCHM", "myocyte", "kmeans"}
-	}
-	type job struct {
-		p   progs.Program
-		ok  bool
-		res TwoPhaseResult
-		err error
-	}
-	jobs := make([]job, len(names))
-	for i, name := range names {
-		if p, err := progs.ByName(name); err == nil {
-			jobs[i] = job{p: p, ok: true}
-		}
-	}
-	forEach(len(jobs), func(i int) {
-		if jobs[i].ok {
-			jobs[i].res, jobs[i].err = RunTwoPhase(jobs[i].p, cc.Options{})
-		}
-	})
+	ps := twoPhasePrograms(names)
+	pl := currentPlan()
+	pl.fill(twoPhaseNeed(ps, cc.Options{}))
 	var out []TwoPhaseResult
 	fmt.Fprintln(w, "Figure 2 workflow: detector screening, then analyzer on flagged kernels")
-	for _, j := range jobs {
-		if !j.ok {
+	for _, p := range ps {
+		res, err := twoPhaseFrom(pl, p, cc.Options{})
+		if err != nil {
+			fmt.Fprintf(w, "%-16s error: %v\n", p.Name, err)
 			continue
 		}
-		if j.err != nil {
-			fmt.Fprintf(w, "%-16s error: %v\n", j.p.Name, j.err)
-			continue
-		}
-		res := j.res
 		out = append(out, res)
 		fmt.Fprintf(w, "%-16s detect %-10d analyze(screened) %-10d analyze(all) %-10d flagged %d kernel(s), %d records, %d events\n",
-			j.p.Name, res.DetectorCycles, res.AnalyzerCycles, res.FullAnalyzerCycles,
+			p.Name, res.DetectorCycles, res.AnalyzerCycles, res.FullAnalyzerCycles,
 			len(res.FlaggedKernels), res.Records, res.Events)
 	}
 	return out

@@ -8,6 +8,7 @@ package cuda
 
 import (
 	"fmt"
+	"sort"
 
 	"gpufpx/internal/device"
 	"gpufpx/internal/sass"
@@ -216,6 +217,18 @@ func (c *Context) MaxKernelLaunches() int {
 		}
 	}
 	return m
+}
+
+// LaunchedKernels returns the names of the kernels launched so far, sorted.
+// A kernel whitelist that names all of them instruments exactly what no
+// whitelist would.
+func (c *Context) LaunchedKernels() []string {
+	names := make([]string, 0, len(c.invocations))
+	for name := range c.invocations {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Exit signals program termination to all interceptors.
