@@ -8,10 +8,9 @@
 //	fpx-bench -summary         # headline numbers only
 //
 // Harness knobs (none affect the measured results — simulated cycles are
-// deterministic for any schedule and for either executor):
+// deterministic for any schedule):
 //
 //	fpx-bench -j 8             # fan corpus runs over 8 workers
-//	fpx-bench -exec interp     # executor: interp, lowered or fused (default)
 //	fpx-bench -tool shadow     # time one tool (detector, analyzer, shadow, ...) over the corpus
 //	fpx-bench -json perf.json  # machine-readable wall-clock record
 //	fpx-bench -compare old.json  # print per-artifact deltas vs a saved record
@@ -42,7 +41,6 @@ const perfSchema = 5
 // separate from the simulated results it measures.
 type perfRecord struct {
 	Schema         int              `json:"schema"`
-	ExecMode       string           `json:"exec_mode"`
 	Workers        int              `json:"workers"`
 	GOMAXPROCS     int              `json:"gomaxprocs"`
 	Artifacts      []artifactTiming `json:"artifacts"`
@@ -98,7 +96,6 @@ func main() {
 		campSeed   = flag.Uint64("campaign-seed", 7, "campaign trial-plan seed (with -campaign)")
 		campTrials = flag.Int("campaign-trials", 8, "fault-injection trials per instruction site (with -campaign)")
 		campSites  = flag.Int("campaign-sites", 32, "max profiled sites per program (with -campaign)")
-		execFlag   = flag.String("exec", "fused", "executor dispatch: interp, lowered or fused")
 		jsonPath   = flag.String("json", "", "write a machine-readable perf record to this file")
 		compare    = flag.String("compare", "", "print per-artifact deltas against this baseline perf record")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -120,13 +117,6 @@ func main() {
 	}
 
 	bench.Workers = *jobs
-
-	mode, err := gpufpx.ParseExecMode(*execFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fpx-bench: %v\n", err)
-		os.Exit(2)
-	}
-	gpufpx.SetDefaultExecMode(mode)
 
 	if *campaign != "" {
 		rec, cerr := bench.Campaign(os.Stdout, *campSeed, *campTrials, *campSites)
@@ -154,12 +144,11 @@ func main() {
 
 	rec := &perfRecord{
 		Schema:     perfSchema,
-		ExecMode:   gpufpx.DefaultExecMode().String(),
 		Workers:    *jobs,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	start := time.Now()
-	err = run(*table, *figure, *movielens, *twophase, *summary, *toolFlag, rec)
+	err := run(*table, *figure, *movielens, *twophase, *summary, *toolFlag, rec)
 	rec.TotalWallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	hs := gpufpx.Stats()
 	rec.CacheHits, rec.CacheMisses = hs.CompileCacheHits, hs.CompileCacheMisses
@@ -215,8 +204,7 @@ func printCompare(w io.Writer, path string, rec *perfRecord) error {
 	if len(base.Artifacts) == 0 {
 		return fmt.Errorf("%s is not a perf record (schema %d, no artifacts)", path, base.Schema)
 	}
-	fmt.Fprintf(w, "\nperf vs %s (baseline exec=%s j=%d, this run exec=%s j=%d)\n",
-		path, orUnknown(base.ExecMode), base.Workers, rec.ExecMode, rec.Workers)
+	fmt.Fprintf(w, "\nperf vs %s (baseline j=%d, this run j=%d)\n", path, base.Workers, rec.Workers)
 	fmt.Fprintf(w, "%-16s %12s %12s %9s\n", "artifact", "base ms", "now ms", "delta")
 	baseBy := make(map[string]float64, len(base.Artifacts))
 	for _, a := range base.Artifacts {
@@ -248,13 +236,6 @@ func pctDelta(base, now float64) float64 {
 		return 0
 	}
 	return (now - base) / base * 100
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
 }
 
 // run renders the requested artifacts. All-mode runs every unique run of

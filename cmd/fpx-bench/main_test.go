@@ -13,7 +13,6 @@ import (
 // and must be refused instead of read as an empty baseline.
 func TestPrintCompareRejectsNonPerfRecords(t *testing.T) {
 	rec := &perfRecord{
-		ExecMode:    "fused",
 		Artifacts:   []artifactTiming{{Name: "table7", WallMS: 1}},
 		TotalWallMS: 1,
 	}

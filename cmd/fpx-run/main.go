@@ -37,7 +37,6 @@ func main() {
 		fixed    = flag.Bool("fixed", false, "run the repaired variant, when the program has one")
 		freq     = flag.Int("k", 0, "freq-redn-factor: instrument 1 in k invocations (0 = all)")
 		kernels  = flag.String("kernels", "", "comma-separated kernel whitelist (Algorithm 3's user-specified list)")
-		execFlag = flag.String("exec", "", "executor dispatch: interp (reference interpreter), lowered (direct-threaded programs) or fused (superinstructions); reports are identical in all three")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		list     = flag.Bool("list", false, "list the corpus programs and exit")
 	)
@@ -70,13 +69,6 @@ func main() {
 	}
 
 	opts := []gpufpx.Option{gpufpx.WithCompile(compile), gpufpx.WithFreq(*freq)}
-	if *execFlag != "" {
-		mode, err := gpufpx.ParseExecMode(*execFlag)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, gpufpx.WithExec(mode))
-	}
 	if *kernels != "" {
 		opts = append(opts, gpufpx.WithKernelWhitelist(strings.Split(*kernels, ",")...))
 	}

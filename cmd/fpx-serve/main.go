@@ -2,7 +2,8 @@
 // accepts kernels — corpus programs or raw SASS — and returns versioned
 // detector/analyzer reports. It is built entirely on the public
 // gpufpx.Session facade; every job gets a private simulated device while
-// sharing the process-wide compile and lowering caches.
+// sharing the process-wide compile cache, whose kernels carry their built
+// programs.
 //
 //	fpx-serve -addr :8080 -queue 64 -budget 67108864
 //
@@ -45,18 +46,11 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "enable deterministic fault injection on all planes")
 		seed    = flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
 		rate    = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
-		execF   = flag.String("exec", "fused", "default executor for jobs that do not pin one: interp, lowered or fused")
 		cycRate = flag.Float64("cycle-rate", 0, "node capacity in simulated cycles/sec (0 = unlimited); fleet benchmarks pin this")
 		campDir = flag.String("campaign-dir", "", "checkpoint root for POST /v1/profile campaigns (empty = no persistence; drained campaigns resume on re-POST when set)")
 		campWrk = flag.Int("campaign-workers", 0, "trial fan-out per campaign (0/1 = sequential; profiles are byte-identical either way)")
 	)
 	flag.Parse()
-
-	mode, err := gpufpx.ParseExecMode(*execF)
-	if err != nil {
-		log.Fatalf("fpx-serve: %v", err)
-	}
-	gpufpx.SetDefaultExecMode(mode)
 
 	cfg := serve.Config{
 		QueueDepth:         *queue,

@@ -54,7 +54,6 @@ func main() {
 		rate     = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
 		clients  = flag.Int("clients", 64, "concurrent clients in the service storm (with -chaos)")
 		requests = flag.Int("requests", 4, "requests per storm client (with -chaos)")
-		execF    = flag.String("exec", "fused", "executor dispatch: interp, lowered or fused")
 
 		fleetOn       = flag.Bool("fleet", false, "run the sharded-fleet throughput proof instead of an input search")
 		fleetNodes    = flag.Int("fleet-nodes", 3, "serve nodes in the fleet phase (with -fleet)")
@@ -70,13 +69,6 @@ func main() {
 		nodeWorkers = flag.Int("node-workers", 8, "")
 	)
 	flag.Parse()
-
-	mode, err := gpufpx.ParseExecMode(*execF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress:", err)
-		os.Exit(2)
-	}
-	gpufpx.SetDefaultExecMode(mode)
 
 	if *serveNode {
 		if err := stress.ServeNode(*nodeAddr, *cycleRate, *nodeWorkers); err != nil && err != http.ErrServerClosed {

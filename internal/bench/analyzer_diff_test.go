@@ -7,7 +7,6 @@ import (
 
 	"gpufpx/internal/cc"
 	"gpufpx/internal/cuda"
-	"gpufpx/internal/device"
 	"gpufpx/internal/fpx"
 	"gpufpx/internal/progs"
 )
@@ -65,7 +64,7 @@ func diffAnalyzerObs(t *testing.T, ps []progs.Program, want, got []analyzerObser
 			t.Errorf("%s: %s: cycles %d vs %d", label, ps[i].Name, w.cycles, g.cycles)
 		}
 		if w.stats != g.stats {
-			t.Errorf("%s: %s: analyzer stats differ:\n interp:  %+v\n lowered: %+v",
+			t.Errorf("%s: %s: analyzer stats differ:\n want: %+v\n got:  %+v",
 				label, ps[i].Name, w.stats, g.stats)
 		}
 		if !reflect.DeepEqual(w.events, g.events) {
@@ -90,13 +89,13 @@ func TestAnalyzerDifferentialFullCorpus(t *testing.T) {
 	}
 	ps := progs.All()
 
-	setExecMode(t, device.ExecInterp)
+	useTier(t, "interp")
 	interp := observeCorpusAnalyzer(ps)
 
-	device.SetDefaultExecMode(device.ExecLowered)
-	lowered := observeCorpusAnalyzer(ps)
+	useTier(t, "fused")
+	fused := observeCorpusAnalyzer(ps)
 
-	diffAnalyzerObs(t, ps, interp, lowered, "analyzer interp vs lowered")
+	diffAnalyzerObs(t, ps, interp, fused, "analyzer interp vs fused")
 }
 
 // TestAnalyzerDifferentialSubset is the fast cross-section that still runs
@@ -105,13 +104,13 @@ func TestAnalyzerDifferentialSubset(t *testing.T) {
 	ps := detSubset()
 	setWorkers(t, 8)
 
-	setExecMode(t, device.ExecInterp)
+	useTier(t, "interp")
 	interp := observeCorpusAnalyzer(ps)
 
-	device.SetDefaultExecMode(device.ExecLowered)
-	lowered := observeCorpusAnalyzer(ps)
+	useTier(t, "fused")
+	fused := observeCorpusAnalyzer(ps)
 
-	diffAnalyzerObs(t, ps, interp, lowered, "analyzer subset")
+	diffAnalyzerObs(t, ps, interp, fused, "analyzer subset")
 }
 
 // TestAnalyzerArtifactsDifferential renders the two analyzer-driven bench
@@ -130,13 +129,13 @@ func TestAnalyzerArtifactsDifferential(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	setExecMode(t, device.ExecInterp)
+	useTier(t, "interp")
 	interp := render()
 
-	device.SetDefaultExecMode(device.ExecLowered)
-	lowered := render()
+	useTier(t, "fused")
+	fused := render()
 
-	if !bytes.Equal(interp, lowered) {
+	if !bytes.Equal(interp, fused) {
 		t.Errorf("Table 7 / two-phase artifacts differ between executors")
 	}
 }

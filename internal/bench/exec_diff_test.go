@@ -10,23 +10,15 @@ import (
 	"gpufpx/internal/progs"
 )
 
-// execModes enumerates the executors every differential must agree across.
-var execModes = []struct {
-	name string
-	mode device.ExecMode
-}{
-	{"interp", device.ExecInterp},
-	{"lowered", device.ExecLowered},
-	{"fused", device.ExecFused},
-}
+// tiers enumerates the executor tiers every differential must agree
+// across: the reference interpreter, the lowered thunks and production.
+var tiers = []string{"interp", "lowered", "fused"}
 
-// setExecMode pins the process-wide default executor for one test and
-// restores it afterwards.
-func setExecMode(t *testing.T, m device.ExecMode) {
+// useTier runs the rest of one test on the named executor tier (see
+// device.ForceTierForTest); the test's cleanup restores production.
+func useTier(t *testing.T, name string) {
 	t.Helper()
-	old := device.DefaultExecMode()
-	device.SetDefaultExecMode(m)
-	t.Cleanup(func() { device.SetDefaultExecMode(old) })
+	t.Cleanup(device.ForceTierForTest(name))
 }
 
 // diffSweeps compares two sweeps of the same program list run under
@@ -53,54 +45,55 @@ func diffSweeps(t *testing.T, ps []progs.Program, want, got *Sweep, label string
 	}
 }
 
-// TestExecutorsDifferentialFullCorpus is the lowering pass's correctness
-// contract: the whole corpus, run under the interpreter and under the
-// direct-threaded lowered executor, must agree on every simulated cycle
-// count, every hang verdict and every exception summary, and render
-// byte-identical artifacts. Lowering only changes how fast the host
-// simulates — never what the device computes.
+// TestExecutorsDifferentialFullCorpus is the executor's correctness
+// contract: the whole corpus, run under the reference interpreter and under
+// the production (fused) tier, must agree on every simulated cycle count,
+// every hang verdict and every exception summary, and render byte-identical
+// artifacts. Lowering and fusion only change how fast the host simulates —
+// never what the device computes.
 func TestExecutorsDifferentialFullCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-corpus differential sweep in -short mode")
 	}
 	ps := progs.All()
 
-	setExecMode(t, device.ExecInterp)
+	useTier(t, "interp")
 	interp := RunSweepOn(ps)
 	if err := interp.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	device.SetDefaultExecMode(device.ExecLowered)
-	lowered := RunSweepOn(ps)
-	if err := lowered.Err(); err != nil {
+	useTier(t, "fused")
+	fused := RunSweepOn(ps)
+	if err := fused.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	diffSweeps(t, ps, interp, lowered, "interp vs lowered")
+	diffSweeps(t, ps, interp, fused, "interp vs fused")
 }
 
 // TestExecutorsDifferentialSubsetParallel is the fast cross-section of the
 // differential contract that still runs in -short and -race CI passes: the
-// determinism subset under both executors at 8 workers, with the lowered
-// program shared between concurrent sweep goroutines.
+// determinism subset under the reference and production tiers at 8
+// workers, with each kernel's program shared between concurrent sweep
+// goroutines.
 func TestExecutorsDifferentialSubsetParallel(t *testing.T) {
 	ps := detSubset()
 	setWorkers(t, 8)
 
-	setExecMode(t, device.ExecInterp)
+	useTier(t, "interp")
 	interp := RunSweepOn(ps)
 	if err := interp.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	device.SetDefaultExecMode(device.ExecLowered)
-	lowered := RunSweepOn(ps)
-	if err := lowered.Err(); err != nil {
+	useTier(t, "fused")
+	fused := RunSweepOn(ps)
+	if err := fused.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	diffSweeps(t, ps, interp, lowered, "subset -j 8")
+	diffSweeps(t, ps, interp, fused, "subset -j 8")
 }
 
 // TestConcurrentLaunchesShareCachedKernel launches one cached kernel from
@@ -127,14 +120,14 @@ func TestConcurrentLaunchesShareCachedKernel(t *testing.T) {
 		return err
 	}
 
-	for _, em := range execModes {
-		setExecMode(t, em.mode)
+	for _, tier := range tiers {
+		useTier(t, tier)
 
 		ref := device.New(device.DefaultConfig())
 		refBuf := ref.Alloc(4 * 1024)
 		for iter := 0; iter < 4; iter++ {
 			if err := launch(ref, refBuf); err != nil {
-				t.Fatalf("%s: reference: %v", em.name, err)
+				t.Fatalf("%s: reference: %v", tier, err)
 			}
 		}
 
@@ -160,11 +153,11 @@ func TestConcurrentLaunchesShareCachedKernel(t *testing.T) {
 		wg.Wait()
 		for d := 0; d < devices; d++ {
 			if errs[d] != nil {
-				t.Fatalf("%s: device %d: %v", em.name, d, errs[d])
+				t.Fatalf("%s: device %d: %v", tier, d, errs[d])
 			}
 			if cycles[d] != ref.Cycles {
 				t.Errorf("%s: device %d saw %d cycles, reference saw %d",
-					em.name, d, cycles[d], ref.Cycles)
+					tier, d, cycles[d], ref.Cycles)
 			}
 		}
 	}

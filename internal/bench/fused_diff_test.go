@@ -19,13 +19,13 @@ func TestFusedDifferentialFullCorpus(t *testing.T) {
 	}
 	ps := progs.All()
 
-	setExecMode(t, device.ExecLowered)
+	useTier(t, "lowered")
 	lowered := RunSweepOn(ps)
 	if err := lowered.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	device.SetDefaultExecMode(device.ExecFused)
+	useTier(t, "fused")
 	fused := RunSweepOn(ps)
 	if err := fused.Err(); err != nil {
 		t.Fatal(err)
@@ -42,19 +42,19 @@ func TestFusedDifferentialFullCorpus(t *testing.T) {
 
 // TestFusedDifferentialSubsetParallel is the fast cross-section of the fused
 // differential contract that still runs in -short and -race CI passes: the
-// determinism subset under both executors at 8 workers, with fused programs
-// shared between concurrent sweep goroutines.
+// determinism subset under both tiers at 8 workers, with each kernel's
+// program shared between concurrent sweep goroutines.
 func TestFusedDifferentialSubsetParallel(t *testing.T) {
 	ps := detSubset()
 	setWorkers(t, 8)
 
-	setExecMode(t, device.ExecLowered)
+	useTier(t, "lowered")
 	lowered := RunSweepOn(ps)
 	if err := lowered.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	device.SetDefaultExecMode(device.ExecFused)
+	useTier(t, "fused")
 	fused := RunSweepOn(ps)
 	if err := fused.Err(); err != nil {
 		t.Fatal(err)
@@ -72,10 +72,10 @@ func TestAnalyzerDifferentialFused(t *testing.T) {
 	ps := detSubset()
 	setWorkers(t, 8)
 
-	setExecMode(t, device.ExecLowered)
+	useTier(t, "lowered")
 	lowered := observeCorpusAnalyzer(ps)
 
-	device.SetDefaultExecMode(device.ExecFused)
+	useTier(t, "fused")
 	fused := observeCorpusAnalyzer(ps)
 
 	diffAnalyzerObs(t, ps, lowered, fused, "analyzer lowered vs fused")
@@ -86,7 +86,7 @@ func TestAnalyzerDifferentialFused(t *testing.T) {
 // chain micro-ops, or the tier silently fell back to lowered execution.
 func TestFusedStatsProgress(t *testing.T) {
 	ps := detSubset()
-	setExecMode(t, device.ExecFused)
+	useTier(t, "fused")
 
 	s := RunSweepOn(ps)
 	if err := s.Err(); err != nil {

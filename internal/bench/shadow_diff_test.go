@@ -108,13 +108,13 @@ func TestShadowDifferentialSubset(t *testing.T) {
 	ps := shadowSubset()
 	setWorkers(t, 4)
 	var base []shadowObservation
-	for _, em := range execModes {
-		setExecMode(t, em.mode)
+	for _, tier := range tiers {
+		useTier(t, tier)
 		got := observeShadowAll(ps)
 		if base == nil {
 			base = got
 		} else {
-			diffShadowObs(t, ps, base, got, "shadow interp vs "+em.name)
+			diffShadowObs(t, ps, base, got, "shadow interp vs "+tier)
 		}
 	}
 }
@@ -127,13 +127,13 @@ func TestShadowDifferentialFullCorpus(t *testing.T) {
 	}
 	ps := append(progs.All(), progs.Precision()...)
 	var base []shadowObservation
-	for _, em := range execModes {
-		setExecMode(t, em.mode)
+	for _, tier := range tiers {
+		useTier(t, tier)
 		got := observeShadowAll(ps)
 		if base == nil {
 			base = got
 		} else {
-			diffShadowObs(t, ps, base, got, "shadow corpus interp vs "+em.name)
+			diffShadowObs(t, ps, base, got, "shadow corpus interp vs "+tier)
 		}
 	}
 }

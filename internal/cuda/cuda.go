@@ -125,9 +125,6 @@ func (m *Module) Kernel(name string) (*sass.Kernel, error) {
 type Context struct {
 	Dev *device.Device
 
-	// Exec selects the executor implementation for every launch from this
-	// context; ExecDefault defers to the process-wide default.
-	Exec device.ExecMode
 	// MaxDynInstr, when non-zero, caps the dynamic instructions of every
 	// launch from this context (the per-session cycle budget of the public
 	// API); an exceeded budget surfaces as device.ErrBudget.
@@ -185,7 +182,6 @@ func (c *Context) Launch(k *sass.Kernel, gridDim, blockDim int, params ...uint32
 		Params:      ev.Params,
 		Inject:      ev.Inject,
 		InjectTab:   ev.injectTab,
-		Exec:        c.Exec,
 		MaxDynInstr: c.MaxDynInstr,
 		Cancel:      c.Cancel,
 	})

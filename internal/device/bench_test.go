@@ -70,14 +70,14 @@ EXIT ;
 
 // benchFMUL launches fmulLoop with operand bits x under each tier.
 func benchFMUL(b *testing.B, x uint32) {
-	for _, mode := range []ExecMode{ExecFused, ExecLowered, ExecInterp} {
+	for _, mode := range []tier{tierFused, tierLowered, tierInterp} {
 		b.Run(mode.String(), func(b *testing.B) {
 			d := New(DefaultConfig())
-			l := &Launch{Kernel: fmulLoop, GridDim: 4, BlockDim: 64, Exec: mode, Params: []uint32{x, x}}
+			l := &Launch{Kernel: fmulLoop, GridDim: 4, BlockDim: 64, Params: []uint32{x, x}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Launch(l); err != nil {
+				if _, err := d.launch(l, mode); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,10 +94,10 @@ func BenchmarkFMULNormal(b *testing.B)    { benchFMUL(b, 0x3f800000) }
 // benchLaunch runs one kernel repeatedly on a reused device under the given
 // executor, optionally with an injected per-FFMA call (the instrumented
 // case).
-func benchLaunch(b *testing.B, k *sass.Kernel, mode ExecMode, inject bool) {
+func benchLaunch(b *testing.B, k *sass.Kernel, mode tier, inject bool) {
 	b.Helper()
 	d := New(DefaultConfig())
-	l := &Launch{Kernel: k, GridDim: 4, BlockDim: 64, Exec: mode}
+	l := &Launch{Kernel: k, GridDim: 4, BlockDim: 64}
 	if inject {
 		inj := make(map[int][]InjectedCall)
 		for i := range k.Instrs {
@@ -124,28 +124,28 @@ func benchLaunch(b *testing.B, k *sass.Kernel, mode ExecMode, inject bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Launch(l); err != nil {
+		if _, err := d.launch(l, mode); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFFMADense(b *testing.B) {
-	b.Run("fused", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecFused, false) })
-	b.Run("lowered", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecLowered, false) })
-	b.Run("interp", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecInterp, false) })
+	b.Run("fused", func(b *testing.B) { benchLaunch(b, ffmaDense, tierFused, false) })
+	b.Run("lowered", func(b *testing.B) { benchLaunch(b, ffmaDense, tierLowered, false) })
+	b.Run("interp", func(b *testing.B) { benchLaunch(b, ffmaDense, tierInterp, false) })
 }
 
 func BenchmarkPredicated(b *testing.B) {
-	b.Run("fused", func(b *testing.B) { benchLaunch(b, predicated, ExecFused, false) })
-	b.Run("lowered", func(b *testing.B) { benchLaunch(b, predicated, ExecLowered, false) })
-	b.Run("interp", func(b *testing.B) { benchLaunch(b, predicated, ExecInterp, false) })
+	b.Run("fused", func(b *testing.B) { benchLaunch(b, predicated, tierFused, false) })
+	b.Run("lowered", func(b *testing.B) { benchLaunch(b, predicated, tierLowered, false) })
+	b.Run("interp", func(b *testing.B) { benchLaunch(b, predicated, tierInterp, false) })
 }
 
 func BenchmarkInstrumented(b *testing.B) {
-	b.Run("bare", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecLowered, false) })
-	b.Run("instrumented", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecLowered, true) })
-	b.Run("instrumented-fused", func(b *testing.B) { benchLaunch(b, ffmaDense, ExecFused, true) })
+	b.Run("bare", func(b *testing.B) { benchLaunch(b, ffmaDense, tierLowered, false) })
+	b.Run("instrumented", func(b *testing.B) { benchLaunch(b, ffmaDense, tierLowered, true) })
+	b.Run("instrumented-fused", func(b *testing.B) { benchLaunch(b, ffmaDense, tierFused, true) })
 }
 
 // TestBenchKernelsAgreeAcrossExecutors anchors the benchmark kernels to the
@@ -154,13 +154,13 @@ func BenchmarkInstrumented(b *testing.B) {
 func TestBenchKernelsAgreeAcrossExecutors(t *testing.T) {
 	for _, k := range []*sass.Kernel{ffmaDense, predicated} {
 		di := New(DefaultConfig())
-		si, err := di.Launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64, Exec: ExecInterp})
+		si, err := di.launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64}, tierInterp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ExecMode{ExecLowered, ExecFused} {
+		for _, mode := range []tier{tierLowered, tierFused} {
 			dl := New(DefaultConfig())
-			sl, err := dl.Launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64, Exec: mode})
+			sl, err := dl.launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64}, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,22 +179,22 @@ func TestBenchKernelsAgreeAcrossExecutors(t *testing.T) {
 func TestFusedStepNoAllocs(t *testing.T) {
 	for _, k := range []*sass.Kernel{ffmaDense, predicated} {
 		d := New(DefaultConfig())
-		l := &Launch{Kernel: k, GridDim: 1, BlockDim: 32, Exec: ExecFused}
-		// Warm the lowering and fusion caches the way a real launch does.
+		l := &Launch{Kernel: k, GridDim: 1, BlockDim: 32}
+		// Build the program the way a real launch does.
 		if _, err := d.Launch(l); err != nil {
 			t.Fatal(err)
 		}
-		fk := fuseFor(k)
-		if fk == nil {
+		prog := programFor(k)
+		if prog.fk == nil {
 			t.Fatalf("%s: no fused program", k.Name)
 		}
 		ex := &executor{
 			d:      d,
 			l:      l,
 			budget: 64 << 20,
-			meta:   metaFor(k),
-			low:    lowerFor(k),
-			fk:     fk,
+			meta:   prog.meta,
+			low:    prog.low,
+			fk:     prog.fk,
 		}
 		if ex.fk.maxUni > 0 {
 			ex.uniBuf = make([]uint32, ex.fk.maxUni)

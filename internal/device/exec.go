@@ -26,9 +26,6 @@ type Launch struct {
 	// MaxDynInstr aborts a runaway kernel (safety net for malformed
 	// corpus programs); 0 means the default of 64M dynamic instructions.
 	MaxDynInstr uint64
-	// Exec selects the executor implementation; ExecDefault uses the
-	// process-wide default (see SetDefaultExecMode).
-	Exec ExecMode
 	// Cancel, when non-nil, stops the launch cooperatively: the executor
 	// polls it every 1024 dynamic instructions and returns ErrCanceled once
 	// it is closed, bounding the work done after a cancellation.
@@ -45,6 +42,11 @@ type LaunchStats struct {
 // Launch executes a kernel to completion and returns its stats. The device
 // timeline advances by the launch's cycle cost (plus any channel stalls).
 func (d *Device) Launch(l *Launch) (LaunchStats, error) {
+	return d.launch(l, tier(testTier.Load()))
+}
+
+// launch runs l on executor tier t.
+func (d *Device) launch(l *Launch, t tier) (LaunchStats, error) {
 	if l.GridDim <= 0 || l.BlockDim <= 0 {
 		return LaunchStats{}, fmt.Errorf("device: bad launch dims %dx%d", l.GridDim, l.BlockDim)
 	}
@@ -63,25 +65,24 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 	if budget == 0 {
 		budget = 64 << 20
 	}
-	meta := metaFor(l.Kernel)
+	prog := programFor(l.Kernel)
 	// Malformed kernels (unknown opcodes, missing operands, broken register
 	// pairs) are rejected here, once per launch, instead of panicking per
 	// dynamic instruction deep in an executor.
-	if meta.verr != nil {
-		return LaunchStats{}, fmt.Errorf("device: kernel %s: %w", l.Kernel.Name, meta.verr)
+	if prog.meta.verr != nil {
+		return LaunchStats{}, fmt.Errorf("device: kernel %s: %w", l.Kernel.Name, prog.meta.verr)
 	}
-	mode := l.Exec
-	if mode == ExecDefault {
-		mode = DefaultExecMode()
+	ex := &executor{d: d, l: l, budget: budget, meta: prog.meta, cancel: l.Cancel}
+	if t != tierInterp {
+		ex.low = prog.low
 	}
 	// Fused dispatch executes regions in bulk, which is incompatible with
-	// the per-instruction fault hook; chaos-mode launches fall back to the
-	// lowered tier (bit-identical results, per-instruction stepping).
-	var fk *fusedKernel
-	if mode == ExecFused && d.fault == nil {
-		fk = fuseFor(l.Kernel)
+	// the per-instruction fault hook; chaos-mode and campaign launches step
+	// the lowered thunks instead (bit-identical results).
+	if t == tierFused && d.fault == nil {
+		ex.fk = prog.fk
 	}
-	if err := d.runGrid(l, meta, mode, budget, fk); err != nil {
+	if err := d.runGrid(ex); err != nil {
 		return LaunchStats{}, err
 	}
 	return LaunchStats{
@@ -91,13 +92,11 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 	}, nil
 }
 
-// runGrid executes every block of a launch on this device, in block order.
-func (d *Device) runGrid(l *Launch, meta *kernelMeta, mode ExecMode, budget uint64, fk *fusedKernel) error {
+// runGrid executes every block of ex's launch on this device, in block
+// order.
+func (d *Device) runGrid(ex *executor) error {
 	sc := getScratch()
-	ex := &executor{d: d, l: l, budget: budget, meta: meta, cancel: l.Cancel, fk: fk}
-	if mode != ExecInterp {
-		ex.low = lowerFor(l.Kernel)
-	}
+	l, fk := ex.l, ex.fk
 	// Lower the PC→calls injection map into PC-indexed before/after slices
 	// once per launch, so the per-dynamic-instruction path is a slice index
 	// instead of a map lookup plus a When filter. A pre-split table skips
@@ -129,7 +128,7 @@ func (d *Device) runGrid(l *Launch, meta *kernelMeta, mode ExecMode, budget uint
 			ex.prepFusedCalls(sc)
 		}
 	}
-	hasBar := meta.hasBar
+	hasBar := ex.meta.hasBar
 	warpsPerBlock := (l.BlockDim + WarpSize - 1) / WarpSize
 	// Warps are allocated once and reset per block: register files are
 	// zeroed in place instead of reallocated, which keeps the per-block
@@ -184,8 +183,8 @@ type executor struct {
 	d      *Device
 	l      *Launch
 	meta   *kernelMeta
-	low    *loweredKernel // non-nil in lowered and fused modes
-	fk     *fusedKernel   // non-nil in fused mode
+	low    *loweredKernel // nil on the reference interpreter
+	fk     *fusedKernel   // non-nil when dispatching fused regions
 	shared []byte
 	budget uint64
 	issued uint64
@@ -305,15 +304,18 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 		}
 		if r.tail {
 			ex.issued++
+			if ex.issued&1023 == 0 && ex.cancel != nil {
+				if err := ex.canceled(); err != nil {
+					return err
+				}
+			}
 		}
 	} else {
 		before := ex.issued
 		ex.issued += r.total
 		if ex.cancel != nil && before>>10 != ex.issued>>10 {
-			select {
-			case <-ex.cancel:
-				return fmt.Errorf("device: kernel %s: %w", ex.l.Kernel.Name, ErrCanceled)
-			default:
+			if err := ex.canceled(); err != nil {
+				return err
 			}
 		}
 		// Every body instruction is @PT, so each would execute with the
@@ -385,10 +387,8 @@ func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
 			n := uint64(s.end - s.start)
 			ex.issued += n
 			if ex.cancel != nil && before>>10 != ex.issued>>10 {
-				select {
-				case <-ex.cancel:
-					return fmt.Errorf("device: kernel %s: %w", k.Name, ErrCanceled)
-				default:
+				if err := ex.canceled(); err != nil {
+					return err
 				}
 			}
 			d.Cycles += s.cost
@@ -405,10 +405,8 @@ func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
 		for pc := s.start; pc < s.end; pc++ {
 			ex.issued++
 			if ex.issued&1023 == 0 && ex.cancel != nil {
-				select {
-				case <-ex.cancel:
-					return fmt.Errorf("device: kernel %s: %w", k.Name, ErrCanceled)
-				default:
+				if err := ex.canceled(); err != nil {
+					return err
 				}
 			}
 			d.Cycles += m.cost[pc]
@@ -466,6 +464,17 @@ func (ex *executor) pcHasCall(pc int) bool {
 		ex.injAfter != nil && len(ex.injAfter[pc]) > 0
 }
 
+// canceled returns ErrCanceled once the launch's Cancel channel is closed.
+// Callers poll it every 1024 issued instructions.
+func (ex *executor) canceled() error {
+	select {
+	case <-ex.cancel:
+		return fmt.Errorf("device: kernel %s: %w", ex.l.Kernel.Name, ErrCanceled)
+	default:
+		return nil
+	}
+}
+
 // stepOne executes one instruction for one warp.
 func (ex *executor) stepOne(w *Warp) error {
 	k := ex.l.Kernel
@@ -480,10 +489,8 @@ func (ex *executor) stepOne(w *Warp) error {
 		return fmt.Errorf("device: kernel %s: %w", k.Name, ErrBudget)
 	}
 	if ex.issued&1023 == 0 && ex.cancel != nil {
-		select {
-		case <-ex.cancel:
-			return fmt.Errorf("device: kernel %s: %w", k.Name, ErrCanceled)
-		default:
+		if err := ex.canceled(); err != nil {
+			return err
 		}
 	}
 	in := &k.Instrs[pc]

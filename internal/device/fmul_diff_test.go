@@ -94,15 +94,15 @@ func TestFMULTiersAgree(t *testing.T) {
 	for _, mask := range []uint32{0, 0x1, 0x5} {
 		var ref []uint32
 		var refCycles uint64
-		for _, mode := range []ExecMode{ExecInterp, ExecLowered, ExecFused} {
+		for _, mode := range allTiers {
 			d := New(DefaultConfig())
 			a, b, out := d.Alloc(4*32), d.Alloc(4*32), d.Alloc(32*32)
 			for l, p := range fmulPairs {
 				d.Store32(a+uint32(4*l), p[0])
 				d.Store32(b+uint32(4*l), p[1])
 			}
-			st, err := d.Launch(&Launch{Kernel: fmulShapes, GridDim: 1, BlockDim: 32, Exec: mode,
-				Params: []uint32{a, b, uniA, out, mask, uniB}})
+			st, err := d.launch(&Launch{Kernel: fmulShapes, GridDim: 1, BlockDim: 32,
+				Params: []uint32{a, b, uniA, out, mask, uniB}}, mode)
 			if err != nil {
 				t.Fatalf("mask %#x %s: %v", mask, mode, err)
 			}
@@ -110,7 +110,7 @@ func TestFMULTiersAgree(t *testing.T) {
 			for i := range got {
 				got[i] = d.Load32(out + uint32(4*i))
 			}
-			if mode == ExecInterp {
+			if mode == tierInterp {
 				ref, refCycles = got, st.Cycles
 				continue
 			}
@@ -140,7 +140,7 @@ func TestFMULTiersAgree(t *testing.T) {
 			}
 		}
 	}
-	fk := fuseFor(fmulShapes)
+	fk := programFor(fmulShapes).fk
 	chains := 0
 	for _, r := range fk.regions {
 		for _, s := range r.segs {

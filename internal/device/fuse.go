@@ -1,7 +1,6 @@
 package device
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"gpufpx/internal/sass"
@@ -195,11 +194,7 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 	return fk
 }
 
-// ---- fusion cache and counters ----
-
-// fuseCache maps *sass.Kernel → *fusedKernel, with the same lifetime
-// contract as lowerCache: kernels are immutable and process-shared.
-var fuseCache sync.Map
+// ---- fusion counters ----
 
 var (
 	fuseKernelsN  atomic.Uint64
@@ -233,25 +228,4 @@ func FuseStatsSnapshot() FuseStats {
 		FusedInstrs: fuseInstrsN.Load(),
 		ChainOps:    fuseChainOpsN.Load(),
 	}
-}
-
-// fuseFor returns the shared fused program for a kernel (nil for kernels
-// that fail static validation — those never launch anyway).
-func fuseFor(k *sass.Kernel) *fusedKernel {
-	if v, ok := fuseCache.Load(k); ok {
-		return v.(*fusedKernel)
-	}
-	m := metaFor(k)
-	if m.verr != nil {
-		return nil
-	}
-	fk := fuseKernel(k, m, lowerFor(k))
-	v, loaded := fuseCache.LoadOrStore(k, fk)
-	if !loaded {
-		fuseKernelsN.Add(1)
-		fuseRegionsN.Add(fk.seqs)
-		fuseInstrsN.Add(fk.fusedInstrs)
-		fuseChainOpsN.Add(fk.chainOps)
-	}
-	return v.(*fusedKernel)
 }

@@ -26,13 +26,13 @@ EXIT ;
 // TestFusedProgramStableAcrossLaunches launches one fused kernel sixteen
 // times — well past any launch count a profiling tier could key on — and
 // requires every launch to dispatch the one program built at first use:
-// the fusion cache hands back the same program, no fusion counter moves
+// the kernel hands back the same program, no fusion counter moves
 // after the first launch, every launch reports the same stats, and launches
 // 9–16 allocate exactly as much as launches 1–8.
 func TestFusedProgramStableAcrossLaunches(t *testing.T) {
 	k := stableParams
 	d := New(DefaultConfig())
-	l := &Launch{Kernel: k, GridDim: 2, BlockDim: 64, Exec: ExecFused,
+	l := &Launch{Kernel: k, GridDim: 2, BlockDim: 64,
 		Params: []uint32{0x3f800000, 0x3e800000, 0x3dcccccd}}
 
 	var first LaunchStats
@@ -45,7 +45,7 @@ func TestFusedProgramStableAcrossLaunches(t *testing.T) {
 			t.Fatal(err)
 		}
 		launches++
-		got := fuseFor(k)
+		got := programFor(k).fk
 		if launches == 1 {
 			first, fk, fs = st, got, FuseStatsSnapshot()
 			if fk == nil || len(fk.regions) == 0 {

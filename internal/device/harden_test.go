@@ -12,11 +12,11 @@ import (
 
 func TestMalformedArityRejectedAtLaunch(t *testing.T) {
 	// FMUL with one source parses but would make the executors index a
-	// missing operand; both modes must reject it at launch, not panic.
-	for _, mode := range []ExecMode{ExecInterp, ExecLowered} {
+	// missing operand; every tier must reject it at launch, not panic.
+	for _, mode := range allTiers {
 		d := New(DefaultConfig())
 		k := sass.MustParse("bad-arity", "FMUL R2, R3 ;\nEXIT ;")
-		_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Exec: mode})
+		_, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32}, mode)
 		if !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("mode %v: err = %v, want ErrUnsupported", mode, err)
 		}
@@ -56,7 +56,7 @@ EXIT ;
 }
 
 func TestValidationErrorIsStablePerKernel(t *testing.T) {
-	// Validation runs once in the decode cache; every launch of the same
+	// Validation runs once per kernel program; every launch of the same
 	// malformed kernel reports the same classified error.
 	d := New(DefaultConfig())
 	k := sass.MustParse("bad-twice", "MUFU.RCP R2 ;\nEXIT ;")
@@ -84,10 +84,13 @@ func TestCancelBeforeLaunchStopsPromptly(t *testing.T) {
 }
 
 func TestCancelMidLaunchIsBounded(t *testing.T) {
-	for _, mode := range []ExecMode{ExecInterp, ExecLowered} {
+	for _, mode := range allTiers {
 		d := New(DefaultConfig())
 		// The loop body needs a non-branch instruction: injected calls (the
-		// cancel trigger here) run on computing instructions only.
+		// cancel trigger here) run on computing instructions only. On the
+		// fused tier the loop is one instrumented region of body plus
+		// branch tail, two instructions, so the body alone never issues a
+		// multiple of the poll interval: the tail must poll too.
 		k := sass.MustParse("spin", "L_top:\nFADD R2, R2, R3 ;\nBRA L_top ;\n")
 		cancel := make(chan struct{})
 		fired := false
@@ -100,7 +103,7 @@ func TestCancelMidLaunchIsBounded(t *testing.T) {
 			}
 			return nil
 		}}}}
-		_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Exec: mode, Cancel: cancel, Inject: inject})
+		_, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Cancel: cancel, Inject: inject}, mode)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("mode %v: err = %v, want ErrCanceled", mode, err)
 		}

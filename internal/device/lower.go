@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"gpufpx/internal/fpval"
@@ -23,63 +22,49 @@ import (
 // in internal/bench runs the whole corpus under both executors and asserts
 // byte-identical reports and cycle counts.
 
-// ExecMode selects which executor implementation a launch uses.
-type ExecMode uint8
+// tier is an executor implementation. Production launches run tierFused;
+// the others exist for the fault-hook path and for tests.
+type tier uint8
 
 const (
-	// ExecDefault uses the process-wide default (lowered unless changed).
-	ExecDefault ExecMode = iota
-	// ExecLowered dispatches pre-lowered thunks (direct-threaded).
-	ExecLowered
-	// ExecInterp uses the original per-lane interpreter switch.
-	ExecInterp
-	// ExecFused dispatches fused superinstructions: straight-line runs of
+	// tierFused dispatches fused superinstructions: straight-line runs of
 	// lowered thunks collapsed into single region bodies (see fuse.go).
-	ExecFused
+	// With a fault hook set it steps the lowered thunks one instruction at
+	// a time instead.
+	tierFused tier = iota
+	// tierLowered dispatches pre-lowered thunks (direct-threaded) one
+	// instruction at a time.
+	tierLowered
+	// tierInterp is the per-lane interpreter switch: the reference the
+	// differential suites hold the thunks to.
+	tierInterp
 )
 
-var defaultExecMode atomic.Int32
+// testTier is the tier every launch runs on; only ForceTierForTest moves
+// it off tierFused.
+var testTier atomic.Uint32
 
-func init() { defaultExecMode.Store(int32(ExecLowered)) }
-
-// SetDefaultExecMode sets the executor used by launches that leave
-// Launch.Exec as ExecDefault. Passing ExecDefault restores the built-in
-// default (lowered).
-func SetDefaultExecMode(m ExecMode) {
-	if m == ExecDefault {
-		m = ExecLowered
-	}
-	defaultExecMode.Store(int32(m))
-}
-
-// DefaultExecMode returns the current process-wide executor default.
-func DefaultExecMode() ExecMode { return ExecMode(defaultExecMode.Load()) }
-
-// ParseExecMode parses an -exec flag value.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "lowered":
-		return ExecLowered, nil
-	case "interp":
-		return ExecInterp, nil
+// ForceTierForTest is for tests only. It makes every later launch in the
+// process run on the named executor tier — "interp" (the per-lane reference
+// interpreter), "lowered" (thunks stepped one instruction at a time) or
+// "fused" (production) — and returns a function that restores the previous
+// tier. The cross-package differential suites use it to run one workload
+// on the reference and on the production tier; it panics on any other
+// name.
+func ForceTierForTest(name string) (restore func()) {
+	var t tier
+	switch name {
 	case "fused":
-		return ExecFused, nil
-	}
-	return ExecDefault, fmt.Errorf("unknown exec mode %q (want interp, lowered or fused)", s)
-}
-
-// String returns the flag spelling of the mode.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecInterp:
-		return "interp"
-	case ExecLowered:
-		return "lowered"
-	case ExecFused:
-		return "fused"
+		t = tierFused
+	case "lowered":
+		t = tierLowered
+	case "interp":
+		t = tierInterp
 	default:
-		return "default"
+		panic(fmt.Sprintf("device: unknown executor tier %q", name))
 	}
+	old := testTier.Swap(uint32(t))
+	return func() { testTier.Store(old) }
 }
 
 // thunk executes one lowered instruction for the executing lanes of a warp.
@@ -94,7 +79,7 @@ type loweredKernel struct {
 	// lowering decisions.
 	class []uint8
 	// per-kernel lowering statistics, folded into the global counters when
-	// this lowering wins the cache race.
+	// the kernel's program is built.
 	instrs, uniform, nops uint64
 }
 
@@ -109,12 +94,6 @@ const (
 	// lowClassControl is BRA/EXIT/NOP/BAR, handled by executor.step.
 	lowClassControl
 )
-
-// lowerCache maps *sass.Kernel → *loweredKernel. Kernels are immutable after
-// Finalize and shared across devices via the cc compile cache, so — like the
-// decode cache in meta.go — one lowered program serves every launch of the
-// kernel in the process, including concurrent sweep workers.
-var lowerCache sync.Map
 
 var lowKernels, lowInstrs, lowUniform, lowNops atomic.Uint64
 
@@ -140,26 +119,8 @@ func LowerStatsSnapshot() LowerStats {
 	}
 }
 
-// lowerFor returns the shared lowered program for a kernel.
-func lowerFor(k *sass.Kernel) *loweredKernel {
-	if v, ok := lowerCache.Load(k); ok {
-		return v.(*loweredKernel)
-	}
-	lk := lowerKernel(k, metaFor(k))
-	v, loaded := lowerCache.LoadOrStore(k, lk)
-	if !loaded {
-		lowKernels.Add(1)
-		lowInstrs.Add(lk.instrs)
-		lowUniform.Add(lk.uniform)
-		lowNops.Add(lk.nops)
-	}
-	return v.(*loweredKernel)
-}
-
-// Prelower decodes and lowers a kernel ahead of its first launch, so the
-// cc compile path can hand sweep workers a ready-to-run program. When the
-// process default executor is the fused tier, the fused program is built
-// ahead of time too.
+// Prelower builds a kernel's program ahead of its first launch, so the
+// cc compile path can hand sweep workers a ready-to-run kernel.
 func Prelower(k *sass.Kernel) {
 	// Bake the listing strings while the kernel is still private: location
 	// tables render every instrumented site's SASS text on each run, and
@@ -167,11 +128,7 @@ func Prelower(k *sass.Kernel) {
 	for i := range k.Instrs {
 		k.Instrs[i].Render()
 	}
-	metaFor(k)
-	lowerFor(k)
-	if DefaultExecMode() == ExecFused {
-		fuseFor(k)
-	}
+	programFor(k)
 }
 
 const fullExec = ^uint32(0)

@@ -1,10 +1,6 @@
 package device
 
-import (
-	"sync"
-
-	"gpufpx/internal/sass"
-)
+import "gpufpx/internal/sass"
 
 // kernelMeta is the per-kernel decode pass: everything the executor's
 // per-dynamic-instruction hot path can know statically, precomputed once
@@ -57,19 +53,37 @@ const (
 	subWide = 1 // LDG/STG .64, FCHK/I2F/F2I .F64, FSET .BF
 )
 
-// metaCache maps *sass.Kernel → *kernelMeta. Kernels are immutable after
-// Finalize and — via the cc compile cache — shared across devices, so the
-// decode result is process-global. Entries live for the process lifetime,
-// matching the lifetime of cached kernels.
-var metaCache sync.Map
+// program is a kernel's executable form: the decode pass, the lowered
+// thunks and the fused regions, built together once per kernel and owned
+// by it (sass.Kernel.Program), so it is collected with the kernel.
+type program struct {
+	meta *kernelMeta
+	low  *loweredKernel
+	// fk is nil for kernels that fail static validation; those never
+	// launch.
+	fk *fusedKernel
+}
 
-func metaFor(k *sass.Kernel) *kernelMeta {
-	if v, ok := metaCache.Load(k); ok {
-		return v.(*kernelMeta)
-	}
+// programFor returns the kernel's program, building it on first use.
+func programFor(k *sass.Kernel) *program {
+	return k.Program(buildProgram).(*program)
+}
+
+func buildProgram(k *sass.Kernel) any {
 	m := decodeKernel(k)
-	v, _ := metaCache.LoadOrStore(k, m)
-	return v.(*kernelMeta)
+	p := &program{meta: m, low: lowerKernel(k, m)}
+	lowKernels.Add(1)
+	lowInstrs.Add(p.low.instrs)
+	lowUniform.Add(p.low.uniform)
+	lowNops.Add(p.low.nops)
+	if m.verr == nil {
+		p.fk = fuseKernel(k, m, p.low)
+		fuseKernelsN.Add(1)
+		fuseRegionsN.Add(p.fk.seqs)
+		fuseInstrsN.Add(p.fk.fusedInstrs)
+		fuseChainOpsN.Add(p.fk.chainOps)
+	}
+	return p
 }
 
 func decodeKernel(k *sass.Kernel) *kernelMeta {

@@ -10,25 +10,26 @@ import (
 	"gpufpx/internal/sass"
 )
 
-// steadyAllocs measures allocations per launch after a warm-up launch has
-// populated the meta/lower/fuse caches and the scratch pools.
-func steadyAllocs(t *testing.T, l *Launch) float64 {
+// steadyAllocs measures allocations per launch on tier mode after a
+// warm-up launch has built the kernel's program and filled the scratch
+// pools.
+func steadyAllocs(t *testing.T, l *Launch, mode tier) float64 {
 	t.Helper()
 	d := New(DefaultConfig())
-	if _, err := d.Launch(l); err != nil {
+	if _, err := d.launch(l, mode); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(20, func() {
-		if _, err := d.Launch(l); err != nil {
+		if _, err := d.launch(l, mode); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 func TestLaunchSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []ExecMode{ExecInterp, ExecLowered, ExecFused} {
-		small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32, Exec: mode})
-		big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256, Exec: mode})
+	for _, mode := range allTiers {
+		small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32}, mode)
+		big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256}, mode)
 		if raceEnabled {
 			// The race detector makes sync.Pool drop a random share of
 			// Puts, so the counts only hold without it.
@@ -56,8 +57,8 @@ func TestLaunchSteadyStateAllocsInstrumented(t *testing.T) {
 			tab.Add(in.PC, InjectedCall{When: After, Cost: 8, Fn: func(ctx *InjCtx) error { return nil }})
 		}
 	}
-	small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32, Exec: ExecFused, InjectTab: tab})
-	big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256, Exec: ExecFused, InjectTab: tab})
+	small := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 1, BlockDim: 32, InjectTab: tab}, tierFused)
+	big := steadyAllocs(t, &Launch{Kernel: ffmaDense, GridDim: 16, BlockDim: 256, InjectTab: tab}, tierFused)
 	if raceEnabled {
 		return // sync.Pool drops Puts under the race detector; see above
 	}

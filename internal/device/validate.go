@@ -3,9 +3,9 @@ package device
 // Launch-time kernel validation. The executors index operands and register
 // pairs without per-dynamic-instruction checks — the hot path must not pay
 // for malformed input that can only arrive through the raw-SASS surface
-// (POST /v1/check, the fuzzer). This static pass runs once per kernel in
-// the decode cache and rejects, with ErrUnsupported, everything that would
-// make either executor panic: unknown opcodes, missing operands, and
+// (POST /v1/check, the fuzzer). This static pass runs once per kernel, in
+// its program's decode pass, and rejects, with ErrUnsupported, everything
+// that would make an executor panic: unknown opcodes, missing operands, and
 // register pairs that fall off the register file.
 
 import (

@@ -284,7 +284,7 @@ func ShardKey(req serve.CheckRequest) string {
 	for _, part := range []string{
 		req.Prog, fmt.Sprint(req.Fixed), req.SASS, req.Name,
 		fmt.Sprint(req.FastMath), fmt.Sprint(req.DemoteF64),
-		strings.ToLower(req.Arch), strings.ToLower(req.Exec),
+		strings.ToLower(req.Arch),
 	} {
 		h.Write([]byte(part))
 		h.Write([]byte{0})
@@ -383,8 +383,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleProfile routes a vulnerability-profiling campaign by the same
 // content key as a check of its source. That buys two affinities at once:
-// the campaign's thousands of trial runs hit the shard whose compile and
-// lowering caches are already warm for the kernel, and a re-POSTed
+// the campaign's thousands of trial runs hit the shard whose compile cache
+// already holds the kernel and its built program, and a re-POSTed
 // campaign lands on the node that holds its checkpoint, so resume-after-
 // drain works through the gateway. Admission charges the whole sweep —
 // per-run cost × planned trials — because a campaign really is that many

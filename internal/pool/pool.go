@@ -8,9 +8,10 @@
 // Every job owns a private device, context and seeded RunContext, so jobs
 // are independent and the fan-out is embarrassingly parallel; the only
 // shared state is the cc compile cache (concurrency-safe, hands out
-// immutable kernels) and the device kernel-decode cache (idem). Workers
-// write results back by index, so assembled slices — and every table,
-// figure or report derived from them — are byte-identical to a serial run.
+// immutable kernels) and each kernel's program (built once, read-only).
+// Workers write results back by index, so assembled slices — and every
+// table, figure or report derived from them — are byte-identical to a
+// serial run.
 package pool
 
 import (

@@ -3,6 +3,7 @@ package sass
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"gpufpx/internal/fpval"
 )
@@ -310,6 +311,20 @@ type Kernel struct {
 	// SourceFile names the originating .cu file; empty for binary-only
 	// kernels (closed-source libraries).
 	SourceFile string
+
+	// prog is the executable form the device builds on first use (see
+	// Program). It hangs off the kernel so that it is collected with it.
+	progOnce sync.Once
+	prog     any
+}
+
+// Program returns the kernel's executable program, calling build to make
+// it on the first call; every later call, from any goroutine, returns that
+// same value. The value is opaque here: the device package owns its type.
+// A kernel must not change after its first Program call.
+func (k *Kernel) Program(build func(*Kernel) any) any {
+	k.progOnce.Do(func() { k.prog = build(k) })
+	return k.prog
 }
 
 // Finalize assigns PCs, computes NumRegs, and resolves label operands

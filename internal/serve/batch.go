@@ -4,7 +4,7 @@ package serve
 // as one queued job — one queue slot, one admission decision — and the
 // worker that picks it up fans the items out over the shared worker-pool
 // engine (internal/pool, the same scheduler the benchmark sweeps run on).
-// Items share the process-wide compile and lowering caches, so a batch of
+// Items share the process-wide compile cache, so a batch of
 // variants of one kernel compiles it once; that cache affinity is what
 // the gateway's content-keyed sharding preserves across nodes.
 

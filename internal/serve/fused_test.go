@@ -1,42 +1,49 @@
 package serve
 
-// End-to-end coverage of the fused execution tier through the service: jobs
-// pinned to "exec": "fused" must report exactly what lowered jobs report,
-// round after round, while concurrent workers share the process-wide fused
-// programs (this file runs under -race in CI).
+// End-to-end coverage of the production (fused) executor through the
+// service: concurrent jobs relaunch the same kernels on the one program each
+// kernel owns, and every round must report exactly what the first job
+// reported (this file runs under -race in CI).
 
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func TestCheckFusedMatchesLowered(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4})
+func TestCheckProductionRoundsAgree(t *testing.T) {
+	const workers = 4
+	_, ts := newTestServer(t, Config{Workers: workers})
 	for _, prog := range []string{"myocyte", "GRAMSCHM"} {
-		code, low, _ := post(t, ts.URL, CheckRequest{Prog: prog, Exec: "lowered", Wait: true})
-		if code != http.StatusOK {
-			t.Fatalf("%s lowered: status = %d, want 200", prog, code)
+		code, first, _ := post(t, ts.URL, CheckRequest{Prog: prog, Wait: true})
+		if code != http.StatusOK || first.Detector == nil {
+			t.Fatalf("%s: status = %d, detector report %v", prog, code, first.Detector != nil)
 		}
-		// Several fused rounds: the first builds the fused programs, later
-		// ones relaunch the same kernels many times over and must still
-		// agree.
 		for round := 0; round < 3; round++ {
-			code, fused, _ := post(t, ts.URL, CheckRequest{Prog: prog, Exec: "fused", Wait: true})
-			if code != http.StatusOK {
-				t.Fatalf("%s fused round %d: status = %d, want 200", prog, round, code)
+			var views [workers]JobView
+			var codes [workers]int
+			var wg sync.WaitGroup
+			for i := range views {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i], views[i], _ = post(t, ts.URL, CheckRequest{Prog: prog, Wait: true})
+				}(i)
 			}
-			if fused.Cycles != low.Cycles {
-				t.Errorf("%s fused round %d: cycles = %d, lowered = %d",
-					prog, round, fused.Cycles, low.Cycles)
-			}
-			if fused.Detector == nil || low.Detector == nil {
-				t.Fatalf("%s round %d: missing detector report", prog, round)
-			}
-			if len(fused.Detector.Records) != len(low.Detector.Records) {
-				t.Errorf("%s fused round %d: %d records, lowered %d",
-					prog, round, len(fused.Detector.Records), len(low.Detector.Records))
+			wg.Wait()
+			for i, v := range views {
+				if codes[i] != http.StatusOK {
+					t.Fatalf("%s round %d job %d: status = %d, want 200", prog, round, i, codes[i])
+				}
+				if v.Cycles != first.Cycles {
+					t.Errorf("%s round %d job %d: cycles = %d, first job %d", prog, round, i, v.Cycles, first.Cycles)
+				}
+				if !reflect.DeepEqual(v.Detector, first.Detector) {
+					t.Errorf("%s round %d job %d: detector report differs from the first job's", prog, round, i)
+				}
 			}
 		}
 	}
@@ -45,8 +52,8 @@ func TestCheckFusedMatchesLowered(t *testing.T) {
 func TestMetricsExportFusedCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	for round := 0; round < 2; round++ {
-		if code, _, _ := post(t, ts.URL, CheckRequest{Prog: "myocyte", Exec: "fused", Wait: true}); code != http.StatusOK {
-			t.Fatalf("fused job: status = %d, want 200", code)
+		if code, _, _ := post(t, ts.URL, CheckRequest{Prog: "myocyte", Wait: true}); code != http.StatusOK {
+			t.Fatalf("job: status = %d, want 200", code)
 		}
 	}
 
@@ -73,11 +80,11 @@ func TestMetricsExportFusedCounters(t *testing.T) {
 	if strings.Contains(body, "gpufpx_hot_") {
 		t.Errorf("/metrics still exports hot-tier series:\n%s", body)
 	}
-	// The fused jobs above must have registered at least one fused kernel.
+	// The jobs above must have registered at least one fused kernel.
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "gpufpx_fused_kernels_total ") {
 			if strings.TrimPrefix(line, "gpufpx_fused_kernels_total ") == "0" {
-				t.Errorf("fused kernel counter still zero after fused jobs: %s", line)
+				t.Errorf("fused kernel counter still zero after jobs: %s", line)
 			}
 		}
 	}

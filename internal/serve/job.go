@@ -57,9 +57,6 @@ type CheckRequest struct {
 	Kernels []string `json:"kernels,omitempty"`
 	Freq    int      `json:"freq,omitempty"`
 
-	// Exec pins the executor ("interp", "lowered", "fused") for this job.
-	Exec string `json:"exec,omitempty"`
-
 	// CycleBudget caps each launch's dynamic instructions — the job's
 	// deterministic timeout. Zero inherits the server default.
 	CycleBudget uint64 `json:"cycle_budget,omitempty"`
@@ -163,13 +160,6 @@ func (req CheckRequest) options(defaultBudget uint64, faults gpufpx.FaultPlan) (
 	}
 	opts = append(opts, gpufpx.WithCompile(cc))
 
-	if req.Exec != "" {
-		mode, err := gpufpx.ParseExecMode(req.Exec)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, gpufpx.WithExec(mode))
-	}
 	if len(req.Kernels) > 0 {
 		opts = append(opts, gpufpx.WithKernelWhitelist(req.Kernels...))
 	}

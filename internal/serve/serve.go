@@ -6,9 +6,9 @@
 //
 // The server is a bounded job queue drained by a worker pool. Every job runs
 // in a private Session (its own simulated device and context), so jobs are
-// fully independent; what they share are the process-wide compile and
-// lowering caches, which means a fleet of jobs checking the same kernel
-// compiles and lowers it once. Backpressure is explicit: a full queue
+// fully independent; what they share is the process-wide compile cache,
+// whose kernels carry their built programs, which means a fleet of jobs
+// checking the same kernel compiles and lowers it once. Backpressure is explicit: a full queue
 // rejects with 429 rather than buffering unboundedly, and a draining server
 // (SIGTERM) rejects with 503 while in-flight jobs run to completion.
 //

@@ -3,7 +3,8 @@ package serve
 // End-to-end service tests over httptest: the synchronous and asynchronous
 // check flows, the HTTP mapping of the error taxonomy, queue backpressure,
 // deterministic job timeouts, graceful drain, and a 64-client concurrent
-// load (meaningful under -race: jobs share the compile/lowering caches).
+// load (meaningful under -race: jobs share the compile cache and each
+// kernel's program).
 
 import (
 	"bytes"

@@ -115,7 +115,8 @@ func legacyPost(t *testing.T, url, path, body string) (int, errorBody) {
 
 // TestLegacyBooleanSelectorMaps422 keeps its historical name; the retired
 // per-tool boolean selectors used to map to 422 with a migration hint and
-// are now ordinary unknown fields, rejected with 400 naming the key.
+// are now ordinary unknown fields, rejected with 400 naming the key. The
+// retired executor selector "exec" is one too.
 func TestLegacyBooleanSelectorMaps422(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -125,6 +126,7 @@ func TestLegacyBooleanSelectorMaps422(t *testing.T) {
 		{"detector false", `{"prog": "myocyte", "detector": false, "wait": true}`, `"detector"`},
 		{"shadow boolean", `{"prog": "ill-sum", "shadow": true, "wait": true}`, `"shadow"`},
 		{"several at once", `{"prog": "myocyte", "binfpe": true, "plain": false}`, `"binfpe"`},
+		{"executor selector", `{"prog": "myocyte", "exec": "fused", "wait": true}`, `"exec"`},
 	}
 	for _, tc := range cases {
 		tc := tc

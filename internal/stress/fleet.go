@@ -445,7 +445,7 @@ func waitHealthy(url string, timeout time.Duration) error {
 }
 
 // warmup runs each mix program once through the gateway so every shard's
-// compile/lowering caches are hot before the measured window.
+// compile cache and kernel programs are hot before the measured window.
 func warmup(gwURL string, mix []mixEntry, workers int) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(mix))

@@ -1,12 +1,13 @@
 package gpufpx_test
 
-// Fault-plane determinism across executors: a seeded device-plane run must
-// produce the same fault log, the same error and the same detector report
-// under interp, lowered and fused dispatch, and again when rerun. A fault
-// stream is a serial dependence on retirement order, so any executor that
-// retired instructions in a different order (or the fused tier failing to
-// step per instruction while a hook is attached) shows up here. Campaign
-// trials ride on the same hook.
+// Fault-plane determinism across executor tiers: a seeded device-plane run
+// must produce the same fault log, the same error and the same detector
+// report under the reference interpreter, the lowered thunks and the
+// production tier, and again when rerun. A fault stream is a serial
+// dependence on retirement order, so any tier that retired instructions in
+// a different order (or the production tier failing to step per
+// instruction while a hook is attached) shows up here. Campaign trials
+// ride on the same hook.
 //
 // The test name is historical: it once also compared block-parallel runs
 // against sequential ones.
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpufpx/internal/device"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -27,10 +29,10 @@ type faultOutcome struct {
 	errStr string
 }
 
-func runSeededFaults(t *testing.T, prog string, mode gpufpx.ExecMode) faultOutcome {
+func runSeededFaults(t *testing.T, prog, tier string) faultOutcome {
 	t.Helper()
+	defer device.ForceTierForTest(tier)()
 	s := gpufpx.New(
-		gpufpx.WithExec(mode),
 		gpufpx.WithFaults(gpufpx.FaultPlan{Seed: 11, Rate: 1e-3, Planes: gpufpx.FaultPlaneDevice}),
 		gpufpx.WithCycleBudget(1<<24),
 	)
@@ -59,30 +61,22 @@ func runSeededFaults(t *testing.T, prog string, mode gpufpx.ExecMode) faultOutco
 }
 
 func TestFaultLogsIdenticalUnderBlockParallelism(t *testing.T) {
-	modes := []struct {
-		name string
-		mode gpufpx.ExecMode
-	}{
-		{"interp", gpufpx.ExecInterp},
-		{"lowered", gpufpx.ExecLowered},
-		{"fused", gpufpx.ExecFused},
-	}
 	for _, prog := range []string{"GRAMSCHM", "scan"} {
-		ref := runSeededFaults(t, prog, gpufpx.ExecInterp)
+		ref := runSeededFaults(t, prog, "interp")
 		if ref.faults == "" {
 			t.Fatalf("%s: seeded run injected no faults; the differential proves nothing", prog)
 		}
-		for _, m := range modes {
-			t.Run(prog+"/"+m.name, func(t *testing.T) {
-				got := runSeededFaults(t, prog, m.mode)
+		for _, tier := range []string{"interp", "lowered", "fused"} {
+			t.Run(prog+"/"+tier, func(t *testing.T) {
+				got := runSeededFaults(t, prog, tier)
 				if got.errStr != ref.errStr {
-					t.Fatalf("error diverged: interp %q vs %s %q", ref.errStr, m.name, got.errStr)
+					t.Fatalf("error diverged: interp %q vs %s %q", ref.errStr, tier, got.errStr)
 				}
 				if got.faults != ref.faults {
-					t.Errorf("fault logs diverged:\ninterp:\n%s\n%s:\n%s", ref.faults, m.name, got.faults)
+					t.Errorf("fault logs diverged:\ninterp:\n%s\n%s:\n%s", ref.faults, tier, got.faults)
 				}
 				if !bytes.Equal(got.report, ref.report) {
-					t.Errorf("detector reports diverged between interp and %s", m.name)
+					t.Errorf("detector reports diverged between interp and %s", tier)
 				}
 			})
 		}

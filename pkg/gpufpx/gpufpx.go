@@ -33,7 +33,7 @@ import (
 func init() {
 	// Pre-lower kernels as they enter the shared compile cache, so every
 	// consumer of the facade — sweep workers, serve jobs, one-shot CLI
-	// runs — receives kernels that are already decoded and lowered.
+	// runs — receives kernels whose programs are already built.
 	cc.OnCompile(device.Prelower)
 }
 
@@ -138,8 +138,8 @@ func ToolNames() []string {
 // Session is an immutable bundle of tool, compiler and device configuration.
 // Build one with New and run any number of sources; each Run gets a private
 // device and context, so sessions are safe for concurrent Runs (fpx-serve's
-// worker pool runs many at once). Compilation and kernel lowering hit the
-// process-wide shared caches.
+// worker pool runs many at once). Compilation hits the process-wide
+// compile cache; each kernel's program is built once and shared.
 type Session struct {
 	tool   toolKind
 	detCfg DetectorConfig
@@ -151,7 +151,6 @@ type Session struct {
 	devCfg    DeviceConfig
 	hasDevCfg bool
 
-	exec   ExecMode
 	budget uint64
 	faults FaultPlan
 	camp   CampaignConfig
@@ -215,12 +214,6 @@ func WithKernelWhitelist(kernels ...string) Option {
 func WithFreq(k int) Option {
 	return func(s *Session) { s.freq = k; s.hasFreq = true }
 }
-
-// WithExec pins the executor dispatch (interp, lowered or fused) for this
-// session's launches, independent of the process-wide default. ExecFused
-// adds superinstruction fusion on top of the lowered programs; reports are
-// bit-identical across all three modes.
-func WithExec(mode ExecMode) Option { return func(s *Session) { s.exec = mode } }
 
 // WithCycleBudget caps every launch at n dynamic instructions; exceeding it
 // fails the run with KindBudget. This is the deterministic per-job timeout
@@ -312,7 +305,6 @@ func (s *Session) start(inj *fault.Injector, hook device.FaultHook) *Active {
 		dev.FilterPackets(ci.Filter)
 	}
 	ctx := cuda.NewContextOn(dev)
-	ctx.Exec = s.exec
 	ctx.MaxDynInstr = s.budget
 
 	a := &Active{Ctx: ctx, tool: s.tool, compile: s.compile, inj: inj, digest: hook != nil}

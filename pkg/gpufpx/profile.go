@@ -119,8 +119,12 @@ func (r *profileRunner) Golden(ctx context.Context) (*campaign.Golden, error) {
 	r.goldenDigest = rep.OutputDigest
 	sites := census.Sites()
 	return &campaign.Golden{
-		Key: fmt.Sprintf("%s tool=%s exec=%d digest=%016x sites=%d",
-			r.op, r.s.tool, r.s.exec, rep.OutputDigest, len(sites)),
+		// "exec=0" is the executor selector default sessions once put in
+		// the key. The trial plan is seeded from these bytes, so they stay
+		// as they were: seeded profiles and saved checkpoints remain
+		// byte-identical.
+		Key: fmt.Sprintf("%s tool=%s exec=0 digest=%016x sites=%d",
+			r.op, r.s.tool, rep.OutputDigest, len(sites)),
 		Digest: rep.OutputDigest,
 		Sites:  sites,
 	}, nil

@@ -2,9 +2,9 @@ package gpufpx_test
 
 // The facade-level campaign proofs from the vulnerability-profiling
 // acceptance bar: for a fixed seed, a campaign run to completion, a
-// campaign canceled at ~50% and resumed from its checkpoint, and a
-// campaign under worker/block parallelism all produce byte-identical
-// ProfileReportJSON.
+// campaign canceled at ~50% and resumed from its checkpoint, a campaign
+// under worker parallelism and a campaign on the reference interpreter all
+// produce byte-identical ProfileReportJSON.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"testing"
 
+	"gpufpx/internal/device"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -39,8 +40,9 @@ func baseCampaign() gpufpx.CampaignConfig {
 }
 
 // TestProfileDeterminismProof is the determinism + durability proof over a
-// real program: full run, canceled-and-resumed run, and a run fanned over
-// campaign workers all yield the same profile bytes.
+// real program: full run, canceled-and-resumed run, a run fanned over
+// campaign workers and a run on the reference interpreter all yield the
+// same profile bytes.
 func TestProfileDeterminismProof(t *testing.T) {
 	const prog = "interval"
 	ctx := context.Background()
@@ -94,6 +96,18 @@ func TestProfileDeterminismProof(t *testing.T) {
 	}
 	if resumedFrom == 0 {
 		t.Errorf("resume started from zero durable trials; checkpoint was not used")
+	}
+
+	// The trial plan is seeded from the golden key, which must not depend
+	// on the executor tier that ran the campaign.
+	restore := device.ForceTierForTest("interp")
+	rep, err = profileSession(t, baseCampaign()).Profile(ctx, gpufpx.Program(prog))
+	restore()
+	if err != nil {
+		t.Fatalf("interpreter campaign: %v", err)
+	}
+	if got := encodeProfile(t, rep); !bytes.Equal(got, want) {
+		t.Errorf("reference-interpreter campaign profile differs from production")
 	}
 }
 

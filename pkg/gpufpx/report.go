@@ -2,6 +2,7 @@ package gpufpx
 
 import (
 	"errors"
+	"fmt"
 	"io"
 
 	"gpufpx/internal/cc"
@@ -30,8 +31,6 @@ type (
 	Arch = cc.Arch
 	// DeviceConfig is the simulated device cost model (WithDeviceConfig).
 	DeviceConfig = device.Config
-	// ExecMode selects executor dispatch (WithExec).
-	ExecMode = device.ExecMode
 
 	// DetectorReport is the versioned detector wire schema.
 	DetectorReport = fpx.DetectorReportJSON
@@ -77,14 +76,6 @@ const (
 // planes, at a rate that injects a handful of faults per corpus program.
 func DefaultFaultPlan(seed uint64) FaultPlan { return fault.DefaultPlan(seed) }
 
-// Executor dispatch modes (WithExec).
-const (
-	ExecDefault = device.ExecDefault
-	ExecLowered = device.ExecLowered
-	ExecInterp  = device.ExecInterp
-	ExecFused   = device.ExecFused
-)
-
 // Division-expansion architectures (CompileOptions.Arch).
 const (
 	ArchAmpere = cc.Ampere
@@ -113,16 +104,22 @@ func DefaultShadowConfig() ShadowConfig { return fpx.DefaultShadowConfig() }
 // DefaultDeviceConfig returns the stock device cost model.
 func DefaultDeviceConfig() DeviceConfig { return device.DefaultConfig() }
 
-// ParseExecMode parses an executor-mode flag value ("interp", "lowered",
-// "fused").
-func ParseExecMode(s string) (ExecMode, error) { return device.ParseExecMode(s) }
+// ParseExecMode accepts only "fused", the one executor every run uses.
+//
+// Deprecated: there is no executor to choose. ParseExecMode and
+// SetDefaultExecMode remain only for the repository benchmark's existing
+// calls.
+func ParseExecMode(s string) (string, error) {
+	if s != "fused" {
+		return "", fmt.Errorf("unknown exec mode %q (only fused remains)", s)
+	}
+	return s, nil
+}
 
-// SetDefaultExecMode sets the process-wide executor default used by
-// sessions that do not pin one with WithExec.
-func SetDefaultExecMode(m ExecMode) { device.SetDefaultExecMode(m) }
-
-// DefaultExecMode returns the current process-wide executor default.
-func DefaultExecMode() ExecMode { return device.DefaultExecMode() }
+// SetDefaultExecMode does nothing.
+//
+// Deprecated: see ParseExecMode.
+func SetDefaultExecMode(string) {}
 
 // Report is the outcome of one Session.Run.
 type Report struct {
