@@ -48,10 +48,10 @@ func (d *Device) Launch(l *Launch) (LaunchStats, error) {
 // launch runs l on executor tier t.
 func (d *Device) launch(l *Launch, t tier) (LaunchStats, error) {
 	if l.GridDim <= 0 || l.BlockDim <= 0 {
-		return LaunchStats{}, fmt.Errorf("device: bad launch dims %dx%d", l.GridDim, l.BlockDim)
+		return LaunchStats{}, fmt.Errorf("%w: dims %dx%d", ErrBadGeometry, l.GridDim, l.BlockDim)
 	}
 	if l.BlockDim > 1024 {
-		return LaunchStats{}, fmt.Errorf("device: block dim %d exceeds 1024", l.BlockDim)
+		return LaunchStats{}, fmt.Errorf("%w: block dim %d exceeds 1024", ErrBadGeometry, l.BlockDim)
 	}
 	for i, p := range l.Params {
 		d.SetParam(ParamBase+4*i, p)

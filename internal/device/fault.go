@@ -23,6 +23,11 @@ var ErrCanceled = errors.New("device: launch canceled")
 // instruction, and wrapped with the offending PC and instruction text.
 var ErrUnsupported = errors.New("device: unsupported instruction")
 
+// ErrBadGeometry is returned at launch time for a grid or block size the
+// device cannot run: non-positive dimensions or more than 1024 threads per
+// block.
+var ErrBadGeometry = errors.New("device: bad launch geometry")
+
 // FaultKind classifies a RuntimeFault.
 type FaultKind uint8
 

@@ -7,7 +7,10 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -202,6 +205,63 @@ func (req CheckRequest) options(defaultBudget uint64, faults gpufpx.FaultPlan) (
 	return opts, src, nil
 }
 
+// key is the request's content key: SHA-256 over a length-prefixed
+// encoding of every field that reaches options — the source, the tool and
+// its config, the compiler knobs, the whitelist, freq and the effective
+// cycle budget. Wait is left out: it changes how the report is delivered,
+// not what the run computes. Two requests with one key run the same
+// deterministic session on the same source, so they produce the same
+// report. A fixed 32 bytes keeps retained keys from copying SASS listings.
+func (req CheckRequest) key(defaultBudget uint64) [32]byte {
+	h := sha256.New()
+	var b [8]byte
+	num := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(v bool) {
+		if v {
+			num(1)
+		} else {
+			num(0)
+		}
+	}
+	str := func(s string) {
+		num(uint64(len(s)))
+		io.WriteString(h, s)
+	}
+	str(req.Prog)
+	flag(req.Fixed)
+	str(req.SASS)
+	str(req.Name)
+	num(uint64(req.Grid))
+	num(uint64(req.Block))
+	str(req.Tool)
+	flag(req.ToolConfig != nil)
+	if tc := req.ToolConfig; tc != nil {
+		flag(tc.Verbose)
+		num(uint64(tc.SigBits))
+		num(uint64(tc.CancelBits))
+		num(uint64(tc.MaxFindingsPerSite))
+	}
+	flag(req.FastMath)
+	flag(req.DemoteF64)
+	str(req.Arch)
+	num(uint64(len(req.Kernels)))
+	for _, k := range req.Kernels {
+		str(k)
+	}
+	num(uint64(req.Freq))
+	budget := req.CycleBudget
+	if budget == 0 {
+		budget = defaultBudget
+	}
+	num(budget)
+	var k [32]byte
+	h.Sum(k[:0])
+	return k
+}
+
 // job is one admitted check run — or one admitted batch, which occupies
 // a single queue slot and fans its items out on the worker that picks it
 // up.
@@ -224,6 +284,12 @@ type job struct {
 	// stream, when non-nil, carries incremental report fragments and
 	// trailers to the admitting request's ndjson response.
 	stream *jobStream
+
+	// key is the content key of a check job that may reuse, and be reused
+	// as, a retained job's report; keyed is false for streaming, batch and
+	// profile jobs and on servers with a fault plan.
+	key   [32]byte
+	keyed bool
 
 	// ctx is the job's run context; cancel stops the launch cooperatively.
 	// It derives from Background, not the admitting request — async jobs

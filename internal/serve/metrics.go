@@ -21,6 +21,7 @@ type metrics struct {
 	rejectedFull     atomic.Uint64
 	rejectedDraining atomic.Uint64
 	completed        atomic.Uint64
+	reused           atomic.Uint64
 	failed           atomic.Uint64
 	internalErrors   atomic.Uint64
 	running          atomic.Int64
@@ -50,6 +51,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("gpufpx_serve_jobs_rejected_full_total", "Jobs rejected with 429 (queue full).", s.m.rejectedFull.Load())
 	counter("gpufpx_serve_jobs_rejected_draining_total", "Jobs rejected with 503 (draining).", s.m.rejectedDraining.Load())
 	counter("gpufpx_serve_jobs_completed_total", "Jobs finished cleanly.", s.m.completed.Load())
+	counter("gpufpx_serve_jobs_reused_total", "Jobs answered from a retained finished job's report (counted in completed too).", s.m.reused.Load())
 	counter("gpufpx_serve_jobs_failed_total", "Jobs finished with an error (hang, budget, compile, ...).", s.m.failed.Load())
 	counter("gpufpx_serve_internal_errors_total", "Jobs that failed with an internal error (recovered panics included).", s.m.internalErrors.Load())
 	counter("gpufpx_serve_batches_accepted_total", "Batch jobs admitted to the queue.", s.m.batches.Load())

@@ -2,21 +2,25 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 )
 
-// TestFinishedJobsBounded drives more than maxFinishedJobs requests through
-// one server: the job table must stop growing at the bound, the oldest job
-// must be forgotten (404) and the newest must stay pollable (200).
+// TestFinishedJobsBounded drives more than maxFinishedJobs distinct
+// requests through one server: the job table and the reuse index must stop
+// growing at the bound, the oldest job must be forgotten (404) and its key
+// must miss, and the newest must stay pollable (200) and reusable.
 func TestFinishedJobsBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	req := CheckRequest{SASS: "EXIT ;", Name: "exit", Tool: "plain", Wait: true}
+	request := func(i int) CheckRequest {
+		return CheckRequest{SASS: "EXIT ;", Name: fmt.Sprintf("exit%d", i), Tool: "plain", Wait: true}
+	}
 	const n = maxFinishedJobs + 16
 	var first, last string
 	for i := 0; i < n; i++ {
-		code, v, eb := post(t, ts.URL, req)
+		code, v, eb := post(t, ts.URL, request(i))
 		if code != http.StatusOK {
 			t.Fatalf("request %d: status = %d (%s), want 200", i, code, eb.Error)
 		}
@@ -40,6 +44,15 @@ func TestFinishedJobsBounded(t *testing.T) {
 	})
 	if held != maxFinishedJobs {
 		t.Errorf("job table holds %d jobs after %d requests, want %d", held, n, maxFinishedJobs)
+	}
+	if keys := indexLen(s); keys > maxFinishedJobs {
+		t.Errorf("reuse index holds %d keys after %d requests, want at most %d", keys, n, maxFinishedJobs)
+	}
+	for i, want := range map[int]bool{0: false, n - 1: true} {
+		j := &job{key: request(i).key(0), keyed: true, ctx: context.Background()}
+		if got := s.reusable(j) != nil; got != want {
+			t.Errorf("request %d: reusable = %v after eviction of the first %d jobs, want %v", i, got, n-maxFinishedJobs, want)
+		}
 	}
 	for _, tc := range []struct {
 		id   string

@@ -107,10 +107,13 @@ type Server struct {
 	jobs   sync.Map // id → *job
 	nextID atomic.Uint64
 
-	// finishedMu guards finished: the ids of finished jobs still in jobs,
-	// oldest completion first (see retire).
+	// finishedMu guards finished — the finished jobs still in jobs, oldest
+	// completion first (see retire) — and byKey, the report-reuse index:
+	// for each content key, the newest retained job that finished cleanly
+	// with it.
 	finishedMu sync.Mutex
-	finished   []string
+	finished   []*job
+	byKey      map[[32]byte]*job
 
 	// paceMu/paceNext implement the cycle-rate governor: a virtual
 	// completion clock shared by all workers. Charging c cycles advances
@@ -125,7 +128,7 @@ type Server struct {
 // New builds a server; no goroutines run until Start.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{cfg: cfg, queue: make(chan *job, cfg.QueueDepth)}
+	return &Server{cfg: cfg, queue: make(chan *job, cfg.QueueDepth), byKey: make(map[[32]byte]*job)}
 }
 
 // pace charges finished work against the node's cycle-rate budget,
@@ -241,15 +244,45 @@ func (s *Server) worker() {
 
 // retire records a finished job and evicts the oldest finished job once
 // more than maxFinishedJobs are held. Waiters that already hold the job
-// are unaffected; only later lookups by id miss.
+// are unaffected; only later lookups by id miss. A keyed job that finished
+// cleanly becomes its key's holder in the reuse index, so a key stays as
+// long as requests for it keep arriving; the key goes when its holder is
+// evicted.
 func (s *Server) retire(j *job) {
+	_, err := j.outcome()
 	s.finishedMu.Lock()
 	defer s.finishedMu.Unlock()
-	s.finished = append(s.finished, j.id)
-	if len(s.finished) > maxFinishedJobs {
-		s.jobs.Delete(s.finished[0])
-		s.finished = s.finished[1:]
+	if j.keyed && err == nil {
+		s.byKey[j.key] = j
 	}
+	s.finished = append(s.finished, j)
+	if len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		s.jobs.Delete(old.id)
+		if old.keyed && s.byKey[old.key] == old {
+			delete(s.byKey, old.key)
+		}
+	}
+}
+
+// reusable returns the report of the retained job holding j's content key,
+// or nil. The report is shared between the jobs and read-only. A job
+// canceled before it ran does not reuse: it runs and fails classified, as
+// it would without the index.
+func (s *Server) reusable(j *job) *gpufpx.Report {
+	if !j.keyed || j.ctx.Err() != nil {
+		return nil
+	}
+	s.finishedMu.Lock()
+	h := s.byKey[j.key]
+	s.finishedMu.Unlock()
+	if h == nil {
+		return nil
+	}
+	rep, _ := h.outcome()
+	return rep
 }
 
 // runJob executes one job and publishes its outcome. The worker itself is
@@ -267,7 +300,15 @@ func (s *Server) runJob(j *job) {
 	}
 	j.setRunning()
 	s.m.running.Add(1)
-	rep, err := s.runSession(j)
+	// A repeat of a retained clean job finishes with that job's report
+	// instead of re-simulating; it is still paced, counted and retired.
+	rep := s.reusable(j)
+	var err error
+	if rep != nil {
+		s.m.reused.Add(1)
+	} else {
+		rep, err = s.runSession(j)
+	}
 	if rep != nil {
 		s.pace(j.ctx, rep.Cycles)
 	}
@@ -413,6 +454,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	stream := wantStream(r)
 	if stream {
 		j.stream = newJobStream()
+	} else if !s.cfg.Faults.Enabled() {
+		// Streams must deliver fragments as the run produces them, and
+		// chaos-mode jobs must each meet their faults, so neither reuses.
+		j.key, j.keyed = req.key(s.cfg.DefaultCycleBudget), true
 	}
 	if err := s.enqueue(j); err != nil {
 		switch {

@@ -110,9 +110,10 @@ func classifyCause(err error) ErrorKind {
 	case errors.Is(err, device.ErrCanceled), errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return KindCanceled
-	case errors.Is(err, device.ErrUnsupported):
-		// Malformed SASS rejected by launch-time validation: the caller's
-		// source is at fault, same as a parse error.
+	case errors.Is(err, device.ErrUnsupported), errors.Is(err, device.ErrBadGeometry):
+		// Malformed SASS or a launch geometry the device cannot run,
+		// rejected at launch time: the caller's source is at fault, same
+		// as a parse error.
 		return KindBadSource
 	}
 	var rf *device.RuntimeFault

@@ -173,6 +173,14 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("bad geometry: kind=%v, want KindBadSource", k)
 	}
 
+	// A block past the device's 1024 threads is the caller's geometry too,
+	// caught at launch rather than before it.
+	if _, err := New().Run(context.Background(), SASSText("wide.sass", "EXIT ;\n", 1, 2048)); err == nil {
+		t.Error("2048-thread block ran")
+	} else if k, _ := classify(err); k != KindBadSource {
+		t.Errorf("oversized block: kind=%v, want KindBadSource (%v)", k, err)
+	}
+
 	// A one-instruction budget trips ErrBudget on any real program; the
 	// sentinel must stay reachable through the wrapper.
 	rep, err := New(WithCycleBudget(1)).Run(context.Background(), Program("myocyte"))
