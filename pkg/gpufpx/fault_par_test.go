@@ -15,6 +15,9 @@ package gpufpx_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -79,6 +82,31 @@ func TestFaultLogsIdenticalUnderBlockParallelism(t *testing.T) {
 					t.Errorf("detector reports diverged between interp and %s", tier)
 				}
 			})
+		}
+	}
+}
+
+// faultDigests pins the production tier's seed-11 device-plane outcome
+// (fault log, error and detector report) per program. The tier-to-tier
+// differential above cannot see a change that moves every tier the same
+// way; these digests can.
+var faultDigests = map[string]string{
+	"GRAMSCHM": "f18cbc732e3bd80275705118288a063e2bd7a5a4997a817d589efb7de24e14b7",
+	"scan":     "3949355068978ef94499bdcb2cab16688b4effef715477045e7913046ca37d19",
+}
+
+// TestFaultLogDigests pins the seeded fault logs and detector reports.
+func TestFaultLogDigests(t *testing.T) {
+	for _, prog := range []string{"GRAMSCHM", "scan"} {
+		o := runSeededFaults(t, prog, "fused")
+		if o.faults == "" || o.report == nil {
+			t.Fatalf("%s: no faults or no detector report; the digest pins nothing", prog)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\n--\n%s\n--\n", o.faults, o.errStr)
+		h.Write(o.report)
+		if got := hex.EncodeToString(h.Sum(nil)); got != faultDigests[prog] {
+			t.Errorf("%s: fault-run digest = %s, want %s\nfaults:\n%s\nerr: %s", prog, got, faultDigests[prog], o.faults, o.errStr)
 		}
 	}
 }
