@@ -27,64 +27,35 @@ type LaunchEvent struct {
 	GridDim, BlockDim int
 	Params            []uint32
 
-	// Inject is the injected-call table the launch will run with.
-	Inject map[int][]device.InjectedCall
 	// HostCycles accumulates host-side work (JIT) charged for this launch.
 	HostCycles uint64
 
-	// injectTab is the pre-split call table attached by AttachTable. It is
-	// borrowed from the attaching interceptor's cache until a mutation
-	// (another table, or an AddCall) forces a private copy.
+	// injectTab is the launch's call table. The first AttachTable borrows
+	// the attaching interceptor's cached table; a second forces a private
+	// copy that merges both.
 	injectTab   *device.InjectTable
 	injectOwned bool
 }
 
-// AddCall appends an injected call at the given instruction PC.
-func (ev *LaunchEvent) AddCall(pc int, call device.InjectedCall) {
-	if ev.injectTab != nil {
-		ev.ensureOwnedTab()
-		ev.injectTab.Add(pc, call)
-		return
-	}
-	if ev.Inject == nil {
-		ev.Inject = make(map[int][]device.InjectedCall)
-	}
-	ev.Inject[pc] = append(ev.Inject[pc], call)
-}
-
 // AttachTable attaches a pre-built injected-call table. The common case — a
 // single tool instrumenting the launch — borrows the tool's cached table
-// with no per-launch copying; a second attachment or a later AddCall merges
-// into a private copy instead.
+// with no per-launch copying; each later attachment appends its calls,
+// PC by PC, after those already attached, in a private copy.
 func (ev *LaunchEvent) AttachTable(t *device.InjectTable) {
 	if t.Empty() {
 		return
 	}
-	if ev.injectTab == nil && ev.Inject == nil {
+	if ev.injectTab == nil {
 		ev.injectTab = t
-		ev.injectOwned = false
 		return
 	}
-	ev.ensureOwnedTab()
-	ev.injectTab.Merge(t)
-}
-
-// ensureOwnedTab guarantees injectTab is a private, mutable table, folding
-// in any calls added through the map path first.
-func (ev *LaunchEvent) ensureOwnedTab() {
-	switch {
-	case ev.injectTab == nil:
-		ev.injectTab = device.NewInjectTable(len(ev.Kernel.Instrs))
-		if ev.Inject != nil {
-			ev.injectTab.AddMap(ev.Inject)
-			ev.Inject = nil
-		}
-	case !ev.injectOwned:
+	if !ev.injectOwned {
 		// The copy comes from a pool: Context.Launch releases owned
 		// tables once the device is done with them.
 		ev.injectTab = ev.injectTab.ClonePooled()
+		ev.injectOwned = true
 	}
-	ev.injectOwned = true
+	ev.injectTab.Merge(t)
 }
 
 // Interceptor observes and modifies kernel launches; Exit runs when the
@@ -180,7 +151,6 @@ func (c *Context) Launch(k *sass.Kernel, gridDim, blockDim int, params ...uint32
 		GridDim:     ev.GridDim,
 		BlockDim:    ev.BlockDim,
 		Params:      ev.Params,
-		Inject:      ev.Inject,
 		InjectTab:   ev.injectTab,
 		MaxDynInstr: c.MaxDynInstr,
 		Cancel:      c.Cancel,

@@ -58,7 +58,9 @@ type recordingInterceptor struct {
 func (r *recordingInterceptor) OnLaunch(ev *LaunchEvent) {
 	r.events = append(r.events, ev)
 	ev.HostCycles += 100
-	ev.AddCall(2, device.InjectedCall{When: device.After, Cost: 5})
+	ev.AttachTable(device.BuildInjectTable(len(ev.Kernel.Instrs), map[int][]device.InjectedCall{
+		2: {{When: device.After, Cost: 5}},
+	}))
 }
 func (r *recordingInterceptor) OnExit() { r.exited = true }
 
@@ -81,7 +83,7 @@ func TestInterceptorSeesLaunchesAndInvocationCount(t *testing.T) {
 		if ev.Invocation != i {
 			t.Errorf("event %d invocation = %d", i, ev.Invocation)
 		}
-		if ev.Inject == nil || len(ev.Inject[2]) != 1 {
+		if ev.injectTab.Empty() {
 			t.Errorf("event %d injected calls missing", i)
 		}
 	}

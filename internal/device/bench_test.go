@@ -119,7 +119,7 @@ func benchLaunch(b *testing.B, k *sass.Kernel, mode tier, inject bool) {
 				})
 			}
 		}
-		l.Inject = inj
+		l.InjectTab = BuildInjectTable(len(k.Instrs), inj)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -86,9 +86,6 @@ type Device struct {
 	// filter, when set, interposes packet delivery (see FilterPackets).
 	filter func(Packet, func(Packet))
 
-	// fault, when set, observes every retired instruction (see FaultHook).
-	fault FaultHook
-
 	// Stats accumulates per-device counters across launches.
 	Stats Stats
 }

@@ -351,7 +351,7 @@ EXIT ;
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 1, Inject: inject})
+	inst, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 1, InjectTab: BuildInjectTable(len(k.Instrs), inject)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ EXIT ;
 	inject := map[int][]InjectedCall{
 		0: {{When: After, Fn: func(*InjCtx) error { return boom }}},
 	}
-	_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Inject: inject})
+	_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, InjectTab: BuildInjectTable(len(k.Instrs), inject)})
 	if err != boom {
 		t.Fatalf("got %v, want sentinel", err)
 	}
@@ -278,7 +278,7 @@ EXIT ;
 	inject := map[int][]InjectedCall{
 		1: {{When: After, Fn: func(*InjCtx) error { calls++; return nil }}},
 	}
-	if _, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Inject: inject}); err != nil {
+	if _, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, InjectTab: BuildInjectTable(len(k.Instrs), inject)}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {

@@ -17,11 +17,9 @@ type Launch struct {
 	GridDim, BlockDim int
 	// Params are 32-bit parameter words stored to c[0x0][ParamBase+4i].
 	Params []uint32
-	// Inject maps instruction PC to the calls a tool inserted there.
-	Inject map[int][]InjectedCall
-	// InjectTab is the pre-split form of Inject, cacheable per kernel and
-	// shareable across launches (read-only here). When set it takes
-	// precedence over Inject.
+	// InjectTab holds the calls tools and fault planes inserted, split by
+	// PC and phase. It is cacheable per kernel and shareable across
+	// launches (read-only here); nil means an uninstrumented launch.
 	InjectTab *InjectTable
 	// MaxDynInstr aborts a runaway kernel (safety net for malformed
 	// corpus programs); 0 means the default of 64M dynamic instructions.
@@ -76,10 +74,7 @@ func (d *Device) launch(l *Launch, t tier) (LaunchStats, error) {
 	if t != tierInterp {
 		ex.low = prog.low
 	}
-	// Fused dispatch executes regions in bulk, which is incompatible with
-	// the per-instruction fault hook; chaos-mode and campaign launches step
-	// the lowered thunks instead (bit-identical results).
-	if t == tierFused && d.fault == nil {
+	if t == tierFused {
 		ex.fk = prog.fk
 	}
 	if err := d.runGrid(ex); err != nil {
@@ -97,28 +92,10 @@ func (d *Device) launch(l *Launch, t tier) (LaunchStats, error) {
 func (d *Device) runGrid(ex *executor) error {
 	sc := getScratch()
 	l, fk := ex.l, ex.fk
-	// Lower the PC→calls injection map into PC-indexed before/after slices
-	// once per launch, so the per-dynamic-instruction path is a slice index
-	// instead of a map lookup plus a When filter. A pre-split table skips
-	// even that: its slices are shared directly.
+	// The table's PC-indexed slices are shared directly, so the
+	// per-dynamic-instruction path is a slice index.
 	if !l.InjectTab.Empty() {
 		ex.injBefore, ex.injAfter = l.InjectTab.split(len(l.Kernel.Instrs))
-	} else if len(l.Inject) > 0 {
-		n := len(l.Kernel.Instrs)
-		ex.injBefore = make([][]InjectedCall, n)
-		ex.injAfter = make([][]InjectedCall, n)
-		for pc, calls := range l.Inject {
-			if pc < 0 || pc >= n {
-				continue
-			}
-			for _, c := range calls {
-				if c.When == Before {
-					ex.injBefore[pc] = append(ex.injBefore[pc], c)
-				} else {
-					ex.injAfter[pc] = append(ex.injAfter[pc], c)
-				}
-			}
-		}
 	}
 	if fk != nil {
 		if fk.maxUni > 0 {
@@ -547,9 +524,6 @@ func (ex *executor) stepOne(w *Warp) error {
 			if err := ex.runCalls(ex.injAfter[pc], w, in, exec); err != nil {
 				return err
 			}
-		}
-		if ex.d.fault != nil {
-			ex.d.fault.AfterInstr(ex.d, w, k, in, exec)
 		}
 	}
 

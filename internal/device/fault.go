@@ -2,15 +2,14 @@ package device
 
 // Hardening and fault-injection seams of the device layer: typed runtime
 // faults (so host layers can classify a device abort instead of matching
-// panic strings), cancellation and validation sentinels, and the two hook
-// points the internal/fault chaos planes attach to — per-instruction
-// observation for bit flips and packet interposition for channel faults.
+// panic strings), cancellation and validation sentinels, and packet
+// interposition for the internal/fault channel plane. Bit flips need no
+// seam of their own: the device plane strikes through injected calls, like
+// any instrumentation tool.
 
 import (
 	"errors"
 	"fmt"
-
-	"gpufpx/internal/sass"
 )
 
 // ErrCanceled is returned when a launch is stopped through Launch.Cancel —
@@ -78,21 +77,6 @@ func oobFault(addr, n uint32) *RuntimeFault {
 		Msg:  fmt.Sprintf("device: memory access out of bounds: %#x+%d", addr, n),
 	}
 }
-
-// FaultHook observes retired instructions for fault injection. AfterInstr
-// runs after the instruction's architectural effects, before the PC
-// advances; exec is the mask of lanes that executed. Control-flow
-// instructions (BRA) are not observed — they write no architectural state a
-// transient flip could corrupt. The hook runs on the launch goroutine and
-// may mutate registers and memory through the usual accessors.
-type FaultHook interface {
-	AfterInstr(d *Device, w *Warp, k *sass.Kernel, in *sass.Instr, exec uint32)
-}
-
-// SetFaultHook attaches (or, with nil, detaches) the device-plane fault
-// hook. The hot path pays one nil check per dynamic instruction when no
-// hook is set.
-func (d *Device) SetFaultHook(h FaultHook) { d.fault = h }
 
 // FilterPackets interposes fn between PushPacket and the registered
 // OnPacket consumer: fn receives each pushed packet plus a deliver function

@@ -103,7 +103,7 @@ func TestCancelMidLaunchIsBounded(t *testing.T) {
 			}
 			return nil
 		}}}}
-		_, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Cancel: cancel, Inject: inject}, mode)
+		_, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, Cancel: cancel, InjectTab: BuildInjectTable(len(k.Instrs), inject)}, mode)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("mode %v: err = %v, want ErrCanceled", mode, err)
 		}

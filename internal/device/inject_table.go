@@ -1,12 +1,10 @@
 package device
 
-// InjectTable is a launch's injected calls pre-split by instruction PC and
-// phase — the cacheable form of the map[int][]InjectedCall a tool's
-// Instrument returns. Building the table once per instrumented kernel and
-// attaching it to every launch replaces the per-launch map rebuild and the
-// per-launch before/after split that previously dominated launch-heavy
-// programs' allocation profiles. A table attached to a launch is read-only:
-// the same table may back any number of concurrent launches.
+// InjectTable is a launch's injected calls split by instruction PC and
+// phase — the only form in which calls reach a launch. Tools build one per
+// instrumented kernel (BuildInjectTable over what Instrument returns) and
+// attach it to every launch of that kernel. A table attached to a launch is
+// read-only: the same table may back any number of concurrent launches.
 type InjectTable struct {
 	before, after [][]InjectedCall
 	n             int
@@ -22,8 +20,7 @@ func NewInjectTable(n int) *InjectTable {
 }
 
 // BuildInjectTable splits an Instrument result into a table for a kernel of
-// n instructions. Calls at PCs outside [0, n) are dropped, matching the
-// launch path's handling of the raw map.
+// n instructions. Calls at PCs outside [0, n) are dropped.
 func BuildInjectTable(n int, inj map[int][]InjectedCall) *InjectTable {
 	t := NewInjectTable(n)
 	for pc, calls := range inj {
@@ -58,39 +55,8 @@ func (t *InjectTable) Add(pc int, c InjectedCall) {
 	t.n++
 }
 
-// AddMap folds an Instrument result into the table, preserving each PC's
-// call order.
-func (t *InjectTable) AddMap(inj map[int][]InjectedCall) {
-	for pc, calls := range inj {
-		for _, c := range calls {
-			t.Add(pc, c)
-		}
-	}
-}
-
 // Empty reports whether the table holds no calls.
 func (t *InjectTable) Empty() bool { return t == nil || t.n == 0 }
-
-// Clone returns a deep copy whose per-PC call slices are independently
-// appendable — the copy-on-write step for a borrowed table.
-func (t *InjectTable) Clone() *InjectTable {
-	c := &InjectTable{
-		before: make([][]InjectedCall, len(t.before)),
-		after:  make([][]InjectedCall, len(t.after)),
-		n:      t.n,
-	}
-	for pc, calls := range t.before {
-		if len(calls) > 0 {
-			c.before[pc] = append([]InjectedCall(nil), calls...)
-		}
-	}
-	for pc, calls := range t.after {
-		if len(calls) > 0 {
-			c.after[pc] = append([]InjectedCall(nil), calls...)
-		}
-	}
-	return c
-}
 
 // Merge appends every call of o. The receiver must be an owned (cloned or
 // freshly built) table.

@@ -22,15 +22,16 @@ import (
 // in internal/bench runs the whole corpus under both executors and asserts
 // byte-identical reports and cycle counts.
 
-// tier is an executor implementation. Production launches run tierFused;
-// the others exist for the fault-hook path and for tests.
+// tier is an executor implementation. Every production launch, including
+// chaos and campaign runs (whose fault planes are injected calls), runs
+// tierFused; the others exist only for tests.
 type tier uint8
 
 const (
 	// tierFused dispatches fused superinstructions: straight-line runs of
 	// lowered thunks collapsed into single region bodies (see fuse.go).
-	// With a fault hook set it steps the lowered thunks one instruction at
-	// a time instead.
+	// Regions that carry injected calls step their lowered thunks one
+	// instruction at a time around the calls.
 	tierFused tier = iota
 	// tierLowered dispatches pre-lowered thunks (direct-threaded) one
 	// instruction at a time.

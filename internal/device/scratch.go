@@ -82,12 +82,12 @@ func growBools(s []bool, n int) []bool {
 }
 
 // injectTablePool recycles the copy-on-write InjectTable clones the cuda
-// launch path makes when a borrowed table must be mutated.
+// launch path makes when a second table is attached to a launch.
 var injectTablePool = sync.Pool{New: func() any { return &InjectTable{} }}
 
-// ClonePooled is Clone drawing its table and per-PC call slices from a
-// pool. The copy is as independent as Clone's; pair it with Release once
-// the launch it was built for has finished.
+// ClonePooled returns a deep copy whose per-PC call slices are
+// independently appendable, drawing its table and slices from a pool. Pair
+// it with Release once the launch it was built for has finished.
 func (t *InjectTable) ClonePooled() *InjectTable {
 	c := injectTablePool.Get().(*InjectTable)
 	c.n = t.n

@@ -2,7 +2,7 @@ package device
 
 // Scratch-pool tests: the steady-state launch path must not scale its
 // allocations with the launch geometry, and the pooled InjectTable clones
-// must stay as independent as the allocating Clone.
+// must be independent deep copies.
 
 import (
 	"testing"

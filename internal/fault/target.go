@@ -2,7 +2,8 @@ package fault
 
 // Campaign-mode device plane. Where DeviceInjector sprays rate-driven random
 // flips, a vulnerability campaign (internal/campaign) needs two surgical
-// instruments, both implementing device.FaultHook:
+// instruments, both cuda.Interceptors that observe through zero-cost
+// After calls (see observer):
 //
 //   - Census enumerates the strikeable instruction sites of a golden run —
 //     every static (kernel, pc) that writes a general-purpose destination
@@ -45,23 +46,28 @@ type siteKey struct {
 }
 
 // Census collects the strikeable sites of one run, in first-retirement
-// order (deterministic: hooked runs execute sequentially).
+// order (deterministic: a run's launches execute sequentially).
 type Census struct {
+	observer
 	idx   map[siteKey]int
 	sites []Site
 }
 
-// NewCensus returns an empty census ready to attach as a fault hook.
+// NewCensus returns an empty census ready to register with
+// Context.Intercept.
 func NewCensus() *Census {
-	return &Census{idx: make(map[siteKey]int)}
+	c := &Census{idx: make(map[siteKey]int)}
+	c.observer = newObserver(func(_ *sass.Kernel, in *sass.Instr) bool {
+		_, ok := writesReg(in)
+		return ok
+	}, c.retire)
+	return c
 }
 
-// AfterInstr implements device.FaultHook.
-func (c *Census) AfterInstr(d *device.Device, w *device.Warp, k *sass.Kernel, in *sass.Instr, exec uint32) {
-	dest, ok := in.DestReg()
-	if !ok || dest == sass.RZ || exec == 0 {
-		return
-	}
+// retire counts one strikeable retirement of a site.
+func (c *Census) retire(k *sass.Kernel, ctx *device.InjCtx) {
+	in := ctx.Instr
+	dest, _ := writesReg(in)
 	key := siteKey{kernel: k.Name, pc: in.PC}
 	if i, ok := c.idx[key]; ok {
 		c.sites[i].Dyn++
@@ -103,26 +109,33 @@ type Target struct {
 // TargetedInjector performs one Target strike. Use a fresh injector per
 // trial run.
 type TargetedInjector struct {
+	observer
 	t      Target
 	seen   uint64
 	struck bool
 	event  Event
 }
 
-// NewTargetedInjector returns the fault hook for one trial.
+// NewTargetedInjector returns the interceptor for one trial. Its only call
+// sits at the target site, so every other instruction runs as in the golden
+// run.
 func NewTargetedInjector(t Target) *TargetedInjector {
-	return &TargetedInjector{t: t}
+	ti := &TargetedInjector{t: t}
+	ti.observer = newObserver(func(k *sass.Kernel, in *sass.Instr) bool {
+		_, ok := writesReg(in)
+		return ok && in.PC == t.PC && k.Name == t.Kernel
+	}, ti.strike)
+	return ti
 }
 
-// AfterInstr implements device.FaultHook.
-func (ti *TargetedInjector) AfterInstr(d *device.Device, w *device.Warp, k *sass.Kernel, in *sass.Instr, exec uint32) {
-	if ti.struck || in.PC != ti.t.PC || k.Name != ti.t.Kernel {
+// strike counts one retirement of the target site and flips the bit at the
+// chosen occurrence.
+func (ti *TargetedInjector) strike(k *sass.Kernel, c *device.InjCtx) {
+	if ti.struck {
 		return
 	}
-	dest, ok := in.DestReg()
-	if !ok || dest == sass.RZ || exec == 0 {
-		return
-	}
+	in, w, exec := c.Instr, c.Warp, c.ExecMask
+	dest, _ := writesReg(in)
 	ti.seen++
 	if ti.seen != ti.t.Occurrence {
 		return

@@ -38,9 +38,8 @@ const (
 
 // ProfileRequest is the POST /v1/profile body: the source, tool and
 // compiler knobs of a CheckRequest, plus the campaign plan. The chaos
-// fault planes never attach to profile sessions — the campaign owns the
-// device fault hook, and background chaos would make trial outcomes
-// unattributable.
+// fault planes never attach to profile sessions: background chaos would
+// make trial outcomes unattributable.
 type ProfileRequest struct {
 	CheckRequest
 

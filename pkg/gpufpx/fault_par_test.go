@@ -5,9 +5,9 @@ package gpufpx_test
 // report under the reference interpreter, the lowered thunks and the
 // production tier, and again when rerun. A fault stream is a serial
 // dependence on retirement order, so any tier that retired instructions in
-// a different order (or the production tier failing to step per
-// instruction while a hook is attached) shows up here. Campaign trials
-// ride on the same hook.
+// a different order (or the production tier running a fused region's body
+// without stepping each instruction's injected fault call) shows up here.
+// Campaign trials strike through the same kind of call.
 //
 // The test name is historical: it once also compared block-parallel runs
 // against sequential ones.

@@ -284,22 +284,17 @@ func (s *Session) Start() *Active {
 }
 
 // start builds a run with an explicit fault injector (nil for none) and an
-// optional campaign fault hook. The hook takes the device's single
-// fault-hook slot — campaign runs never combine with a device fault plane
-// (Session.Profile rejects the pairing) — and flags the run for output
-// digesting.
-func (s *Session) start(inj *fault.Injector, hook device.FaultHook) *Active {
+// optional campaign plane (a fault.Census or fault.TargetedInjector), which
+// also flags the run for output digesting. Fault planes that strike the
+// device are interceptors registered after the tool, so their injected
+// calls run last at a shared PC and every launch stays on the production
+// executor.
+func (s *Session) start(inj *fault.Injector, plane cuda.Interceptor) *Active {
 	var dev *device.Device
 	if s.hasDevCfg {
 		dev = device.New(s.devCfg)
 	} else {
 		dev = device.New(device.DefaultConfig())
-	}
-	if di := inj.Device(); di != nil {
-		dev.SetFaultHook(di)
-	}
-	if hook != nil {
-		dev.SetFaultHook(hook)
 	}
 	if ci := inj.Channel(); ci != nil {
 		dev.FilterPackets(ci.Filter)
@@ -307,7 +302,7 @@ func (s *Session) start(inj *fault.Injector, hook device.FaultHook) *Active {
 	ctx := cuda.NewContextOn(dev)
 	ctx.MaxDynInstr = s.budget
 
-	a := &Active{Ctx: ctx, tool: s.tool, compile: s.compile, inj: inj, digest: hook != nil}
+	a := &Active{Ctx: ctx, tool: s.tool, compile: s.compile, inj: inj, digest: plane != nil}
 	switch s.tool {
 	case toolDetector:
 		cfg := s.detCfg
@@ -338,6 +333,12 @@ func (s *Session) start(inj *fault.Injector, hook device.FaultHook) *Active {
 		memcheck.Attach(ctx, cfg)
 	case toolPlain:
 		// no instrumentation
+	}
+	if di := inj.Device(); di != nil {
+		ctx.Intercept(di)
+	}
+	if plane != nil {
+		ctx.Intercept(plane)
 	}
 	return a
 }
@@ -402,11 +403,11 @@ func (s *Session) Run(ctx context.Context, src Source) (*Report, error) {
 	return s.run(ctx, src, nil, nil)
 }
 
-// run is the shared engine behind Run, RunStream and campaign trials: st,
+// run is the shared engine behind Run, RunStream and campaign runs: st,
 // when non-nil, is the incremental report encoder whose tail is flushed
-// right after the report is assembled; hook, when non-nil, is a campaign
-// fault hook attached to the run's device (and enables output digesting).
-func (s *Session) run(ctx context.Context, src Source, st *fpx.ReportStreamer, hook device.FaultHook) (rep *Report, err error) {
+// right after the report is assembled; plane, when non-nil, is the
+// campaign's census or strike, registered after the tool (see start).
+func (s *Session) run(ctx context.Context, src Source, st *fpx.ReportStreamer, plane cuda.Interceptor) (rep *Report, err error) {
 	launch, op, prepErr := src.prepare(s)
 	if prepErr != nil {
 		return nil, prepErr
@@ -420,7 +421,7 @@ func (s *Session) run(ctx context.Context, src Source, st *fpx.ReportStreamer, h
 
 	// The run key ties the fault streams to what is running, not when or
 	// where: the same source under the same seed meets the same faults.
-	a := s.start(fault.NewInjector(s.faults, op), hook)
+	a := s.start(fault.NewInjector(s.faults, op), plane)
 	a.Ctx.Cancel = ctx.Done()
 
 	defer func() {

@@ -75,9 +75,9 @@ func LoadProfileReport(r io.Reader) (ProfileReport, error) {
 // KindCanceled; with CampaignConfig.Dir set, completed shards survive and
 // a rerun resumes from them.
 //
-// Profile refuses sessions with an enabled WithFaults plan: the campaign
-// owns the device's fault hook, and mixing a background fault spray into
-// trial runs would make outcomes unattributable.
+// Profile refuses sessions with an enabled WithFaults plan: a background
+// fault spray in trial runs would make outcomes unattributable to the
+// trial's one strike.
 func (s *Session) Profile(ctx context.Context, src Source) (*ProfileReport, error) {
 	_, op, err := src.prepare(s)
 	if err != nil {
@@ -87,7 +87,7 @@ func (s *Session) Profile(ctx context.Context, src Source) (*ProfileReport, erro
 		return nil, &Error{
 			Kind: KindBadSource,
 			Op:   op,
-			Err:  errors.New("campaign profiling cannot combine with WithFaults: the campaign owns the device fault hook"),
+			Err:  errors.New("campaign profiling cannot combine with WithFaults: a background fault spray would make trial outcomes unattributable"),
 		}
 	}
 	cfg := s.camp

@@ -129,7 +129,7 @@ func TestProfileShadowTool(t *testing.T) {
 }
 
 // TestProfileRejectsFaultPlan: a session with an enabled chaos plan cannot
-// profile — the campaign owns the fault hook.
+// profile — background faults would make trial outcomes unattributable.
 func TestProfileRejectsFaultPlan(t *testing.T) {
 	s := gpufpx.New(
 		gpufpx.WithFaults(gpufpx.DefaultFaultPlan(1)),
