@@ -196,9 +196,6 @@ func TestFusedStepNoAllocs(t *testing.T) {
 			low:    prog.low,
 			fk:     prog.fk,
 		}
-		if ex.fk.maxUni > 0 {
-			ex.uniBuf = make([]uint32, ex.fk.maxUni)
-		}
 		w := newWarp(0, 0, 0, k.NumRegs, 32)
 		run := func() {
 			w.reset(0, 0, 0)

@@ -95,7 +95,6 @@ type Stats struct {
 	Instructions   uint64 // dynamic instructions (per warp execution)
 	LaneOps        uint64 // dynamic instructions × active lanes
 	FPInstructions uint64
-	InjectedCalls  uint64
 	PacketsPushed  uint64
 	WordsPushed    uint64
 	StallCycles    uint64

@@ -97,13 +97,8 @@ func (d *Device) runGrid(ex *executor) error {
 	if !l.InjectTab.Empty() {
 		ex.injBefore, ex.injAfter = l.InjectTab.split(len(l.Kernel.Instrs))
 	}
-	if fk != nil {
-		if fk.maxUni > 0 {
-			ex.uniBuf = growU32(sc.uniBuf, fk.maxUni)
-		}
-		if ex.injBefore != nil || ex.injAfter != nil {
-			ex.prepFusedCalls(sc)
-		}
+	if fk != nil && (ex.injBefore != nil || ex.injAfter != nil) {
+		ex.prepFusedCalls(sc)
 	}
 	hasBar := ex.meta.hasBar
 	warpsPerBlock := (l.BlockDim + WarpSize - 1) / WarpSize
@@ -114,7 +109,7 @@ func (d *Device) runGrid(ex *executor) error {
 	// hands them back on every non-panic return.
 	warps := growPtrs(sc.warps, warpsPerBlock)
 	done := func() {
-		sc.warps, sc.shared, sc.uniBuf = warps, ex.shared, ex.uniBuf
+		sc.warps, sc.shared = warps, ex.shared
 		sc.regionClean, sc.segClean = ex.regionClean, ex.segClean
 		sc.release()
 	}
@@ -167,9 +162,6 @@ type executor struct {
 	issued uint64
 	cancel <-chan struct{}
 
-	// uniBuf is the chain prefetch scratch (fused mode), sized once per
-	// launch to the largest chain's uniform-operand count.
-	uniBuf []uint32
 	// regionClean and segClean mark regions/segments free of injected
 	// calls for this launch; both nil when the launch is uninstrumented
 	// (everything clean).
@@ -304,11 +296,8 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 		d.Stats.LaneOps += n * uint64(bits.OnesCount32(exec))
 		d.Stats.FPInstructions += r.fp
 		for si := range r.segs {
-			s := &r.segs[si]
-			if s.ch != nil {
-				ex.runChain(w, s.ch, exec)
-			} else {
-				s.th(ex, w, exec)
+			for _, fn := range r.segs[si].fns {
+				fn(ex, w, exec)
 			}
 		}
 	}
@@ -372,10 +361,8 @@ func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
 			d.Stats.FPInstructions += s.fp
 			d.Stats.Instructions += n
 			d.Stats.LaneOps += n * lanes
-			if s.ch != nil {
-				ex.runChain(w, s.ch, exec)
-			} else {
-				s.th(ex, w, exec)
+			for _, fn := range s.fns {
+				fn(ex, w, exec)
 			}
 			continue
 		}
@@ -562,7 +549,6 @@ func (ex *executor) runCalls(calls []InjectedCall, w *Warp, in *sass.Instr, exec
 	for i := range calls {
 		c := &calls[i]
 		ex.d.Cycles += c.Cost
-		ex.d.Stats.InjectedCalls++
 		if c.Fn != nil {
 			ex.injCtx = InjCtx{Dev: ex.d, Warp: w, Instr: in, ExecMask: exec}
 			if err := c.Fn(&ex.injCtx); err != nil {
@@ -741,7 +727,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
-		ex.putF32(w, l, &ops[0], a+b, ftz)
+		ex.putF32(w, l, &ops[0], add32(a, b), ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		a, b := ex.srcF32(w, l, &ops[1], ftz), ex.srcF32(w, l, &ops[2], ftz)
 		ex.putF32(w, l, &ops[0], mul32(a, b), ftz)
@@ -1169,6 +1155,18 @@ func mul32(a, b float32) float32 {
 		return float32(float64(a))
 	}
 	return float32(p)
+}
+
+// add32 computes an FP32 sum. A NaN sum takes a's payload, quieted,
+// whenever a is NaN — mul32's rule: the host add returns whichever NaN
+// operand the compiler placed first at each call site, so without it the
+// interpreter and the closures would disagree on a sum of two NaNs.
+func add32(a, b float32) float32 {
+	s := a + b
+	if s != s && a != a {
+		return float32(float64(a))
+	}
+	return s
 }
 
 // fma32 computes an FP32 fused multiply-add with one rounding. a*b is exact

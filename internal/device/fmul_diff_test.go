@@ -2,6 +2,8 @@ package device
 
 import (
 	"math"
+	"math/big"
+	"strings"
 	"testing"
 
 	"gpufpx/internal/sass"
@@ -11,9 +13,11 @@ import (
 // specialize: reg×reg, reg×const-bank, sign/abs-modified, .FTZ, a
 // modified register times a uniform, an immediate, and all-uniform. Lanes
 // whose tid&c[0x170] is nonzero branch past the body, so a nonzero mask
-// runs it with a sparse exec mask (thunk mask walks in lowered, the sparse
-// closure paths in fused).
-var fmulShapes = sass.MustParse("fmul_shapes", `
+// runs it with a sparse exec mask (the closures' mask walks instead of
+// their full-warp column loops).
+var fmulShapes = sass.MustParse("fmul_shapes", fmulShapesSrc)
+
+const fmulShapesSrc = `
 S2R R0, SR_TID.X ;
 SHL R1, R0, 0x2 ;
 MOV R2, c[0x0][0x160] ;
@@ -46,7 +50,7 @@ STG.E [R20+0x18], R14 ;
 STG.E [R20+0x1c], R15 ;
 L_skip:
 EXIT ;
-`)
+`
 
 // fmulPairs are per-lane operands whose products are subnormal, signed
 // zero, overflow to INF, or NaN (quiet and signaling payloads, INF×0), plus
@@ -91,17 +95,102 @@ var fmulPairs = [32][2]uint32{
 // under interp, lowered and fused.
 func TestFMULTiersAgree(t *testing.T) {
 	const uniA, uniB = 0x1e3ce508, 0x9e3ce508 // the c-bank operands: ±1e-20
+	checkShapeTiers(t, fmulShapes, fmulPairs, uniA, uniB, func(a, b float32) float32 {
+		if finite32(a) && finite32(b) {
+			return refMul32(a, b)
+		}
+		return refNaNMul32(a, b)
+	})
+	if n := chainedSites(fmulShapes, sass.OpFMUL); n != 8 {
+		t.Fatalf("%d of 8 FMUL sites in fused chains: the fused tier never ran their closures as a chain", n)
+	}
+}
+
+// faddShapes is fmulShapes with every FMUL an FADD.
+var faddShapes = sass.MustParse("fadd_shapes", strings.ReplaceAll(fmulShapesSrc, "FMUL", "FADD"))
+
+// faddPairs are per-lane operands whose sums round at ties, cancel to
+// signed zeros, land in or leave the subnormal range, overflow, or are NaN
+// (payloads, one signaling, INF-INF), plus subnormal inputs that .FTZ
+// flushes.
+var faddPairs = [32][2]uint32{
+	{0x00000001, 0x00000001}, // min subnormal + min subnormal
+	{0x80000001, 0x00000001}, // cancels to +0
+	{0x00800000, 0x80000001}, // min normal - min subnormal: subnormal
+	{0x807fffff, 0x00800000}, // -max subnormal + min normal = min subnormal
+	{0x00400000, 0x00400000}, // subnormals summing to min normal (FTZ flushes)
+	{0x00400000, 0x3f800000}, // subnormal + 1 (FTZ flushes)
+	{0x3f800000, 0xbf800000}, // 1 - 1 = +0
+	{0x80000000, 0x80000000}, // -0 + -0 = -0
+	{0x00000000, 0x80000000}, // +0 + -0 = +0
+	{0x3f800000, 0x33800000}, // 1 + half ulp: tie, rounds to even (1)
+	{0x3f800001, 0x33800000}, // tie, rounds to even (up)
+	{0x4b800000, 0x3f800000}, // 2^24 + 1: tie, rounds to even
+	{0x3f800000, 0xb3800000}, // 1 - 2^-24: exact
+	{0x7f7fffff, 0x73000000}, // max + half ulp: tie rounds to INF
+	{0x7f7fffff, 0x7f7fffff}, // overflow to INF
+	{0xff7fffff, 0x7f7fffff}, // -max + max = +0
+	{0x5f800000, 0xdf800000}, // 2^64 - 2^64 = +0
+	{0x7f800000, 0x3f800000}, // INF + 1
+	{0x7f800000, 0xff800000}, // INF - INF: NaN
+	{0x7fc12345, 0x3f800000}, // quiet NaN payload in a
+	{0x7f812345, 0x3f800000}, // signaling NaN payload in a
+	{0x3f800000, 0xffc54321}, // NaN in b
+	{0x3f800000, 0x7f854321}, // signaling NaN in b
+	{0x7fc11111, 0x7fc22222}, // two payloads: a's wins
+	{0x7f811111, 0x7fc22222}, // signaling a, quiet b: a's, quieted
+	{0x3f800000, 0x3f800000}, // 1 + 1
+	{0x40490fdb, 0x402df854}, // π + e
+	{0x3dcccccd, 0x3e4ccccd}, // 0.1 + 0.2
+	{0x7f000000, 0x7f000000}, // 2^127 + 2^127: overflow
+	{0x12345678, 0x0abcdef0}, // tiny operands, far apart
+	{0xc0000000, 0x00400000}, // -2 + subnormal
+	{0x4b800001, 0x3f800000}, // tie, rounds to even (up)
+}
+
+// TestFADDTiersAgree is TestFMULTiersAgree for FADD: every shape under a
+// full and two sparse exec masks, identical bits and cycles on every tier,
+// and the interpreter's plain column equal to the correctly rounded sum. A
+// NaN sum takes a's payload, quieted, when a is NaN — add32's rule; the
+// lane adding 0x7fc11111 and 0x7fc22222 is the case a bare host add
+// resolves by operand order.
+func TestFADDTiersAgree(t *testing.T) {
+	const uniA, uniB = 0x00400000, 0x80000003 // the c-bank operands: subnormals
+	checkShapeTiers(t, faddShapes, faddPairs, uniA, uniB, func(a, b float32) float32 {
+		switch {
+		case a != a:
+			return math.Float32frombits(math.Float32bits(a) | 0x00400000)
+		case b != b:
+			return math.Float32frombits(math.Float32bits(b) | 0x00400000)
+		case !finite32(a) || !finite32(b):
+			return a + b
+		}
+		f, _ := new(big.Float).SetPrec(bigExactPrec).Add(bigOf(a), bigOf(b)).Float32()
+		return f
+	})
+	if n := chainedSites(faddShapes, sass.OpFADD); n != 8 {
+		t.Fatalf("%d of 8 FADD sites in fused chains: the fused tier never ran their closures as a chain", n)
+	}
+}
+
+// checkShapeTiers launches a shapes kernel (fmulShapesSrc's layout: eight
+// shapes per lane, lanes paired with pairs, c-bank operands uniA and uniB)
+// under a full and two sparse exec masks on every tier. Each tier must
+// leave the interpreter's bits and cycles, and the interpreter's plain
+// reg×reg column must equal want.
+func checkShapeTiers(t *testing.T, k *sass.Kernel, pairs [32][2]uint32, uniA, uniB uint32, want func(a, b float32) float32) {
+	t.Helper()
 	for _, mask := range []uint32{0, 0x1, 0x5} {
 		var ref []uint32
 		var refCycles uint64
 		for _, mode := range allTiers {
 			d := New(DefaultConfig())
 			a, b, out := d.Alloc(4*32), d.Alloc(4*32), d.Alloc(32*32)
-			for l, p := range fmulPairs {
+			for l, p := range pairs {
 				d.Store32(a+uint32(4*l), p[0])
 				d.Store32(b+uint32(4*l), p[1])
 			}
-			st, err := d.launch(&Launch{Kernel: fmulShapes, GridDim: 1, BlockDim: 32,
+			st, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32,
 				Params: []uint32{a, b, uniA, out, mask, uniB}}, mode)
 			if err != nil {
 				t.Fatalf("mask %#x %s: %v", mask, mode, err)
@@ -125,31 +214,35 @@ func TestFMULTiersAgree(t *testing.T) {
 			}
 		}
 		// The interp column of the plain shape matches the reference
-		// product, so the agreement above is over the right bits.
-		for l, p := range fmulPairs {
+		// result, so the agreement above is over the right bits.
+		for l, p := range pairs {
 			if uint32(l)&mask != 0 {
 				continue
 			}
-			a, b := math.Float32frombits(p[0]), math.Float32frombits(p[1])
-			want := math.Float32bits(refNaNMul32(a, b))
-			if finite32(a) && finite32(b) {
-				want = math.Float32bits(refMul32(a, b))
-			}
-			if ref[8*l] != want {
-				t.Errorf("mask %#x lane %d: FMUL = %#08x, want %#08x", mask, l, ref[8*l], want)
+			w := math.Float32bits(want(math.Float32frombits(p[0]), math.Float32frombits(p[1])))
+			if ref[8*l] != w {
+				t.Errorf("mask %#x lane %d: %s = %#08x, want %#08x", mask, l, k.Name, ref[8*l], w)
 			}
 		}
 	}
-	fk := programFor(fmulShapes).fk
-	chains := 0
-	for _, r := range fk.regions {
+}
+
+// chainedSites counts the sites with opcode op that k's fused program runs
+// inside a chain segment of more than one closure.
+func chainedSites(k *sass.Kernel, op sass.Op) int {
+	prog := programFor(k)
+	n := 0
+	for _, r := range prog.fk.regions {
 		for _, s := range r.segs {
-			if s.ch != nil {
-				chains++
+			if len(s.fns) < 2 {
+				continue
+			}
+			for pc := s.start; pc < s.end; pc++ {
+				if k.Instrs[pc].Op == op && prog.low.class[pc] == lowClassChain {
+					n++
+				}
 			}
 		}
 	}
-	if chains == 0 {
-		t.Fatal("no fused chain: the fused tier never ran the FMUL closures")
-	}
+	return n
 }

@@ -9,10 +9,10 @@ import (
 // The fusion pass builds the third execution tier above interp and lowered:
 // maximal straight-line runs of @PT non-control instructions become fused
 // regions. One region dispatch replaces per-instruction stepping — budget,
-// cancellation and statistics are accounted once in bulk, lane-local
-// instruction runs execute as chains of compiled micro-op closures
-// (fuse_ops.go), and a trailing compare-and-branch is folded into the region
-// as a fused tail.
+// cancellation and statistics are accounted once in bulk, runs of chainable
+// lane-local sites execute as chains, the run of those sites' mop closures
+// (fuse_ops.go) with no dispatch between them, and a trailing
+// compare-and-branch is folded into the region as a fused tail.
 //
 // Regions are split at branch-target leaders so every jump lands either on
 // a region head (fast dispatch) or on an un-fused PC (ordinary stepping);
@@ -22,11 +22,12 @@ import (
 // same program.
 
 // fusedSeg is one segment of a region body: either a fused chain or a
-// single lowered thunk. Segment PC ranges tile the body in order.
+// single non-chainable site. Segment PC ranges tile the body in order.
 type fusedSeg struct {
 	start, end int
-	ch         *chain // nil → thunk segment
-	th         thunk
+	// fns are the segment's thunks in PC order: a chain's mop closures, or
+	// the one non-chainable site's thunk. No-op sites contribute none.
+	fns []thunk
 	// cost and fp are the summed cycle cost and FP instruction count of
 	// the segment's PC range, so runRegionSlow settles a call-free
 	// segment's statistics in O(1) instead of per instruction.
@@ -57,8 +58,6 @@ type fusedKernel struct {
 	regions []fusedRegion
 	// regionAt maps a PC to the region starting there (-1 elsewhere).
 	regionAt []int32
-	// maxUni is the largest chain prefetch buffer the executor must hold.
-	maxUni int
 	// nsegs is the total segment count across regions.
 	nsegs int
 	// per-program fusion statistics.
@@ -114,45 +113,36 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 		}
 
 		r := fusedRegion{start: start, end: end, tailPred: -1}
-		var curCB *chainBuilder
-		chainStart := start
+		chainStart := -1 // open chain's first PC, or -1
 		flush := func(endPC int) {
-			if curCB == nil {
+			if chainStart < 0 {
 				return
 			}
 			seg := fusedSeg{start: chainStart, end: endPC}
-			if len(curCB.mops) > 0 {
-				seg.ch = newChain(curCB.mops, curCB.pre)
-				if len(curCB.pre) > fk.maxUni {
-					fk.maxUni = len(curCB.pre)
+			for bp := chainStart; bp < endPC; bp++ {
+				if lk.class[bp] == lowClassChain {
+					seg.fns = append(seg.fns, lk.thunks[bp])
 				}
-				fk.chainOps += uint64(len(curCB.mops))
-			} else {
-				// Every mop wrote only PT; keep the range covered for the
-				// instrumented slow path.
-				seg.th = nopThunk
 			}
+			fk.chainOps += uint64(len(seg.fns))
 			r.segs = append(r.segs, seg)
-			curCB = nil
+			chainStart = -1
 		}
 		for bp := start; bp < end; bp++ {
-			in := &k.Instrs[bp]
-			switch classifyFuse(in, m, lk, bp) {
-			case fuseSkip:
+			switch {
+			case k.Instrs[bp].Op == sass.OpNOP || lk.class[bp] == lowClassNop:
 				// An open chain simply extends over the no-op; otherwise the
 				// PC still needs a segment so injected calls there run.
-				if curCB == nil {
-					r.segs = append(r.segs, fusedSeg{start: bp, end: bp + 1, th: nopThunk})
+				if chainStart < 0 {
+					r.segs = append(r.segs, fusedSeg{start: bp, end: bp + 1})
 				}
-			case fuseChain:
-				if curCB == nil {
-					curCB = &chainBuilder{}
+			case lk.class[bp] == lowClassChain:
+				if chainStart < 0 {
 					chainStart = bp
 				}
-				curCB.buildMop(in, m, bp)
 			default:
 				flush(bp)
-				r.segs = append(r.segs, fusedSeg{start: bp, end: bp + 1, th: lk.thunks[bp]})
+				r.segs = append(r.segs, fusedSeg{start: bp, end: bp + 1, fns: lk.thunks[bp : bp+1 : bp+1]})
 			}
 		}
 		flush(end)
@@ -213,7 +203,7 @@ type FuseStats struct {
 	// (including fused branch tails); FusedInstrs / LowerStats.Instrs is
 	// the fused-site coverage ratio.
 	FusedInstrs uint64
-	// ChainOps counts fused chain micro-ops compiled.
+	// ChainOps counts the mop closures that fused chains run.
 	ChainOps uint64
 	// HotHits is always zero. It is kept only because the repository
 	// benchmark (perfbench) still reads it; drop it with that reader.

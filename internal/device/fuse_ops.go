@@ -8,73 +8,47 @@ import (
 	"gpufpx/internal/sass"
 )
 
-// This file implements fused chain bodies: straight-line runs of lane-local
-// instructions compiled into specialized micro-op (mop) closures. Where the
-// lowered executor re-resolves operand shapes through a per-PC thunk table on
-// every dynamic instruction, a chain resolves them once at fuse time: each mop
-// compiles to a closure specialized on its operand shapes, warp-invariant
-// operands (constant-bank words) are prefetched once per chain execution, and
-// the closure's inner lane loop touches only per-lane registers.
+// This file compiles lane-local instructions — FP32 arithmetic and compares,
+// the integer ops, moves, selects and the TID.X/LANEID special registers —
+// into micro-op (mop) closures. Each chainable site is compiled once, by
+// lowerInstr, into one closure with the thunk signature: stepping runs it
+// as the site's thunk, and a fused chain is simply the run of its sites'
+// closures (fusedSeg.fns). Operand shapes are resolved at compile time;
+// constant-bank operands are read through the device at closure entry, with
+// their modifiers applied, and the inner lane loop touches only per-lane
+// registers. The hottest kinds specialize further on operand shape, and a
+// mop whose sources are all warp-invariant runs for one lane and broadcasts.
 //
-// Only lane-local operations may join a chain: with no cross-lane reads the
-// closure sequence is observationally identical to per-instruction stepping.
-// Memory ops, shuffles, HMMA and uniform-broadcast sites stay as thunk
-// segments.
+// Only lane-local operations are chainable: with no cross-lane reads, a run
+// of closures is observationally identical to stepping the same PCs one
+// instruction at a time. Memory ops, shuffles, HMMA, FP64/FP16, F2F,
+// MUFU.RCP64H and the wide conversions keep their lowered thunks
+// (lower_ops.go).
 //
-// Correctness contract: a chain must produce bit-identical register,
-// predicate and statistics state to stepping the same PCs through the
-// lowered thunks. The full-corpus differential test in internal/bench runs
-// lowered vs fused over every program and asserts byte-identical reports.
+// Correctness contract: a closure must produce the same register and
+// predicate bits as the reference interpreter (executor.lane). The
+// differential suites in this package and internal/bench hold every tier
+// to the interpreter over the whole corpus.
 
-// Fusion classification of one instruction site.
-const (
-	// fuseThunk keeps the lowered thunk (instruction-major segment).
-	fuseThunk = iota
-	// fuseChain appends the site to a fused chain of compiled micro-ops.
-	fuseChain
-	// fuseSkip elides the site entirely (no-op lowering): bulk accounting
-	// covers its cost and the body has no observable effect.
-	fuseSkip
-)
-
-// classifyFuse decides how one region-body instruction participates in
-// fusion, reusing the lowering pass's per-PC class instead of re-deriving
-// operand shapes.
-func classifyFuse(in *sass.Instr, m *kernelMeta, lk *loweredKernel, pc int) int {
-	if in.Op == sass.OpNOP {
-		return fuseSkip
-	}
-	switch lk.class[pc] {
-	case lowClassNop:
-		return fuseSkip
-	case lowClassUniform, lowClassControl:
-		// Uniform sites compute once and broadcast — already cheaper than a
-		// per-lane chain slot. Control flow never enters a region body.
-		return fuseThunk
-	}
+// chainable reports whether the site at pc compiles to a mop closure and so
+// may join a fused chain.
+func chainable(in *sass.Instr, m *kernelMeta, pc int) bool {
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I, sass.OpFMUL, sass.OpFMUL32I,
 		sass.OpFFMA, sass.OpFFMA32I, sass.OpFSEL, sass.OpFSET,
 		sass.OpFSETP, sass.OpISETP, sass.OpFMNMX,
 		sass.OpMOV, sass.OpMOV32I, sass.OpIADD, sass.OpIADD3, sass.OpIMAD,
 		sass.OpSHL, sass.OpSHR, sass.OpLOP, sass.OpSEL:
-		return fuseChain
+		return true
 	case sass.OpMUFU:
-		if in.Is64H() {
-			return fuseThunk
-		}
-		return fuseChain
+		return !in.Is64H()
 	case sass.OpI2F, sass.OpF2I, sass.OpFCHK:
-		if m.sub[pc] == subWide {
-			return fuseThunk
-		}
-		return fuseChain
+		return m.sub[pc] != subWide
 	case sass.OpS2R:
-		// Non-uniform S2R is SR_TID.X or SR_LANEID (everything else lowered
-		// to a uniform broadcast).
-		return fuseChain
+		sr := in.Operands[1].SR
+		return sr == sass.SRTidX || sr == sass.SRLaneID
 	}
-	return fuseThunk
+	return false
 }
 
 // mop kinds.
@@ -107,26 +81,55 @@ const (
 	s2rChainLane
 )
 
-// mopSrc is a chain operand with its access class resolved at fuse time:
-// a per-lane register (sign masks and FTZ baked), a prefetched
-// warp-invariant slot, or a fully baked constant.
+// mopSrc is a mop operand with its access class resolved at compile time:
+// a per-lane register, a constant-bank word read at closure entry, or a
+// fully baked constant. The FP sign masks and FTZ, or the integer negation,
+// apply to register and constant-bank reads; baked constants carry them
+// already.
 type mopSrc struct {
-	reg      int32 // >= 0: register index into the lane row
-	uni      int32 // >= 0: index into the prefetched uniform buffer
-	neg, abs uint32
-	ftz      bool
-	ineg     bool   // integer two's-complement negation (srcI semantics)
-	bits     uint32 // baked value when reg < 0 && uni < 0
+	reg       int32 // >= 0: register index into the lane row
+	cb        bool  // constant-bank operand (reg < 0)
+	bank, off int
+	neg, abs  uint32
+	ftz       bool
+	ineg      bool   // integer two's-complement negation (srcI semantics)
+	bits      uint32 // baked value when reg < 0 && !cb
 }
 
-// entry resolves the operand's warp-invariant value at closure entry: the
-// prefetched uniform slot or the baked constant. Meaningless (and unused) for
-// register operands.
-func (s *mopSrc) entry(uni []uint32) uint32 {
-	if s.uni >= 0 {
-		return uni[s.uni]
+// mopSrc32 resolves an FP32/raw-bits operand.
+func mopSrc32(op *sass.Operand, ftz bool) mopSrc {
+	s := lowerSrc32(op, ftz)
+	return mopSrc{reg: int32(s.reg), cb: s.cb, bank: s.bank, off: s.off,
+		neg: s.neg, abs: s.abs, ftz: s.ftz, bits: s.bits}
+}
+
+// mopSrcI resolves an integer operand.
+func mopSrcI(op *sass.Operand) mopSrc {
+	s := lowerSrcI(op)
+	return mopSrc{reg: int32(s.reg), cb: s.cb, bank: s.bank, off: s.off, ineg: s.neg, bits: s.bits}
+}
+
+// entry resolves the operand's warp-invariant value at closure entry: a
+// constant-bank word with the operand's modifiers applied, or the baked
+// constant. Meaningless (and unused) for register operands. It stays small
+// enough to inline, so only constant-bank operands pay a call.
+func (s *mopSrc) entry(d *Device) uint32 {
+	if !s.cb {
+		return s.bits
 	}
-	return s.bits
+	return s.cbank(d)
+}
+
+// cbank reads a constant-bank operand and applies its modifiers.
+func (s *mopSrc) cbank(d *Device) uint32 {
+	v := (d.CBankRead(s.bank, s.off) &^ s.abs) ^ s.neg
+	if s.ftz {
+		v = fpval.Flush32(v)
+	}
+	if s.ineg {
+		v = uint32(-int32(v))
+	}
+	return v
 }
 
 // laneV32 reads an operand for one lane as raw 32-bit value with FP sign
@@ -158,14 +161,13 @@ func laneI32(s *mopSrc, r []uint32, ev uint32) uint32 {
 	return ev
 }
 
-// mop is one fused micro-op, the compile-time description a specialized
-// closure is built from. Operand accessors are resolved once per sequence at
-// fuse time; execution never re-examines operand shapes.
+// mop is one micro-op, the compile-time description a specialized closure
+// is built from.
 type mop struct {
 	kind    uint8
 	sub     uint8 // LOP op / SETP combiner / MUFU mode / S2R kind
 	ftz     bool
-	dst     int32
+	dst     int32 // -1 when absent or RZ
 	a, b, c mopSrc
 	cmpF    func(a, b float64) bool
 	cmpI    func(a, b int32) bool
@@ -175,71 +177,20 @@ type mop struct {
 	tbits  uint32 // FSET true-result bits
 }
 
-// prefetch is a warp-invariant chain operand fetched once per chain
-// execution into the executor's uniform buffer.
-type prefetch struct {
-	isInt bool
-	f     src32
-	i     srcI
-}
+// writesNothing reports a mop whose every destination is RZ or PT: the
+// site lowers to a no-op.
+func (op *mop) writesNothing() bool { return op.dst < 0 && op.pd < 0 && op.pq < 0 }
 
-// mopFn is one compiled micro-op: it runs its instruction for every lane in
-// exec against the warp, with the chain's prefetched uniform buffer.
-type mopFn func(w *Warp, exec uint32, uni []uint32)
-
-// chain is a fused instruction sequence: the compiled closures plus the
-// micro-op descriptions they were built from.
-type chain struct {
-	mops []mop
-	fns  []mopFn
-	pre  []prefetch
-}
-
-// newChain compiles the accumulated micro-ops into their specialized
-// closures.
-func newChain(mops []mop, pre []prefetch) *chain {
-	c := &chain{mops: mops, pre: pre, fns: make([]mopFn, len(mops))}
-	for i := range mops {
-		c.fns[i] = compileMop(&mops[i])
+// regDst maps a register destination to its mop encoding: RZ discards the
+// write (-1).
+func regDst(r int) int32 {
+	if r == sass.RZ {
+		return -1
 	}
-	return c
+	return int32(r)
 }
 
-// chainBuilder accumulates mops for one chain.
-type chainBuilder struct {
-	mops []mop
-	pre  []prefetch
-}
-
-// src32 resolves a lowered FP32/raw-bits source into a chain operand.
-func (cb *chainBuilder) src32(op *sass.Operand, ftz bool) mopSrc {
-	s := lowerSrc32(op, ftz)
-	if s.reg >= 0 {
-		return mopSrc{reg: int32(s.reg), uni: -1, neg: s.neg, abs: s.abs, ftz: s.ftz}
-	}
-	if s.cb {
-		slot := int32(len(cb.pre))
-		cb.pre = append(cb.pre, prefetch{f: s})
-		return mopSrc{reg: -1, uni: slot}
-	}
-	return mopSrc{reg: -1, uni: -1, bits: s.bits}
-}
-
-// srcI resolves a lowered integer source into a chain operand.
-func (cb *chainBuilder) srcI(op *sass.Operand) mopSrc {
-	s := lowerSrcI(op)
-	if s.reg >= 0 {
-		return mopSrc{reg: int32(s.reg), uni: -1, ineg: s.neg}
-	}
-	if s.cb {
-		slot := int32(len(cb.pre))
-		cb.pre = append(cb.pre, prefetch{isInt: true, i: s})
-		return mopSrc{reg: -1, uni: slot}
-	}
-	return mopSrc{reg: -1, uni: -1, bits: s.bits}
-}
-
-// predDst maps a predicate-destination register to its chain encoding: PT
+// predDst maps a predicate-destination register to its mop encoding: PT
 // discards the write (-1).
 func predDst(p int) int32 {
 	if p == sass.PT {
@@ -248,41 +199,35 @@ func predDst(p int) int32 {
 	return int32(p)
 }
 
-// buildMop appends the mop for one chainable instruction. The per-kind
-// operand resolution mirrors lowerInstr's generic (non-uniform, non-RZ)
-// paths exactly.
-func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
+// buildMop resolves one chainable instruction into its mop.
+func buildMop(in *sass.Instr, m *kernelMeta, pc int) mop {
 	ops := in.Operands
 	ftz := m.ftz[pc]
-	op := mop{ftz: ftz, dst: -1, pd: -1, pq: -1}
+	// Unused sources and the predicate source read as warp-invariant.
+	none := mopSrc{reg: -1}
+	op := mop{ftz: ftz, dst: -1, pd: -1, pq: -1, a: none, b: none, c: none, ps: srcP{pred: -1, konst: true}}
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I:
 		op.kind = mopFADD
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.src32(&ops[1], ftz), cb.src32(&ops[2], ftz)
+		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		op.kind = mopFMUL
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.src32(&ops[1], ftz), cb.src32(&ops[2], ftz)
+		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
 	case sass.OpFFMA, sass.OpFFMA32I:
 		op.kind = mopFFMA
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b, op.c = cb.src32(&ops[1], ftz), cb.src32(&ops[2], ftz), cb.src32(&ops[3], ftz)
+		op.a, op.b, op.c = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz), mopSrc32(&ops[3], ftz)
 	case sass.OpMUFU:
 		op.kind = mopMUFU
 		op.sub = uint8(mufuMode(in))
-		op.dst = int32(ops[0].Reg)
-		op.a = cb.src32(&ops[1], false)
+		op.a = mopSrc32(&ops[1], false)
 	case sass.OpFSEL, sass.OpSEL:
 		// Both select raw bits between two sources on a predicate.
 		op.kind = mopSEL
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.src32(&ops[1], false), cb.src32(&ops[2], false)
+		op.a, op.b = mopSrc32(&ops[1], false), mopSrc32(&ops[2], false)
 		op.ps = lowerSrcP(&ops[3])
 	case sass.OpFSET:
 		op.kind = mopFSET
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.src32(&ops[1], ftz), cb.src32(&ops[2], ftz)
+		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
 		op.cmpF = fcmpFn(m.cmp[pc])
 		op.tbits = ^uint32(0)
 		if m.sub[pc] == subWide { // .BF: boolean-float result
@@ -290,59 +235,50 @@ func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
 		}
 	case sass.OpFSETP:
 		op.kind = mopFSETP
-		op.a, op.b = cb.src32(&ops[2], ftz), cb.src32(&ops[3], ftz)
+		op.a, op.b = mopSrc32(&ops[2], ftz), mopSrc32(&ops[3], ftz)
 		op.cmpF = fcmpFn(m.cmp[pc])
 		setpTail(&op, in, m, pc)
+		return op
 	case sass.OpISETP:
 		op.kind = mopISETP
-		op.a, op.b = cb.srcI(&ops[2]), cb.srcI(&ops[3])
+		op.a, op.b = mopSrcI(&ops[2]), mopSrcI(&ops[3])
 		op.cmpI = icmpFn(m.cmp[pc])
 		setpTail(&op, in, m, pc)
+		return op
 	case sass.OpFMNMX:
 		op.kind = mopFMNMX
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.src32(&ops[1], ftz), cb.src32(&ops[2], ftz)
+		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
 		op.ps = lowerSrcP(&ops[3])
 	case sass.OpMOV, sass.OpMOV32I:
 		op.kind = mopMOV
-		op.dst = int32(ops[0].Reg)
-		op.a = cb.src32(&ops[1], false)
+		op.a = mopSrc32(&ops[1], false)
 	case sass.OpIADD:
 		op.kind = mopIADD
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.srcI(&ops[1]), cb.srcI(&ops[2])
+		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
 	case sass.OpIADD3:
 		op.kind = mopIADD3
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b, op.c = cb.srcI(&ops[1]), cb.srcI(&ops[2]), cb.srcI(&ops[3])
+		op.a, op.b, op.c = mopSrcI(&ops[1]), mopSrcI(&ops[2]), mopSrcI(&ops[3])
 	case sass.OpIMAD:
 		op.kind = mopIMAD
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b, op.c = cb.srcI(&ops[1]), cb.srcI(&ops[2]), cb.srcI(&ops[3])
+		op.a, op.b, op.c = mopSrcI(&ops[1]), mopSrcI(&ops[2]), mopSrcI(&ops[3])
 	case sass.OpSHL:
 		op.kind = mopSHL
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.srcI(&ops[1]), cb.srcI(&ops[2])
+		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
 	case sass.OpSHR:
 		op.kind = mopSHR
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.srcI(&ops[1]), cb.srcI(&ops[2])
+		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
 	case sass.OpLOP:
 		op.kind = mopLOP
 		op.sub = m.sub[pc]
-		op.dst = int32(ops[0].Reg)
-		op.a, op.b = cb.srcI(&ops[1]), cb.srcI(&ops[2])
+		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
 	case sass.OpI2F:
 		op.kind = mopI2F
-		op.dst = int32(ops[0].Reg)
-		op.a = cb.srcI(&ops[1])
+		op.a = mopSrcI(&ops[1])
 	case sass.OpF2I:
 		op.kind = mopF2I
-		op.dst = int32(ops[0].Reg)
-		op.a = cb.src32(&ops[1], false)
+		op.a = mopSrc32(&ops[1], false)
 	case sass.OpS2R:
 		op.kind = mopS2R
-		op.dst = int32(ops[0].Reg)
 		op.sub = s2rChainLane
 		if ops[1].SR == sass.SRTidX {
 			op.sub = s2rChainTid
@@ -350,19 +286,15 @@ func (cb *chainBuilder) buildMop(in *sass.Instr, m *kernelMeta, pc int) {
 	case sass.OpFCHK:
 		op.kind = mopFCHK
 		op.pd = predDst(ops[0].Pred)
-		op.a, op.b = cb.src32(&ops[1], false), cb.src32(&ops[2], false)
+		op.a, op.b = mopSrc32(&ops[1], false), mopSrc32(&ops[2], false)
+		return op
 	}
-	if (op.kind == mopFCHK || op.kind == mopFSETP || op.kind == mopISETP) && emptySetp(&op) {
-		// Every write was PT; nothing observable remains.
-		// The caller still accounts the instruction via bulk region stats.
-		return
-	}
-	cb.mops = append(cb.mops, op)
+	op.dst = regDst(ops[0].Reg)
+	return op
 }
 
 // setpTail resolves the shared SETP predicate-write tail (pd, pq, combiner,
-// combiner input). A SETP that writes only PT vanishes: buildMop's caller
-// still accounts the instruction.
+// combiner input).
 func setpTail(op *mop, in *sass.Instr, m *kernelMeta, pc int) {
 	core := lowerSetpCore(in, m, pc)
 	op.sub = core.comb
@@ -370,26 +302,6 @@ func setpTail(op *mop, in *sass.Instr, m *kernelMeta, pc int) {
 	op.pd = predDst(core.pd)
 	if core.pq >= 0 {
 		op.pq = predDst(core.pq)
-	}
-}
-
-// emptySetp reports whether a just-built SETP mop would write nothing.
-func emptySetp(op *mop) bool { return op.pd < 0 && op.pq < 0 }
-
-// runChain executes one fused chain for the executing lanes: prefetch the
-// warp-invariant operands once, then run each compiled micro-op closure.
-func (ex *executor) runChain(w *Warp, c *chain, exec uint32) {
-	uni := ex.uniBuf
-	for i := range c.pre {
-		p := &c.pre[i]
-		if p.isInt {
-			uni[i] = p.i.fetch(ex.d)
-		} else {
-			uni[i] = p.f.fetch(ex.d)
-		}
-	}
-	for _, fn := range c.fns {
-		fn(w, exec, uni)
 	}
 }
 
@@ -412,14 +324,41 @@ func plainReg(s *mopSrc) bool { return s.reg >= 0 && s.neg == 0 && s.abs == 0 &&
 // plainRegI is plainReg for integer-source semantics.
 func plainRegI(s *mopSrc) bool { return s.reg >= 0 && !s.ineg }
 
-// compileMop builds the specialized closure for one micro-op. Each closure
-// resolves its warp-invariant operands once at entry and runs a tight lane
-// loop over the exec mask; the lane accessors reduce to a register load plus
-// baked sign masks, exactly like the lowered thunk bodies but without the
-// per-PC dispatch around them. The hottest kinds specialize one step
-// further, on operand shape: bare-register and warp-invariant operands get
-// dedicated closures whose lane loops carry no shape branches at all.
-func compileMop(m *mop) mopFn {
+// compileMop builds the site's thunk from its mop. A mop that reads no
+// per-lane state writes the same value to every executing lane, so its
+// thunk runs the lane loop for one lane and broadcasts that lane's result.
+func compileMop(m *mop) thunk {
+	fn := compileLanes(m)
+	if !m.uniform() {
+		return fn
+	}
+	d := int(m.dst)
+	return func(ex *executor, w *Warp, exec uint32) {
+		if exec == 0 {
+			return
+		}
+		l := bits.TrailingZeros32(exec)
+		fn(ex, w, 1<<uint(l))
+		broadcast32(w, d, w.regs[l][d], exec)
+	}
+}
+
+// uniform reports a register-writing mop whose sources are all
+// warp-invariant: no register or predicate read, no per-lane special
+// register.
+func (op *mop) uniform() bool {
+	return op.dst >= 0 && op.kind != mopS2R &&
+		op.a.reg < 0 && op.b.reg < 0 && op.c.reg < 0 && op.ps.pred < 0
+}
+
+// compileLanes builds the specialized lane-loop closure for one micro-op.
+// Each closure resolves its warp-invariant operands once at entry and runs
+// a tight lane loop over the exec mask; the lane accessors reduce to a
+// register load plus baked sign masks. The hottest kinds specialize one
+// step further, on operand shape: bare-register and warp-invariant operands
+// get dedicated closures whose lane loops carry no shape branches at all,
+// and a full exec mask walks register columns.
+func compileLanes(m *mop) thunk {
 	op := *m
 	switch op.kind {
 	case mopFFMA:
@@ -428,7 +367,7 @@ func compileMop(m *mop) mopFn {
 			switch {
 			case plainReg(&op.b) && plainReg(&op.c):
 				b, c := op.b.reg, op.c.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -445,8 +384,8 @@ func compileMop(m *mop) mopFn {
 				}
 			case plainReg(&op.b) && op.c.reg < 0:
 				b := op.b.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
-					fc := math.Float32frombits(op.c.entry(uni))
+				return func(ex *executor, w *Warp, exec uint32) {
+					fc := math.Float32frombits(op.c.entry(ex.d))
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -463,8 +402,8 @@ func compileMop(m *mop) mopFn {
 				}
 			case op.b.reg < 0 && plainReg(&op.c):
 				c := op.c.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
-					fb := math.Float32frombits(op.b.entry(uni))
+				return func(ex *executor, w *Warp, exec uint32) {
+					fb := math.Float32frombits(op.b.entry(ex.d))
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -481,8 +420,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb, ec := op.a.entry(uni), op.b.entry(uni), op.c.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb, ec := op.a.entry(ex.d), op.b.entry(ex.d), op.c.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = out32(fma32(laneF32(&op.a, r, ea), laneF32(&op.b, r, eb), laneF32(&op.c, r, ec)), op.ftz)
@@ -493,46 +432,46 @@ func compileMop(m *mop) mopFn {
 			a, d := op.a.reg, op.dst
 			if plainReg(&op.b) {
 				b := op.b.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
 						pd, pa, pb := laneCol(w, d, n), laneCol(w, a, n), laneCol(w, b, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) + math.Float32frombits(pb[base]))
+							pd[base] = math.Float32bits(add32(math.Float32frombits(pa[base]), math.Float32frombits(pb[base])))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
+						r[d] = math.Float32bits(add32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
 					}
 				}
 			}
 			if op.b.reg < 0 {
-				return func(w *Warp, exec uint32, uni []uint32) {
-					fb := math.Float32frombits(op.b.entry(uni))
+				return func(ex *executor, w *Warp, exec uint32) {
+					fb := math.Float32frombits(op.b.entry(ex.d))
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
 						pd, pa := laneCol(w, d, n), laneCol(w, a, n)
 						for base := uint(0); base < uint(len(pd)); base += uint(st) {
-							pd[base] = math.Float32bits(math.Float32frombits(pa[base]) + fb)
+							pd[base] = math.Float32bits(add32(math.Float32frombits(pa[base]), fb))
 						}
 						return
 					}
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						r := w.regs[bits.TrailingZeros32(msk)]
-						r[d] = math.Float32bits(math.Float32frombits(r[a]) + fb)
+						r[d] = math.Float32bits(add32(math.Float32frombits(r[a]), fb))
 					}
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
-				r[op.dst] = out32(laneF32(&op.a, r, ea)+laneF32(&op.b, r, eb), op.ftz)
+				r[op.dst] = out32(add32(laneF32(&op.a, r, ea), laneF32(&op.b, r, eb)), op.ftz)
 			}
 		}
 	case mopFMUL:
@@ -540,7 +479,7 @@ func compileMop(m *mop) mopFn {
 			a, d := op.a.reg, op.dst
 			if plainReg(&op.b) {
 				b := op.b.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -557,8 +496,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 			if op.b.reg < 0 {
-				return func(w *Warp, exec uint32, uni []uint32) {
-					fb := math.Float32frombits(op.b.entry(uni))
+				return func(ex *executor, w *Warp, exec uint32) {
+					fb := math.Float32frombits(op.b.entry(ex.d))
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -575,8 +514,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = out32(mul32(laneF32(&op.a, r, ea), laneF32(&op.b, r, eb)), op.ftz)
@@ -587,7 +526,7 @@ func compileMop(m *mop) mopFn {
 			a, d := op.a.reg, op.dst
 			if plainRegI(&op.b) {
 				b := op.b.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -604,8 +543,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 			if op.b.reg < 0 {
-				return func(w *Warp, exec uint32, uni []uint32) {
-					eb := op.b.entry(uni)
+				return func(ex *executor, w *Warp, exec uint32) {
+					eb := op.b.entry(ex.d)
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -622,16 +561,16 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneI32(&op.a, r, ea) + laneI32(&op.b, r, eb)
 			}
 		}
 	case mopIADD3:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb, ec := op.a.entry(uni), op.b.entry(uni), op.c.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb, ec := op.a.entry(ex.d), op.b.entry(ex.d), op.c.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneI32(&op.a, r, ea) + laneI32(&op.b, r, eb) + laneI32(&op.c, r, ec)
@@ -642,7 +581,7 @@ func compileMop(m *mop) mopFn {
 			a, b, d := op.a.reg, op.b.reg, op.dst
 			if plainRegI(&op.c) {
 				c := op.c.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -659,8 +598,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 			if op.c.reg < 0 {
-				return func(w *Warp, exec uint32, uni []uint32) {
-					ec := op.c.entry(uni)
+				return func(ex *executor, w *Warp, exec uint32) {
+					ec := op.c.entry(ex.d)
 					if exec == fullExec {
 						st := w.stride
 						n := (WarpSize-1)*st + 1
@@ -679,16 +618,16 @@ func compileMop(m *mop) mopFn {
 		}
 		if plainRegI(&op.a) && op.b.reg < 0 && plainRegI(&op.c) {
 			a, c, d := op.a.reg, op.c.reg, op.dst
-			return func(w *Warp, exec uint32, uni []uint32) {
-				eb := op.b.entry(uni)
+			return func(ex *executor, w *Warp, exec uint32) {
+				eb := op.b.entry(ex.d)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					r := w.regs[bits.TrailingZeros32(msk)]
 					r[d] = r[a]*eb + r[c]
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb, ec := op.a.entry(uni), op.b.entry(uni), op.c.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb, ec := op.a.entry(ex.d), op.b.entry(ex.d), op.c.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneI32(&op.a, r, ea)*laneI32(&op.b, r, eb) + laneI32(&op.c, r, ec)
@@ -699,7 +638,7 @@ func compileMop(m *mop) mopFn {
 			a := op.a.reg
 			if plainRegI(&op.b) {
 				b := op.b.reg
-				return func(w *Warp, exec uint32, uni []uint32) {
+				return func(ex *executor, w *Warp, exec uint32) {
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						l := bits.TrailingZeros32(msk)
 						r := w.regs[l]
@@ -708,8 +647,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 			if op.b.reg < 0 {
-				return func(w *Warp, exec uint32, uni []uint32) {
-					eb := int32(op.b.entry(uni))
+				return func(ex *executor, w *Warp, exec uint32) {
+					eb := int32(op.b.entry(ex.d))
 					for msk := exec; msk != 0; msk &= msk - 1 {
 						l := bits.TrailingZeros32(msk)
 						r := w.regs[l]
@@ -718,8 +657,8 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				r := w.regs[l]
@@ -727,8 +666,8 @@ func compileMop(m *mop) mopFn {
 			}
 		}
 	case mopFSETP:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				r := w.regs[l]
@@ -738,7 +677,7 @@ func compileMop(m *mop) mopFn {
 	case mopMOV:
 		if plainReg(&op.a) {
 			a, d := op.a.reg, op.dst
-			return func(w *Warp, exec uint32, uni []uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					r := w.regs[bits.TrailingZeros32(msk)]
 					r[d] = r[a]
@@ -747,31 +686,31 @@ func compileMop(m *mop) mopFn {
 		}
 		if op.a.reg < 0 {
 			d := op.dst
-			return func(w *Warp, exec uint32, uni []uint32) {
-				ea := op.a.entry(uni)
+			return func(ex *executor, w *Warp, exec uint32) {
+				ea := op.a.entry(ex.d)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					w.regs[bits.TrailingZeros32(msk)][d] = ea
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea := op.a.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea := op.a.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneV32(&op.a, r, ea)
 			}
 		}
 	case mopSHL:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneI32(&op.a, r, ea) << (laneI32(&op.b, r, eb) & 31)
 			}
 		}
 	case mopSHR:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = laneI32(&op.a, r, ea) >> (laneI32(&op.b, r, eb) & 31)
@@ -780,24 +719,24 @@ func compileMop(m *mop) mopFn {
 	case mopLOP:
 		switch op.sub {
 		case subLopOr:
-			return func(w *Warp, exec uint32, uni []uint32) {
-				ea, eb := op.a.entry(uni), op.b.entry(uni)
+			return func(ex *executor, w *Warp, exec uint32) {
+				ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					r := w.regs[bits.TrailingZeros32(msk)]
 					r[op.dst] = laneI32(&op.a, r, ea) | laneI32(&op.b, r, eb)
 				}
 			}
 		case subLopXor:
-			return func(w *Warp, exec uint32, uni []uint32) {
-				ea, eb := op.a.entry(uni), op.b.entry(uni)
+			return func(ex *executor, w *Warp, exec uint32) {
+				ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					r := w.regs[bits.TrailingZeros32(msk)]
 					r[op.dst] = laneI32(&op.a, r, ea) ^ laneI32(&op.b, r, eb)
 				}
 			}
 		default:
-			return func(w *Warp, exec uint32, uni []uint32) {
-				ea, eb := op.a.entry(uni), op.b.entry(uni)
+			return func(ex *executor, w *Warp, exec uint32) {
+				ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					r := w.regs[bits.TrailingZeros32(msk)]
 					r[op.dst] = laneI32(&op.a, r, ea) & laneI32(&op.b, r, eb)
@@ -805,8 +744,8 @@ func compileMop(m *mop) mopFn {
 			}
 		}
 	case mopSEL:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				r := w.regs[l]
@@ -818,8 +757,8 @@ func compileMop(m *mop) mopFn {
 			}
 		}
 	case mopFMNMX:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				r := w.regs[l]
@@ -828,8 +767,8 @@ func compileMop(m *mop) mopFn {
 			}
 		}
 	case mopFSET:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				v := uint32(0)
@@ -841,8 +780,8 @@ func compileMop(m *mop) mopFn {
 		}
 	case mopMUFU:
 		mode := int(op.sub)
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea := op.a.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea := op.a.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				x := float64(laneF32(&op.a, r, ea))
@@ -850,16 +789,16 @@ func compileMop(m *mop) mopFn {
 			}
 		}
 	case mopI2F:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea := op.a.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea := op.a.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = math.Float32bits(float32(int32(laneI32(&op.a, r, ea))))
 			}
 		}
 	case mopF2I:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea := op.a.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea := op.a.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				r := w.regs[bits.TrailingZeros32(msk)]
 				r[op.dst] = uint32(truncToI32(float64(laneF32(&op.a, r, ea))))
@@ -867,7 +806,7 @@ func compileMop(m *mop) mopFn {
 		}
 	case mopS2R:
 		if op.sub == s2rChainTid {
-			return func(w *Warp, exec uint32, uni []uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				base := uint32(w.WarpInBlock * WarpSize)
 				for msk := exec; msk != 0; msk &= msk - 1 {
 					l := bits.TrailingZeros32(msk)
@@ -875,15 +814,15 @@ func compileMop(m *mop) mopFn {
 				}
 			}
 		}
-		return func(w *Warp, exec uint32, uni []uint32) {
+		return func(ex *executor, w *Warp, exec uint32) {
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				w.regs[l][op.dst] = uint32(l)
 			}
 		}
 	case mopFCHK:
-		return func(w *Warp, exec uint32, uni []uint32) {
-			ea, eb := op.a.entry(uni), op.b.entry(uni)
+		return func(ex *executor, w *Warp, exec uint32) {
+			ea, eb := op.a.entry(ex.d), op.b.entry(ex.d)
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
 				r := w.regs[l]
@@ -905,7 +844,7 @@ func applyChainSetp(w *Warp, l int, op *mop, c bool) {
 	}
 }
 
-// setChainPred writes one predicate bit (PT was filtered at fuse time).
+// setChainPred writes one predicate bit (PT was filtered at compile time).
 func setChainPred(w *Warp, l int, p int32, v bool) {
 	if v {
 		w.preds[l] |= 1 << uint(p)

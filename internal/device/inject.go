@@ -79,44 +79,6 @@ func (c *InjCtx) Reg64(lane, reg int) uint64 {
 	return fpval.Pair64(c.Warp.Reg(lane, reg), c.Warp.Reg(lane, reg+1))
 }
 
-// OperandBits reads the current value of a source operand for a lane in the
-// given format, the way analyzer-injected code reads its variadic REG/CBANK
-// arguments at runtime (Listing 1). Compile-time operands (IMM_DOUBLE,
-// GENERIC) are converted to the format's bit pattern.
-func (c *InjCtx) OperandBits(lane int, op sass.Operand, f fpval.Format) (bits uint64, ok bool) {
-	switch op.Type {
-	case sass.OperandReg:
-		switch f {
-		case fpval.FP64:
-			return c.Reg64(lane, op.Reg), true
-		case fpval.FP16:
-			return uint64(c.Reg32(lane, op.Reg) & 0xFFFF), true
-		default:
-			return uint64(c.Reg32(lane, op.Reg)), true
-		}
-	case sass.OperandCBank:
-		if f == fpval.FP64 {
-			lo := c.Dev.CBankRead(op.Bank, op.Off)
-			hi := c.Dev.CBankRead(op.Bank, op.Off+4)
-			return fpval.Pair64(lo, hi), true
-		}
-		return uint64(c.Dev.CBankRead(op.Bank, op.Off)), true
-	case sass.OperandImmDouble:
-		switch f {
-		case fpval.FP64:
-			return math.Float64bits(op.Imm), true
-		case fpval.FP16:
-			return uint64(fpval.F16FromFloat32(float32(op.Imm))), true
-		default:
-			return uint64(math.Float32bits(float32(op.Imm))), true
-		}
-	case sass.OperandGeneric:
-		return genericBits(op.Gen, f), true
-	default:
-		return 0, false
-	}
-}
-
 // genericBits converts a GENERIC textual constant to bits in format f by the
 // substring rules of Listing 2 (contains "NAN" → NaN, "INF" → INF).
 func genericBits(s string, f fpval.Format) uint64 {

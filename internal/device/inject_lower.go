@@ -49,9 +49,13 @@ type ClassSrc struct {
 	konst     fpval.Class
 }
 
-// LowerClassSrc compiles an operand classifier for format f. The runtime
-// behaviour matches InjCtx.OperandBits + per-lane classification exactly:
-// operand kinds OperandBits rejects fold to class VAL0 here.
+// LowerClassSrc compiles an operand classifier for format f, reading the
+// operand's raw bits the way analyzer-injected code reads its variadic
+// REG/CBANK arguments (Listing 1), without the instruction's sign
+// modifiers: a register per lane (the pair for FP64, the low 16 bits for
+// FP16/BF16), a constant-bank word per call, and compile-time operands
+// (RZ, IMM_DOUBLE, GENERIC) classified once here. Operand kinds that carry
+// no floating-point value classify as VAL0.
 func LowerClassSrc(op *sass.Operand, f fpval.Format) ClassSrc {
 	switch op.Type {
 	case sass.OperandReg:
@@ -86,8 +90,8 @@ func LowerClassSrc(op *sass.Operand, f fpval.Format) ClassSrc {
 		// per dynamic call.
 		return ClassSrc{kind: classConst, konst: fpval.Classify(f, genericBits(op.Gen, f))}
 	default:
-		// OperandBits reports no value for these kinds; the worst-lane fold
-		// over "no value" keeps its VAL0 seed.
+		// These kinds carry no value; the worst-lane fold over "no value"
+		// keeps its VAL0 seed.
 		return ClassSrc{kind: classConst, konst: fpval.Zero}
 	}
 }

@@ -15,12 +15,15 @@ import (
 // lower time (register vs immediate vs constant bank vs RZ, sign modifiers as
 // bit masks, FTZ and compare modifiers baked in). The executor's inner loop
 // becomes indexed thunk dispatch instead of a per-lane opcode switch.
+// Chainable lane-local sites get their mop closure (fuse_ops.go) as their
+// thunk; the rest are built in lower_ops.go. Each site has exactly one
+// compiled form, which per-instruction stepping and fused regions share.
 //
 // Correctness contract: a thunk must be observationally identical to the
 // corresponding executor.lane / shfl / hmma path — same register and memory
-// writes bit for bit, same panics, same side effects. The differential test
-// in internal/bench runs the whole corpus under both executors and asserts
-// byte-identical reports and cycle counts.
+// writes bit for bit, same panics, same side effects. The differential
+// suites run the whole corpus under the reference interpreter and the
+// production tier and assert byte-identical reports and cycle counts.
 
 // tier is an executor implementation. Every production launch, including
 // chaos and campaign runs (whose fault planes are injected calls), runs
@@ -29,11 +32,11 @@ type tier uint8
 
 const (
 	// tierFused dispatches fused superinstructions: straight-line runs of
-	// lowered thunks collapsed into single region bodies (see fuse.go).
-	// Regions that carry injected calls step their lowered thunks one
-	// instruction at a time around the calls.
+	// thunks collapsed into single region bodies (see fuse.go).
+	// Regions that carry injected calls step their thunks one instruction
+	// at a time around the calls.
 	tierFused tier = iota
-	// tierLowered dispatches pre-lowered thunks (direct-threaded) one
+	// tierLowered dispatches the same thunks (direct-threaded) one
 	// instruction at a time.
 	tierLowered
 	// tierInterp is the per-lane interpreter switch: the reference the
@@ -74,10 +77,9 @@ type thunk func(ex *executor, w *Warp, exec uint32)
 // loweredKernel is the thunk program for one kernel, indexed by PC.
 type loweredKernel struct {
 	thunks []thunk
-	// class records how each PC lowered (generic lane loop, RZ-destination
-	// no-op, uniform broadcast, control flow). The fusion pass reads it to
-	// decide which sites can join a fused chain without re-deriving the
-	// lowering decisions.
+	// class records how each PC lowered (lowered thunk, no-op, chainable
+	// mop closure). The fusion pass reads it to decide which sites join a
+	// fused chain without re-deriving the lowering decisions.
 	class []uint8
 	// per-kernel lowering statistics, folded into the global counters when
 	// the kernel's program is built.
@@ -86,15 +88,22 @@ type loweredKernel struct {
 
 // Lowering classes recorded per PC in loweredKernel.class.
 const (
-	// lowClassGeneric is the default per-lane thunk.
-	lowClassGeneric uint8 = iota
-	// lowClassNop is a pure instruction with an RZ destination.
+	// lowClassThunk is a non-chainable site's lowered thunk (including the
+	// no-op thunks of control flow, which executor.step handles).
+	lowClassThunk uint8 = iota
+	// lowClassNop is a pure instruction whose every destination is RZ or
+	// PT.
 	lowClassNop
-	// lowClassUniform is an all-warp-invariant-operand broadcast site.
-	lowClassUniform
-	// lowClassControl is BRA/EXIT/NOP/BAR, handled by executor.step.
-	lowClassControl
+	// lowClassChain is a chainable site compiled to its mop closure.
+	lowClassChain
 )
+
+// nop records pc as a no-op site and returns its thunk.
+func (lk *loweredKernel) nop(pc int) thunk {
+	lk.nops++
+	lk.class[pc] = lowClassNop
+	return nopThunk
+}
 
 var lowKernels, lowInstrs, lowUniform, lowNops atomic.Uint64
 
@@ -102,11 +111,12 @@ var lowKernels, lowInstrs, lowUniform, lowNops atomic.Uint64
 type LowerStats struct {
 	// Kernels and Instrs count distinct lowered kernels and instructions.
 	Kernels, Instrs uint64
-	// UniformSites counts instructions lowered to the uniform-operand
-	// broadcast path (all sources warp-invariant: compute once, broadcast).
+	// UniformSites counts non-chainable instructions lowered to the
+	// uniform-operand broadcast path (all sources warp-invariant: compute
+	// once, broadcast). Chainable sites compile to mop closures instead.
 	UniformSites uint64
-	// NopSites counts pure instructions with an RZ destination lowered to
-	// no-ops.
+	// NopSites counts pure instructions whose every destination is RZ or
+	// PT, lowered to no-ops.
 	NopSites uint64
 }
 
@@ -205,10 +215,6 @@ func (s *src32) apply(raw uint32) uint32 {
 
 func (s *src32) uniform() bool { return s.reg < 0 }
 
-// plain reports a bare per-lane register read — no sign masks, no flush —
-// so a shape-specialized thunk can load w.regs[l][s.reg] directly.
-func (s *src32) plain() bool { return s.reg >= 0 && s.neg == 0 && s.abs == 0 && !s.ftz }
-
 // fetch resolves a warp-invariant source once per dynamic execution.
 func (s *src32) fetch(d *Device) uint32 {
 	if !s.cb {
@@ -217,7 +223,7 @@ func (s *src32) fetch(d *Device) uint32 {
 	return s.apply(d.CBankRead(s.bank, s.off))
 }
 
-// lane reads the per-lane value; uni is the prefetched warp-invariant value.
+// lane reads the per-lane value; uni is the value fetch resolved.
 func (s *src32) lane(w *Warp, l int, uni uint32) uint32 {
 	if s.reg >= 0 {
 		return s.apply(w.regs[l][s.reg])
@@ -412,8 +418,6 @@ func lowerSrcP(op *sass.Operand) srcP {
 	return srcP{pred: op.Pred, neg: op.NegPred}
 }
 
-func (p *srcP) uniform() bool { return p.pred < 0 }
-
 func (p *srcP) lane(w *Warp, l int) bool {
 	if p.pred < 0 {
 		return p.konst
@@ -434,8 +438,6 @@ func lowerAddr(op *sass.Operand) lowAddr {
 	}
 	return lowAddr{reg: op.Reg, off: uint32(op.IVal)}
 }
-
-func (a *lowAddr) uniform() bool { return a.reg < 0 }
 
 func (a *lowAddr) lane(w *Warp, l int) uint32 {
 	if a.reg < 0 {

@@ -9,325 +9,53 @@ import (
 	"gpufpx/internal/sass"
 )
 
-// lowerInstr builds the thunk for one instruction. Branch, barrier and exit
-// control flow stays in executor.step (identical for both executors); their
-// thunks are no-ops. Pure instructions with an RZ destination lower to
-// no-ops as well: the interpreter computes and discards the result, and the
-// computation has no observable effect (detectors read sources via injected
-// calls, not via the write).
+// lowerInstr builds the thunk for one instruction. A chainable lane-local
+// site compiles to its mop closure (fuse_ops.go), the one form both
+// stepping and fused chains run; everything else gets a lowered thunk here.
+// Branch, barrier and exit control flow stays in executor.step; their
+// thunks are no-ops. Pure instructions whose every destination is RZ or PT
+// lower to no-ops as well: the interpreter computes and discards the
+// result, and the computation has no observable effect (detectors read
+// sources via injected calls, not via the write).
 func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 	in := &k.Instrs[pc]
 	ops := in.Operands
-	ftz := m.ftz[pc]
 	wide := m.sub[pc] == subWide
 
-	// nop lowers a pure RZ-destination instruction.
-	nop := func() thunk {
-		lk.nops++
-		lk.class[pc] = lowClassNop
-		return nopThunk
-	}
 	// uni marks a uniform-operand broadcast site.
 	uni := func(t thunk) thunk {
 		lk.uniform++
-		lk.class[pc] = lowClassUniform
 		return t
 	}
 
+	if chainable(in, m, pc) {
+		op := buildMop(in, m, pc)
+		if op.writesNothing() {
+			return lk.nop(pc)
+		}
+		lk.class[pc] = lowClassChain
+		return compileMop(&op)
+	}
+
 	switch in.Op {
-	case sass.OpFADD, sass.OpFADD32I:
+	case sass.OpMUFU: // .RCP64H; the FP32 modes are chainable
+		// Approximate 1/x of an FP64 from its high word.
 		dst := ops[0].Reg
 		if dst == sass.RZ {
-			return nop()
+			return lk.nop(pc)
 		}
-		s1, s2 := lowerSrc32(&ops[1], ftz), lowerSrc32(&ops[2], ftz)
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				a := math.Float32frombits(s1.fetch(ex.d))
-				b := math.Float32frombits(s2.fetch(ex.d))
-				broadcast32(w, dst, out32(a+b, ftz), exec)
+		s := lowerSrc32(&ops[1], false)
+		return func(ex *executor, w *Warp, exec uint32) {
+			u := s.fetch(ex.d)
+			eachLane(exec, func(l int) {
+				x := math.Float64frombits(uint64(s.lane(w, l, u)) << 32)
+				_, rhi := fpval.Split64(math.Float64bits(1 / x))
+				w.regs[l][dst] = rhi
 			})
 		}
-		// Shape-specialized fast paths: bare-register operands skip the
-		// per-lane mask/flush branches of the generic accessor.
-		if !ftz && s1.plain() {
-			a := s1.reg
-			if s2.plain() {
-				b := s2.reg
-				return func(ex *executor, w *Warp, exec uint32) {
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) + math.Float32frombits(r[b]))
-					}
-				}
-			}
-			if s2.uniform() {
-				return func(ex *executor, w *Warp, exec uint32) {
-					fb := math.Float32frombits(s2.fetch(ex.d))
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(math.Float32frombits(r[a]) + fb)
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(math.Float32frombits(r[a]) + fb)
-					}
-				}
-			}
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = out32(s1.f32(w, l, u1)+s2.f32(w, l, u2), ftz)
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = out32(s1.f32(w, l, u1)+s2.f32(w, l, u2), ftz)
-			}
-		}
-
-	case sass.OpFMUL, sass.OpFMUL32I:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrc32(&ops[1], ftz), lowerSrc32(&ops[2], ftz)
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				a := math.Float32frombits(s1.fetch(ex.d))
-				b := math.Float32frombits(s2.fetch(ex.d))
-				broadcast32(w, dst, out32(mul32(a, b), ftz), exec)
-			})
-		}
-		// Shape-specialized fast paths: bare-register operands skip the
-		// per-lane mask/flush branches of the generic accessor.
-		if !ftz && s1.plain() {
-			a := s1.reg
-			if s2.plain() {
-				b := s2.reg
-				return func(ex *executor, w *Warp, exec uint32) {
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), math.Float32frombits(r[b])))
-					}
-				}
-			}
-			if s2.uniform() {
-				return func(ex *executor, w *Warp, exec uint32) {
-					fb := math.Float32frombits(s2.fetch(ex.d))
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), fb))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(mul32(math.Float32frombits(r[a]), fb))
-					}
-				}
-			}
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = out32(mul32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = out32(mul32(s1.f32(w, l, u1), s2.f32(w, l, u2)), ftz)
-			}
-		}
-
-	case sass.OpFFMA, sass.OpFFMA32I:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2, s3 := lowerSrc32(&ops[1], ftz), lowerSrc32(&ops[2], ftz), lowerSrc32(&ops[3], ftz)
-		if s1.uniform() && s2.uniform() && s3.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				a := math.Float32frombits(s1.fetch(ex.d))
-				b := math.Float32frombits(s2.fetch(ex.d))
-				c := math.Float32frombits(s3.fetch(ex.d))
-				broadcast32(w, dst, out32(fma32(a, b, c), ftz), exec)
-			})
-		}
-		// Shape-specialized fast paths, as for FADD/FMUL above.
-		if !ftz && s1.plain() {
-			a := s1.reg
-			switch {
-			case s2.plain() && s3.plain():
-				b, c := s2.reg, s3.reg
-				return func(ex *executor, w *Warp, exec uint32) {
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), math.Float32frombits(r[b]), math.Float32frombits(r[c])))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), math.Float32frombits(r[b]), math.Float32frombits(r[c])))
-					}
-				}
-			case s2.plain() && s3.uniform():
-				b := s2.reg
-				return func(ex *executor, w *Warp, exec uint32) {
-					fc := math.Float32frombits(s3.fetch(ex.d))
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), math.Float32frombits(r[b]), fc))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), math.Float32frombits(r[b]), fc))
-					}
-				}
-			case s2.uniform() && s3.plain():
-				c := s3.reg
-				return func(ex *executor, w *Warp, exec uint32) {
-					fb := math.Float32frombits(s2.fetch(ex.d))
-					if exec == fullExec {
-						for l := 0; l < WarpSize; l++ {
-							r := w.regs[l]
-							r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), fb, math.Float32frombits(r[c])))
-						}
-						return
-					}
-					for msk := exec; msk != 0; msk &= msk - 1 {
-						r := w.regs[bits.TrailingZeros32(msk)]
-						r[dst] = math.Float32bits(fma32(math.Float32frombits(r[a]), fb, math.Float32frombits(r[c])))
-					}
-				}
-			}
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2, u3 := s1.fetch(ex.d), s2.fetch(ex.d), s3.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = out32(fma32(s1.f32(w, l, u1), s2.f32(w, l, u2), s3.f32(w, l, u3)), ftz)
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = out32(fma32(s1.f32(w, l, u1), s2.f32(w, l, u2), s3.f32(w, l, u3)), ftz)
-			}
-		}
-
-	case sass.OpMUFU:
-		return lowerMUFU(in, pc, lk)
 
 	case sass.OpDADD, sass.OpDMUL, sass.OpDFMA:
 		return lowerArith64(in, pc, lk)
-
-	case sass.OpFSEL:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		// FSEL reads raw bits (no FTZ), like the interpreter's srcBits32.
-		s1, s2 := lowerSrc32(&ops[1], false), lowerSrc32(&ops[2], false)
-		p := lowerSrcP(&ops[3])
-		if s1.uniform() && s2.uniform() && p.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				v := s1.fetch(ex.d)
-				if !p.konst {
-					v = s2.fetch(ex.d)
-				}
-				broadcast32(w, dst, v, exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				if p.lane(w, l) {
-					w.regs[l][dst] = s1.lane(w, l, u1)
-				} else {
-					w.regs[l][dst] = s2.lane(w, l, u2)
-				}
-			})
-		}
-
-	case sass.OpFSET:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrc32(&ops[1], ftz), lowerSrc32(&ops[2], ftz)
-		cmp := fcmpFn(m.cmp[pc])
-		trueBits := ^uint32(0)
-		if wide { // .BF: boolean-float result
-			trueBits = math.Float32bits(1)
-		}
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				a := math.Float32frombits(s1.fetch(ex.d))
-				b := math.Float32frombits(s2.fetch(ex.d))
-				v := uint32(0)
-				if cmp(float64(a), float64(b)) {
-					v = trueBits
-				}
-				broadcast32(w, dst, v, exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				v := uint32(0)
-				if cmp(float64(s1.f32(w, l, u1)), float64(s2.f32(w, l, u2))) {
-					v = trueBits
-				}
-				w.regs[l][dst] = v
-			})
-		}
-
-	case sass.OpFSETP:
-		s1, s2 := lowerSrc32(&ops[2], ftz), lowerSrc32(&ops[3], ftz)
-		cmp := fcmpFn(m.cmp[pc])
-		core := lowerSetpCore(in, m, pc)
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					core.apply(w, l, cmp(float64(s1.f32(w, l, u1)), float64(s2.f32(w, l, u2))))
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				core.apply(w, l, cmp(float64(s1.f32(w, l, u1)), float64(s2.f32(w, l, u2))))
-			}
-		}
 
 	case sass.OpDSETP:
 		s1, s2 := lowerSrc64(&ops[2]), lowerSrc64(&ops[3])
@@ -340,299 +68,57 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			})
 		}
 
-	case sass.OpFMNMX:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrc32(&ops[1], ftz), lowerSrc32(&ops[2], ftz)
-		p := lowerSrcP(&ops[3])
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				v := fmnmx32(s1.f32(w, l, u1), s2.f32(w, l, u2), p.lane(w, l))
-				w.regs[l][dst] = out32(v, ftz)
-			})
-		}
-
 	case sass.OpHADD2, sass.OpHMUL2, sass.OpHFMA2:
 		return lowerArith16(in, pc, lk)
 
-	case sass.OpFCHK:
+	case sass.OpFCHK: // .F64; FP32 is chainable
 		pd := ops[0].Pred
-		if wide {
-			s1, s2 := lowerSrc64(&ops[1]), lowerSrc64(&ops[2])
-			return func(ex *executor, w *Warp, exec uint32) {
-				u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-				eachLane(exec, func(l int) {
-					w.SetPred(l, pd, fchkSpecial64(s1.f64(w, l, u1), s2.f64(w, l, u2)))
-				})
-			}
-		}
-		s1, s2 := lowerSrc32(&ops[1], false), lowerSrc32(&ops[2], false)
+		s1, s2 := lowerSrc64(&ops[1]), lowerSrc64(&ops[2])
 		return func(ex *executor, w *Warp, exec uint32) {
 			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
 			eachLane(exec, func(l int) {
-				w.SetPred(l, pd, fchkSpecial(s1.f32(w, l, u1), s2.f32(w, l, u2)))
+				w.SetPred(l, pd, fchkSpecial64(s1.f64(w, l, u1), s2.f64(w, l, u2)))
 			})
 		}
 
 	case sass.OpF2F:
 		return lowerF2F(in, pc, lk)
 
-	case sass.OpI2F:
+	case sass.OpI2F: // .F64; FP32 is chainable
 		dst := ops[0].Reg
 		if dst == sass.RZ {
-			return nop()
+			return lk.nop(pc)
 		}
 		s := lowerSrcI(&ops[1])
-		if wide {
-			if s.uniform() {
-				return uni(func(ex *executor, w *Warp, exec uint32) {
-					broadcast64(w, dst, math.Float64bits(float64(int32(s.fetch(ex.d)))), exec)
-				})
-			}
-			return func(ex *executor, w *Warp, exec uint32) {
-				u := s.fetch(ex.d)
-				eachLane(exec, func(l int) {
-					lo, hi := fpval.Split64(math.Float64bits(float64(int32(s.lane(w, l, u)))))
-					r := w.regs[l]
-					r[dst], r[dst+1] = lo, hi
-				})
-			}
-		}
 		if s.uniform() {
 			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, math.Float32bits(float32(int32(s.fetch(ex.d)))), exec)
+				broadcast64(w, dst, math.Float64bits(float64(int32(s.fetch(ex.d)))), exec)
 			})
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
 			u := s.fetch(ex.d)
 			eachLane(exec, func(l int) {
-				w.regs[l][dst] = math.Float32bits(float32(int32(s.lane(w, l, u))))
+				lo, hi := fpval.Split64(math.Float64bits(float64(int32(s.lane(w, l, u)))))
+				r := w.regs[l]
+				r[dst], r[dst+1] = lo, hi
 			})
 		}
 
-	case sass.OpF2I:
+	case sass.OpF2I: // .F64; FP32 is chainable
 		dst := ops[0].Reg
 		if dst == sass.RZ {
-			return nop()
+			return lk.nop(pc)
 		}
-		if wide {
-			s := lowerSrc64(&ops[1])
-			if s.uniform() {
-				return uni(func(ex *executor, w *Warp, exec uint32) {
-					broadcast32(w, dst, uint32(truncToI32(math.Float64frombits(s.fetch(ex.d)))), exec)
-				})
-			}
-			return func(ex *executor, w *Warp, exec uint32) {
-				u := s.fetch(ex.d)
-				eachLane(exec, func(l int) {
-					w.regs[l][dst] = uint32(truncToI32(s.f64(w, l, u)))
-				})
-			}
-		}
-		s := lowerSrc32(&ops[1], false)
+		s := lowerSrc64(&ops[1])
 		if s.uniform() {
 			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, uint32(truncToI32(float64(math.Float32frombits(s.fetch(ex.d))))), exec)
+				broadcast32(w, dst, uint32(truncToI32(math.Float64frombits(s.fetch(ex.d)))), exec)
 			})
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
 			u := s.fetch(ex.d)
 			eachLane(exec, func(l int) {
-				w.regs[l][dst] = uint32(truncToI32(float64(s.f32(w, l, u))))
-			})
-		}
-
-	case sass.OpMOV, sass.OpMOV32I:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s := lowerSrc32(&ops[1], false)
-		if s.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, s.fetch(ex.d), exec)
-			})
-		}
-		src := s.reg
-		if s.neg == 0 && s.abs == 0 {
-			// Plain register-to-register move.
-			return func(ex *executor, w *Warp, exec uint32) {
-				if exec == fullExec {
-					for l := 0; l < WarpSize; l++ {
-						w.regs[l][dst] = w.regs[l][src]
-					}
-					return
-				}
-				for msk := exec; msk != 0; msk &= msk - 1 {
-					l := bits.TrailingZeros32(msk)
-					w.regs[l][dst] = w.regs[l][src]
-				}
-			}
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			eachLane(exec, func(l int) {
-				w.regs[l][dst] = s.lane(w, l, 0)
-			})
-		}
-
-	case sass.OpIADD:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrcI(&ops[1]), lowerSrcI(&ops[2])
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, s1.fetch(ex.d)+s2.fetch(ex.d), exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = s1.lane(w, l, u1) + s2.lane(w, l, u2)
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = s1.lane(w, l, u1) + s2.lane(w, l, u2)
-			}
-		}
-
-	case sass.OpIADD3:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2, s3 := lowerSrcI(&ops[1]), lowerSrcI(&ops[2]), lowerSrcI(&ops[3])
-		if s1.uniform() && s2.uniform() && s3.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, s1.fetch(ex.d)+s2.fetch(ex.d)+s3.fetch(ex.d), exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2, u3 := s1.fetch(ex.d), s2.fetch(ex.d), s3.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				w.regs[l][dst] = s1.lane(w, l, u1) + s2.lane(w, l, u2) + s3.lane(w, l, u3)
-			})
-		}
-
-	case sass.OpIMAD:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2, s3 := lowerSrcI(&ops[1]), lowerSrcI(&ops[2]), lowerSrcI(&ops[3])
-		if s1.uniform() && s2.uniform() && s3.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, s1.fetch(ex.d)*s2.fetch(ex.d)+s3.fetch(ex.d), exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2, u3 := s1.fetch(ex.d), s2.fetch(ex.d), s3.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					w.regs[l][dst] = s1.lane(w, l, u1)*s2.lane(w, l, u2) + s3.lane(w, l, u3)
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				w.regs[l][dst] = s1.lane(w, l, u1)*s2.lane(w, l, u2) + s3.lane(w, l, u3)
-			}
-		}
-
-	case sass.OpISETP:
-		s1, s2 := lowerSrcI(&ops[2]), lowerSrcI(&ops[3])
-		cmp := icmpFn(m.cmp[pc])
-		core := lowerSetpCore(in, m, pc)
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			if exec == fullExec {
-				for l := 0; l < WarpSize; l++ {
-					core.apply(w, l, cmp(int32(s1.lane(w, l, u1)), int32(s2.lane(w, l, u2))))
-				}
-				return
-			}
-			for msk := exec; msk != 0; msk &= msk - 1 {
-				l := bits.TrailingZeros32(msk)
-				core.apply(w, l, cmp(int32(s1.lane(w, l, u1)), int32(s2.lane(w, l, u2))))
-			}
-		}
-
-	case sass.OpSHL, sass.OpSHR:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrcI(&ops[1]), lowerSrcI(&ops[2])
-		left := in.Op == sass.OpSHL
-		shift := func(a, b uint32) uint32 {
-			if left {
-				return a << (b & 31)
-			}
-			return a >> (b & 31)
-		}
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, shift(s1.fetch(ex.d), s2.fetch(ex.d)), exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				w.regs[l][dst] = shift(s1.lane(w, l, u1), s2.lane(w, l, u2))
-			})
-		}
-
-	case sass.OpLOP:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrcI(&ops[1]), lowerSrcI(&ops[2])
-		lop := m.sub[pc]
-		apply := func(a, b uint32) uint32 {
-			switch lop {
-			case subLopOr:
-				return a | b
-			case subLopXor:
-				return a ^ b
-			default:
-				return a & b
-			}
-		}
-		if s1.uniform() && s2.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, apply(s1.fetch(ex.d), s2.fetch(ex.d)), exec)
-			})
-		}
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				w.regs[l][dst] = apply(s1.lane(w, l, u1), s2.lane(w, l, u2))
-			})
-		}
-
-	case sass.OpSEL:
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return nop()
-		}
-		s1, s2 := lowerSrc32(&ops[1], false), lowerSrc32(&ops[2], false)
-		p := lowerSrcP(&ops[3])
-		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				if p.lane(w, l) {
-					w.regs[l][dst] = s1.lane(w, l, u1)
-				} else {
-					w.regs[l][dst] = s2.lane(w, l, u2)
-				}
+				w.regs[l][dst] = uint32(truncToI32(s.f64(w, l, u)))
 			})
 		}
 
@@ -745,7 +231,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 	case sass.OpLDC:
 		dst := ops[0].Reg
 		if dst == sass.RZ {
-			return nop()
+			return lk.nop(pc)
 		}
 		bank, off := ops[1].Bank, ops[1].Off
 		// Constant-bank reads are warp-invariant by construction.
@@ -756,22 +242,10 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 	case sass.OpS2R:
 		dst := ops[0].Reg
 		if dst == sass.RZ {
-			return nop()
+			return lk.nop(pc)
 		}
+		// SR_TID.X and SR_LANEID are chainable; the rest are warp-invariant.
 		switch ops[1].SR {
-		case sass.SRTidX:
-			return func(ex *executor, w *Warp, exec uint32) {
-				base := uint32(w.WarpInBlock * WarpSize)
-				eachLane(exec, func(l int) {
-					w.regs[l][dst] = base + uint32(l)
-				})
-			}
-		case sass.SRLaneID:
-			return func(ex *executor, w *Warp, exec uint32) {
-				eachLane(exec, func(l int) {
-					w.regs[l][dst] = uint32(l)
-				})
-			}
 		case sass.SRCtaidX:
 			return uni(func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, uint32(w.Block), exec)
@@ -799,9 +273,8 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 
 	case sass.OpBRA, sass.OpEXIT, sass.OpNOP, sass.OpBAR:
-		// Control flow is handled in executor.step, identically for both
-		// executors.
-		lk.class[pc] = lowClassControl
+		// Control flow is handled in executor.step, identically for every
+		// tier.
 		return nopThunk
 
 	default:
@@ -870,53 +343,6 @@ func mufuEval(mode int, x float64) float64 {
 	}
 }
 
-func lowerMUFU(in *sass.Instr, pc int, lk *loweredKernel) thunk {
-	dst := in.Operands[0].Reg
-	if dst == sass.RZ {
-		lk.nops++
-		lk.class[pc] = lowClassNop
-		return nopThunk
-	}
-	s := lowerSrc32(&in.Operands[1], false)
-	if in.Is64H() {
-		// MUFU.RCP64H: approximate 1/x of an FP64 from its high word.
-		return func(ex *executor, w *Warp, exec uint32) {
-			u := s.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				hi := s.lane(w, l, u)
-				x := math.Float64frombits(uint64(hi) << 32)
-				_, rhi := fpval.Split64(math.Float64bits(1 / x))
-				w.regs[l][dst] = rhi
-			})
-		}
-	}
-	mode := mufuMode(in)
-	if s.uniform() {
-		lk.uniform++
-		lk.class[pc] = lowClassUniform
-		return func(ex *executor, w *Warp, exec uint32) {
-			x := float64(math.Float32frombits(s.fetch(ex.d)))
-			r := fpval.FlushFloat32(float32(mufuEval(mode, x)))
-			broadcast32(w, dst, math.Float32bits(r), exec)
-		}
-	}
-	return func(ex *executor, w *Warp, exec uint32) {
-		u := s.fetch(ex.d)
-		if exec == fullExec {
-			for l := 0; l < WarpSize; l++ {
-				r := fpval.FlushFloat32(float32(mufuEval(mode, float64(s.f32(w, l, u)))))
-				w.regs[l][dst] = math.Float32bits(r)
-			}
-			return
-		}
-		for msk := exec; msk != 0; msk &= msk - 1 {
-			l := bits.TrailingZeros32(msk)
-			r := fpval.FlushFloat32(float32(mufuEval(mode, float64(s.f32(w, l, u)))))
-			w.regs[l][dst] = math.Float32bits(r)
-		}
-	}
-}
-
 // FP64 arithmetic kinds.
 const (
 	d64Add = iota
@@ -928,9 +354,7 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	ops := in.Operands
 	dst := ops[0].Reg
 	if dst == sass.RZ {
-		lk.nops++
-		lk.class[pc] = lowClassNop
-		return nopThunk
+		return lk.nop(pc)
 	}
 	kind := d64Add
 	switch in.Op {
@@ -956,7 +380,6 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	}
 	if s1.uniform() && s2.uniform() && (kind != d64Fma || s3.uniform()) {
 		lk.uniform++
-		lk.class[pc] = lowClassUniform
 		return func(ex *executor, w *Warp, exec uint32) {
 			a := math.Float64frombits(s1.fetch(ex.d))
 			b := math.Float64frombits(s2.fetch(ex.d))
@@ -996,9 +419,7 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	ops := in.Operands
 	dst := ops[0].Reg
 	if dst == sass.RZ {
-		lk.nops++
-		lk.class[pc] = lowClassNop
-		return nopThunk
+		return lk.nop(pc)
 	}
 	kind := h16Add
 	switch in.Op {
@@ -1024,7 +445,6 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	}
 	if s1.uniform() && s2.uniform() && (kind != h16Fma || s3.uniform()) {
 		lk.uniform++
-		lk.class[pc] = lowClassUniform
 		return func(ex *executor, w *Warp, exec uint32) {
 			a := fpval.F16ToFloat32(s1.fetch(ex.d))
 			b := fpval.F16ToFloat32(s2.fetch(ex.d))
@@ -1063,9 +483,7 @@ func lowerF2F(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	ops := in.Operands
 	dst := ops[0].Reg
 	if dst == sass.RZ {
-		lk.nops++
-		lk.class[pc] = lowClassNop
-		return nopThunk
+		return lk.nop(pc)
 	}
 	dstFmt, srcFmt := cvtF32, cvtF32
 	if len(in.Mods) >= 2 {
@@ -1107,7 +525,6 @@ func lowerF2F(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	uniform := srcFmt == cvtF64 && s64.uniform() || srcFmt != cvtF64 && s32.uniform()
 	if uniform {
 		lk.uniform++
-		lk.class[pc] = lowClassUniform
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
 		u64, u32 := s64.fetch(ex.d), s32.fetch(ex.d)

@@ -3,12 +3,12 @@ package device
 // Per-launch scratch pooling. A launch-heavy workload (the service's batch
 // path runs thousands of launches per request) used to allocate a handful
 // of slices on every Launch call: the warp pointer table, the shared-memory
-// block, the fused tier's chain prefetch buffer and its clean-region marks,
-// and — on the cuda side — the copy-on-write InjectTable clone. None of
-// them outlive the launch, so they all come from sync.Pools now and go back
-// when the launch returns. The panic path deliberately skips the return: a
-// launch that died mid-flight may leave scratch in an unknown state, and
-// losing one pooled buffer is cheaper than recycling a corrupt one.
+// block, the fused tier's clean-region marks, and — on the cuda side — the
+// copy-on-write InjectTable clone. None of them outlive the launch, so they
+// all come from sync.Pools now and go back when the launch returns. The
+// panic path deliberately skips the return: a launch that died mid-flight
+// may leave scratch in an unknown state, and losing one pooled buffer is
+// cheaper than recycling a corrupt one.
 
 import "sync"
 
@@ -17,7 +17,6 @@ import "sync"
 type launchScratch struct {
 	warps       []*Warp
 	shared      []byte
-	uniBuf      []uint32
 	regionClean []bool
 	segClean    []bool
 }
@@ -49,18 +48,6 @@ func growPtrs(s []*Warp, n int) []*Warp {
 func growBytes(s []byte, n int) []byte {
 	if cap(s) < n {
 		return make([]byte, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growU32 returns s zeroed with length n, reusing capacity.
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
 	}
 	s = s[:n]
 	for i := range s {
