@@ -152,7 +152,7 @@ func BenchmarkInstrumented(b *testing.B) {
 // differential contract: same cycles and same instruction counts under all
 // three dispatch modes.
 func TestBenchKernelsAgreeAcrossExecutors(t *testing.T) {
-	for _, k := range []*sass.Kernel{ffmaDense, predicated} {
+	for _, k := range []*sass.Kernel{ffmaDense, predicated, setpLoop} {
 		di := New(DefaultConfig())
 		si, err := di.launch(&Launch{Kernel: k, GridDim: 4, BlockDim: 64}, tierInterp)
 		if err != nil {
@@ -172,40 +172,86 @@ func TestBenchKernelsAgreeAcrossExecutors(t *testing.T) {
 	}
 }
 
+// setpLoop is compare-dense: FSETP and ISETP under every combiner, a
+// predicate-selected FADD, a SETP under a divergent @!P1 guard and the
+// loop's fused compare-and-branch tail. It times the predicate-mask path.
+var setpLoop = sass.MustParse("bench_setp_loop", `
+S2R R0, SR_LANEID ;
+I2F R2, R0 ;
+MOV32I R1, 0x0 ;
+MOV32I R3, 0x41800000 ;
+MOV32I R6, 0x3f800000 ;
+LOP.AND R4, R0, 0x1 ;
+ISETP.EQ.AND P1, PT, R4, RZ, PT ;
+L_top:
+FSETP.LT.AND P2, PT, R2, R3, PT ;
+FSETP.GEU.OR P3, P4, R2, RZ, P2 ;
+ISETP.NE.XOR P5, PT, R0, R1, !P1 ;
+ISETP.GT.AND P6, PT, R1, R0, P3 ;
+SEL R5, R6, RZ, P6 ;
+FADD R2, R2, R5 ;
+@!P1 FSETP.NEU.AND P2, PT, R2, R3, P5 ;
+@!P1 ISETP.LE.OR P4, PT, R0, R1, P2 ;
+IADD R1, R1, 0x1 ;
+ISETP.LT.AND P0, PT, R1, 0x100, PT ;
+@P0 BRA L_top ;
+EXIT ;
+`)
+
+// BenchmarkSetpLoop steps one warp through setpLoop on the fused tier with
+// the launch's program and scratch already built, so it reports the
+// predicate path's ns/op and its allocations alone (0 allocs/op).
+func BenchmarkSetpLoop(b *testing.B) {
+	run := stepRunner(b, setpLoop)
+	run() // warm-up: grows the divergence stack to steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// stepRunner builds k's program the way a real launch does and returns a
+// function that resets one full warp and steps it to completion on the
+// fused tier.
+func stepRunner(tb testing.TB, k *sass.Kernel) func() {
+	tb.Helper()
+	d := New(DefaultConfig())
+	l := &Launch{Kernel: k, GridDim: 1, BlockDim: 32}
+	if _, err := d.Launch(l); err != nil {
+		tb.Fatal(err)
+	}
+	prog := programFor(k)
+	if prog.fk == nil {
+		tb.Fatalf("%s: no fused program", k.Name)
+	}
+	ex := &executor{
+		d:      d,
+		l:      l,
+		budget: 64 << 20,
+		meta:   prog.meta,
+		low:    prog.low,
+		fk:     prog.fk,
+	}
+	w := newWarp(0, 0, 0, k.NumRegs, 32)
+	return func() {
+		w.reset(0, 0, 0)
+		ex.issued = 0
+		for !w.done() {
+			if err := ex.step(w); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestFusedStepNoAllocs is the no-exception hot-path allocation proof: once
 // the fused program and its launch scratch exist, stepping a warp through
 // fused regions — chains, thunk segments and the fused branch tail —
 // performs zero heap allocations.
 func TestFusedStepNoAllocs(t *testing.T) {
-	for _, k := range []*sass.Kernel{ffmaDense, predicated} {
-		d := New(DefaultConfig())
-		l := &Launch{Kernel: k, GridDim: 1, BlockDim: 32}
-		// Build the program the way a real launch does.
-		if _, err := d.Launch(l); err != nil {
-			t.Fatal(err)
-		}
-		prog := programFor(k)
-		if prog.fk == nil {
-			t.Fatalf("%s: no fused program", k.Name)
-		}
-		ex := &executor{
-			d:      d,
-			l:      l,
-			budget: 64 << 20,
-			meta:   prog.meta,
-			low:    prog.low,
-			fk:     prog.fk,
-		}
-		w := newWarp(0, 0, 0, k.NumRegs, 32)
-		run := func() {
-			w.reset(0, 0, 0)
-			ex.issued = 0
-			for !w.done() {
-				if err := ex.step(w); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	for _, k := range []*sass.Kernel{ffmaDense, predicated, setpLoop} {
+		run := stepRunner(t, k)
 		run() // warm-up: grows the divergence stack to steady state
 		if avg := testing.AllocsPerRun(50, run); avg != 0 {
 			t.Errorf("%s: fused step path allocates %.1f allocs/run, want 0", k.Name, avg)

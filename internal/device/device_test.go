@@ -477,6 +477,7 @@ func TestFCHKSpecialCases(t *testing.T) {
 
 func TestFcmpNaNSemantics(t *testing.T) {
 	nan := math.NaN()
+	fcmp := func(m string, a, b float64) bool { return cmpHolds(cmpSets[m], a, b) }
 	ordered := []string{"LT", "LE", "GT", "GE", "EQ", "NE"}
 	for _, m := range ordered {
 		if fcmp(m, nan, 1) || fcmp(m, 1, nan) {

@@ -47,8 +47,8 @@ type fusedRegion struct {
 	segs    []fusedSeg
 	// tail describes a fused trailing BRA (the compare-and-branch pattern).
 	tail       bool
-	tailPred   int // guard predicate (-1 for @PT)
-	tailNeg    bool
+	tailPred   int    // guard predicate (PT when unguarded)
+	tailNeg    uint32 // all ones for a negated guard
 	tailTarget int
 	tailCost   uint64
 }
@@ -60,6 +60,11 @@ type fusedKernel struct {
 	regionAt []int32
 	// nsegs is the total segment count across regions.
 	nsegs int
+	// segAt maps a PC to the launch-wide index of the segment covering it
+	// (-1 outside region bodies) and segRegion a segment to its region,
+	// so an instrumented launch marks dirty segments from its call PCs.
+	segAt     []int32
+	segRegion []int32
 	// per-program fusion statistics.
 	seqs, fusedInstrs, chainOps uint64
 }
@@ -67,9 +72,9 @@ type fusedKernel struct {
 // fuseKernel builds the fused program.
 func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 	n := len(k.Instrs)
-	fk := &fusedKernel{regionAt: make([]int32, n)}
+	fk := &fusedKernel{regionAt: make([]int32, n), segAt: make([]int32, n)}
 	for i := range fk.regionAt {
-		fk.regionAt[i] = -1
+		fk.regionAt[i], fk.segAt[i] = -1, -1
 	}
 	// Branch targets are leaders: a region never spans one, so jumping into
 	// the middle of a fused body is impossible.
@@ -112,7 +117,7 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 			continue
 		}
 
-		r := fusedRegion{start: start, end: end, tailPred: -1}
+		r := fusedRegion{start: start, end: end}
 		chainStart := -1 // open chain's first PC, or -1
 		flush := func(endPC int) {
 			if chainStart < 0 {
@@ -147,9 +152,12 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 		}
 		flush(end)
 
+		r.segBase = fk.nsegs
 		for si := range r.segs {
 			s := &r.segs[si]
+			fk.segRegion = append(fk.segRegion, int32(len(fk.regions)))
 			for bp := s.start; bp < s.end; bp++ {
+				fk.segAt[bp] = int32(r.segBase + si)
 				s.cost += m.cost[bp]
 				if m.isFP[bp] {
 					s.fp++
@@ -166,15 +174,11 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 		if hasTail {
 			in := &k.Instrs[end]
 			r.tail = true
-			if !m.guardPT[end] {
-				r.tailPred = in.Guard
-				r.tailNeg = in.GuardNeg
-			}
+			r.tailPred, r.tailNeg = in.Guard, negMask(in.GuardNeg)
 			r.tailTarget = int(in.Operands[0].IVal)
 			r.tailCost = m.cost[end]
 			r.total++
 		}
-		r.segBase = fk.nsegs
 		fk.nsegs += len(r.segs)
 		fk.seqs++
 		fk.fusedInstrs += r.total

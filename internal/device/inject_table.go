@@ -7,7 +7,9 @@ package device
 // read-only: the same table may back any number of concurrent launches.
 type InjectTable struct {
 	before, after [][]InjectedCall
-	n             int
+	// pcs lists each PC holding a call once, in first-call order.
+	pcs []int
+	n   int
 }
 
 // NewInjectTable returns an empty table pre-sized for a kernel of n
@@ -46,6 +48,9 @@ func (t *InjectTable) Add(pc int, c InjectedCall) {
 		na := make([][]InjectedCall, pc+1)
 		copy(na, t.after)
 		t.before, t.after = nb, na
+	}
+	if len(t.before[pc])+len(t.after[pc]) == 0 {
+		t.pcs = append(t.pcs, pc)
 	}
 	if c.When == Before {
 		t.before[pc] = append(t.before[pc], c)

@@ -13,15 +13,14 @@ type kernelMeta struct {
 	// isFP marks floating-point opcodes per PC.
 	isFP []bool
 	// guardPT marks instructions guarded by the always-true @PT predicate
-	// (the overwhelmingly common case): the executor skips the per-lane
-	// predicate loop entirely for them.
+	// (the overwhelmingly common case): only they join a fused region body.
 	guardPT []bool
 	// ftz is HasMod("FTZ") per PC; the lane loop would otherwise rescan the
 	// modifier list for every active lane of every dynamic instruction.
 	ftz []bool
-	// cmp is the comparison modifier of SET/SETP instructions per PC
-	// ("" elsewhere).
-	cmp []string
+	// cmp is the compare modifier's outcome set (see cmpSet) of SET/SETP
+	// instructions per PC.
+	cmp []uint8
 	// sub selects the opcode-specific variant per PC (see decodeKernel):
 	// the SETP combiner, LOP/RED operation, 64-bit LDG/STG, F64 conversions.
 	sub []uint8
@@ -93,7 +92,7 @@ func decodeKernel(k *sass.Kernel) *kernelMeta {
 		isFP:    make([]bool, n),
 		guardPT: make([]bool, n),
 		ftz:     make([]bool, n),
-		cmp:     make([]string, n),
+		cmp:     make([]uint8, n),
 		sub:     make([]uint8, n),
 		verr:    validateKernel(k),
 	}
@@ -108,12 +107,12 @@ func decodeKernel(k *sass.Kernel) *kernelMeta {
 		}
 		switch in.Op {
 		case sass.OpFSET:
-			m.cmp[pc] = cmpMod(in)
+			m.cmp[pc] = cmpSet(in)
 			if in.HasMod("BF") {
 				m.sub[pc] = subWide
 			}
 		case sass.OpFSETP, sass.OpDSETP, sass.OpISETP:
-			m.cmp[pc] = cmpMod(in)
+			m.cmp[pc] = cmpSet(in)
 			switch {
 			case in.HasMod("OR"):
 				m.sub[pc] = subSetpOr

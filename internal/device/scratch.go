@@ -3,7 +3,7 @@ package device
 // Per-launch scratch pooling. A launch-heavy workload (the service's batch
 // path runs thousands of launches per request) used to allocate a handful
 // of slices on every Launch call: the warp pointer table, the shared-memory
-// block, the fused tier's clean-region marks, and — on the cuda side — the
+// block, the fused tier's dirty-region marks, and — on the cuda side — the
 // copy-on-write InjectTable clone. None of them outlive the launch, so they
 // all come from sync.Pools now and go back when the launch returns. The
 // panic path deliberately skips the return: a launch that died mid-flight
@@ -17,8 +17,8 @@ import "sync"
 type launchScratch struct {
 	warps       []*Warp
 	shared      []byte
-	regionClean []bool
-	segClean    []bool
+	regionDirty []bool
+	segDirty    []bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return &launchScratch{} }}
@@ -80,6 +80,7 @@ func (t *InjectTable) ClonePooled() *InjectTable {
 	c.n = t.n
 	c.before = fillPhase(c.before, t.before)
 	c.after = fillPhase(c.after, t.after)
+	c.pcs = append(c.pcs[:0], t.pcs...)
 	return c
 }
 
@@ -108,6 +109,7 @@ func (t *InjectTable) Release() {
 	}
 	clearPhase(t.before)
 	clearPhase(t.after)
+	t.pcs = t.pcs[:0]
 	t.n = 0
 	injectTablePool.Put(t)
 }
