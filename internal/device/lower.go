@@ -21,9 +21,14 @@ import (
 //
 // Correctness contract: a thunk must be observationally identical to the
 // corresponding executor.lane / shfl / hmma path — same register and memory
-// writes bit for bit, same panics, same side effects. The differential
-// suites run the whole corpus under the reference interpreter and the
-// production tier and assert byte-identical reports and cycle counts.
+// writes bit for bit, same panics, same side effects. Each tier owns only
+// operand access: a lane's value comes from the one definition every tier
+// calls (add32, mul32, fma32, add64, mul64, mufuEval, f2fEval, redEval,
+// shflLane in exec.go; TestFloatArithmeticOnlyInDefinitions rejects FP
+// arithmetic anywhere else), and each modifier is decoded once, into
+// kernelMeta. The differential suites run the whole corpus under the
+// reference interpreter and the production tier and assert byte-identical
+// reports and cycle counts.
 
 // tier is an executor implementation. Every production launch, including
 // chaos and campaign runs (whose fault planes are injected calls), runs
@@ -164,76 +169,10 @@ func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 // ---- lowered operand sources ----
 //
 // Each source type resolves the operand class once at lower time. Compile-
-// time constants bake modifiers (and FTZ for FP32) directly into the stored
-// bits; constant-bank reads are fetched once per dynamic execution (warp-
-// invariant); registers are read per lane with the sign masks applied
-// unconditionally.
-
-// src32 is a lowered 32-bit floating-point (or raw-bits) source.
-type src32 struct {
-	reg       int // register number, or -1 for a warp-invariant source
-	neg, abs  uint32
-	ftz       bool
-	cb        bool // constant-bank source (fetched per execution)
-	bank, off int
-	bits      uint32 // baked value for compile-time constants
-}
-
-func lowerSrc32(op *sass.Operand, ftz bool) src32 {
-	neg, abs := op.SignMasks32()
-	s := src32{reg: -1, neg: neg, abs: abs, ftz: ftz}
-	switch {
-	case op.IsPlainReg():
-		s.reg = op.Reg
-		return s
-	case op.Type == sass.OperandCBank:
-		s.cb = true
-		s.bank, s.off = op.Bank, op.Off
-		return s
-	}
-	var raw uint32
-	switch op.Type {
-	case sass.OperandImmDouble:
-		raw = math.Float32bits(float32(op.Imm))
-	case sass.OperandGeneric:
-		raw = uint32(genericBits(op.Gen, fpval.FP32))
-	case sass.OperandImmInt:
-		raw = uint32(op.IVal)
-	}
-	// RZ and anything srcBits32 defaults to zero stays raw == 0.
-	s.bits = s.apply(raw)
-	return s
-}
-
-func (s *src32) apply(raw uint32) uint32 {
-	b := (raw &^ s.abs) ^ s.neg
-	if s.ftz {
-		b = fpval.Flush32(b)
-	}
-	return b
-}
-
-func (s *src32) uniform() bool { return s.reg < 0 }
-
-// fetch resolves a warp-invariant source once per dynamic execution.
-func (s *src32) fetch(d *Device) uint32 {
-	if !s.cb {
-		return s.bits
-	}
-	return s.apply(d.CBankRead(s.bank, s.off))
-}
-
-// lane reads the per-lane value; uni is the value fetch resolved.
-func (s *src32) lane(w *Warp, l int, uni uint32) uint32 {
-	if s.reg >= 0 {
-		return s.apply(w.regs[l][s.reg])
-	}
-	return uni
-}
-
-func (s *src32) f32(w *Warp, l int, uni uint32) float32 {
-	return math.Float32frombits(s.lane(w, l, uni))
-}
+// time constants bake modifiers directly into the stored bits; constant-
+// bank reads are fetched once per dynamic execution (warp-invariant);
+// registers are read per lane with the sign masks applied unconditionally.
+// 32-bit sources are mopSrc (fuse_ops.go), whichever form reads them.
 
 // src64 is a lowered FP64 source (register pair convention).
 type src64 struct {
@@ -340,64 +279,6 @@ func (s *src16) f32(w *Warp, l int, uni uint16) float32 {
 		return fpval.F16ToFloat32(s.apply(uint16(w.regs[l][s.reg])))
 	}
 	return fpval.F16ToFloat32(uni)
-}
-
-// srcI is a lowered integer source; Neg means two's-complement negation.
-type srcI struct {
-	reg       int
-	neg       bool
-	cb        bool
-	bank, off int
-	bits      uint32
-}
-
-func lowerSrcI(op *sass.Operand) srcI {
-	s := srcI{reg: -1, neg: op.Neg}
-	switch {
-	case op.IsPlainReg():
-		s.reg = op.Reg
-		return s
-	case op.Type == sass.OperandCBank:
-		s.cb = true
-		s.bank, s.off = op.Bank, op.Off
-		return s
-	}
-	var v uint32
-	switch op.Type {
-	case sass.OperandImmInt:
-		v = uint32(op.IVal)
-	case sass.OperandImmDouble:
-		v = uint32(int32(op.Imm))
-	}
-	if s.neg {
-		v = uint32(-int32(v))
-	}
-	s.bits = v
-	return s
-}
-
-func (s *srcI) uniform() bool { return s.reg < 0 }
-
-func (s *srcI) fetch(d *Device) uint32 {
-	if !s.cb {
-		return s.bits
-	}
-	v := d.CBankRead(s.bank, s.off)
-	if s.neg {
-		v = uint32(-int32(v))
-	}
-	return v
-}
-
-func (s *srcI) lane(w *Warp, l int, uni uint32) uint32 {
-	if s.reg >= 0 {
-		v := w.regs[l][s.reg]
-		if s.neg {
-			v = uint32(-int32(v))
-		}
-		return v
-	}
-	return uni
 }
 
 // srcP is a lowered predicate source: the register read and an XOR mask

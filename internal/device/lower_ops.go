@@ -38,22 +38,6 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 	}
 
 	switch in.Op {
-	case sass.OpMUFU: // .RCP64H; the FP32 modes are chainable
-		// Approximate 1/x of an FP64 from its high word.
-		dst := ops[0].Reg
-		if dst == sass.RZ {
-			return lk.nop(pc)
-		}
-		s := lowerSrc32(&ops[1], false)
-		return func(ex *executor, w *Warp, exec uint32) {
-			u := s.fetch(ex.d)
-			eachLane(exec, func(l int) {
-				x := math.Float64frombits(uint64(s.lane(w, l, u)) << 32)
-				_, rhi := fpval.Split64(math.Float64bits(1 / x))
-				w.regs[l][dst] = rhi
-			})
-		}
-
 	case sass.OpDADD, sass.OpDMUL, sass.OpDFMA:
 		return lowerArith64(in, pc, lk)
 
@@ -90,23 +74,23 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 
 	case sass.OpF2F:
-		return lowerF2F(in, pc, lk)
+		return lowerF2F(in, pc, m, lk)
 
 	case sass.OpI2F: // .F64; FP32 is chainable
 		dst := ops[0].Reg
 		if dst == sass.RZ {
 			return lk.nop(pc)
 		}
-		s := lowerSrcI(&ops[1])
-		if s.uniform() {
+		s := mopSrcI(&ops[1])
+		if s.reg < 0 {
 			return uni(func(ex *executor, w *Warp, exec uint32) {
-				broadcast64(w, dst, math.Float64bits(float64(int32(s.fetch(ex.d)))), exec)
+				broadcast64(w, dst, math.Float64bits(float64(int32(s.entry(ex.d)))), exec)
 			})
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
-			u := s.fetch(ex.d)
+			u := s.entry(ex.d)
 			eachLane(exec, func(l int) {
-				lo, hi := fpval.Split64(math.Float64bits(float64(int32(s.lane(w, l, u)))))
+				lo, hi := fpval.Split64(math.Float64bits(float64(int32(laneI32(&s, w.regs[l], u)))))
 				r := w.regs[l]
 				r[dst], r[dst+1] = lo, hi
 			})
@@ -195,20 +179,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 			// interpreter, so the read-modify-write stays deterministic.
 			eachLane(exec, func(l int) {
 				a := addr.lane(w, l)
-				old := ex.d.Load32(a)
-				val := w.Reg(l, src)
-				var res uint32
-				switch red {
-				case subRedFAdd:
-					res = math.Float32bits(math.Float32frombits(old) + math.Float32frombits(val))
-				case subRedMax:
-					res = math.Float32bits(fmnmx32(math.Float32frombits(old), math.Float32frombits(val), false))
-				case subRedMin:
-					res = math.Float32bits(fmnmx32(math.Float32frombits(old), math.Float32frombits(val), true))
-				default: // subRedIAdd
-					res = old + val
-				}
-				ex.d.Store32(a, res)
+				ex.d.Store32(a, redEval(red, ex.d.Load32(a), w.Reg(l, src)))
 			})
 		}
 
@@ -273,7 +244,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 
 	case sass.OpSHFL:
-		return lowerSHFL(in)
+		return lowerSHFL(in, m.sub[pc])
 
 	case sass.OpHMMA:
 		return func(ex *executor, w *Warp, exec uint32) {
@@ -290,64 +261,6 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		return func(ex *executor, w *Warp, exec uint32) {
 			panic(fmt.Sprintf("device: unimplemented opcode %v", op))
 		}
-	}
-}
-
-// MUFU special-function modes, resolved from Mods[0] at lower time.
-const (
-	mufuRCP = iota
-	mufuRSQ
-	mufuSQRT
-	mufuSIN
-	mufuCOS
-	mufuEX2
-	mufuLG2
-	mufuPass
-)
-
-func mufuMode(in *sass.Instr) int {
-	mod := ""
-	if len(in.Mods) > 0 {
-		mod = in.Mods[0]
-	}
-	switch mod {
-	case "RCP":
-		return mufuRCP
-	case "RSQ":
-		return mufuRSQ
-	case "SQRT":
-		return mufuSQRT
-	case "SIN":
-		return mufuSIN
-	case "COS":
-		return mufuCOS
-	case "EX2":
-		return mufuEX2
-	case "LG2":
-		return mufuLG2
-	default:
-		return mufuPass
-	}
-}
-
-func mufuEval(mode int, x float64) float64 {
-	switch mode {
-	case mufuRCP:
-		return 1 / x
-	case mufuRSQ:
-		return 1 / math.Sqrt(x)
-	case mufuSQRT:
-		return math.Sqrt(x)
-	case mufuSIN:
-		return math.Sin(x)
-	case mufuCOS:
-		return math.Cos(x)
-	case mufuEX2:
-		return math.Exp2(x)
-	case mufuLG2:
-		return math.Log2(x)
-	default:
-		return x
 	}
 }
 
@@ -379,11 +292,11 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	eval := func(a, b, c float64) float64 {
 		switch kind {
 		case d64Mul:
-			return a * b
+			return mul64(a, b)
 		case d64Fma:
 			return math.FMA(a, b, c)
 		default:
-			return a + b
+			return add64(a, b)
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != d64Fma || s3.uniform()) {
@@ -448,7 +361,7 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 		case h16Fma:
 			return fma32(a, b, c)
 		default:
-			return a + b
+			return add32(a, b)
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != h16Fma || s3.uniform()) {
@@ -469,108 +382,60 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	}
 }
 
-// F2F conversion formats.
-const (
-	cvtF32 = iota
-	cvtF64
-	cvtF16
-)
-
-func cvtFormat(mod string) int {
-	switch mod {
-	case "F64":
-		return cvtF64
-	case "F16":
-		return cvtF16
-	default:
-		return cvtF32
-	}
-}
-
-func lowerF2F(in *sass.Instr, pc int, lk *loweredKernel) thunk {
+func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 	ops := in.Operands
 	dst := ops[0].Reg
 	if dst == sass.RZ {
 		return lk.nop(pc)
 	}
-	dstFmt, srcFmt := cvtF32, cvtF32
-	if len(in.Mods) >= 2 {
-		dstFmt, srcFmt = cvtFormat(in.Mods[0]), cvtFormat(in.Mods[1])
-	}
-	outFtz := in.HasMod("FTZ")
-
+	dstFmt, srcFmt := f2fFormats(m.sub[pc])
+	ftz := m.ftz[pc]
 	var s64 src64
-	var s32 src32
+	var s32 mopSrc
+	var uniform bool
 	if srcFmt == cvtF64 {
 		s64 = lowerSrc64(&ops[1])
+		uniform = s64.uniform()
 	} else {
 		// F16 sources mirror the interpreter: sign modifiers act on the
 		// 32-bit pattern before truncation to 16 bits.
-		s32 = lowerSrc32(&ops[1], false)
+		s32 = mopSrc32(&ops[1], false)
+		uniform = s32.reg < 0
 	}
-	read := func(ex *executor, w *Warp, l int, u64 uint64, u32 uint32) float64 {
-		switch srcFmt {
-		case cvtF64:
-			return s64.f64(w, l, u64)
-		case cvtF16:
-			return float64(fpval.F16ToFloat32(uint16(s32.lane(w, l, u32))))
-		default:
-			return float64(s32.f32(w, l, u32))
+	read := func(w *Warp, l int, u64 uint64, u32 uint32) uint64 {
+		if srcFmt == cvtF64 {
+			return s64.lane(w, l, u64)
 		}
+		return uint64(laneV32(&s32, w.regs[l], u32))
 	}
-	write := func(w *Warp, l int, v float64) {
-		switch dstFmt {
-		case cvtF64:
-			lo, hi := fpval.Split64(math.Float64bits(v))
-			r := w.regs[l]
-			r[dst], r[dst+1] = lo, hi
-		case cvtF16:
-			w.regs[l][dst] = uint32(fpval.F16FromFloat32(float32(v)))
-		default:
-			w.regs[l][dst] = out32(float32(v), outFtz)
+	write := func(w *Warp, l int, v uint64) {
+		r := w.regs[l]
+		if dstFmt == cvtF64 {
+			r[dst], r[dst+1] = fpval.Split64(v)
+			return
 		}
+		r[dst] = uint32(v)
 	}
-	uniform := srcFmt == cvtF64 && s64.uniform() || srcFmt != cvtF64 && s32.uniform()
 	if uniform {
 		lk.uniform++
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
-		u64, u32 := s64.fetch(ex.d), s32.fetch(ex.d)
+		u64, u32 := s64.fetch(ex.d), s32.entry(ex.d)
 		if uniform {
-			v := read(ex, w, 0, u64, u32)
+			v := f2fEval(dstFmt, srcFmt, ftz, read(w, 0, u64, u32))
 			eachLane(exec, func(l int) { write(w, l, v) })
 			return
 		}
 		eachLane(exec, func(l int) {
-			write(w, l, read(ex, w, l, u64, u32))
+			write(w, l, f2fEval(dstFmt, srcFmt, ftz, read(w, l, u64, u32)))
 		})
 	}
 }
 
-// SHFL modes.
-const (
-	shflSelf = iota
-	shflBFLY
-	shflDOWN
-	shflUP
-	shflIDX
-)
-
-func lowerSHFL(in *sass.Instr) thunk {
+func lowerSHFL(in *sass.Instr, mode uint8) thunk {
 	dst := in.Operands[0].Reg
 	srcReg := in.Operands[1].Reg
-	offSrc := lowerSrcI(&in.Operands[2])
-	mode := shflSelf
-	switch {
-	case in.HasMod("BFLY"):
-		mode = shflBFLY
-	case in.HasMod("DOWN"):
-		mode = shflDOWN
-	case in.HasMod("UP"):
-		mode = shflUP
-	case in.HasMod("IDX"):
-		mode = shflIDX
-	}
+	off := mopSrcI(&in.Operands[2])
 	return func(ex *executor, w *Warp, exec uint32) {
 		var snapshot [WarpSize]uint32
 		if srcReg != sass.RZ {
@@ -578,20 +443,9 @@ func lowerSHFL(in *sass.Instr) thunk {
 				snapshot[l] = w.regs[l][srcReg]
 			}
 		}
-		u := offSrc.fetch(ex.d)
+		u := off.entry(ex.d)
 		eachLane(exec, func(l int) {
-			off := int(offSrc.lane(w, l, u))
-			src := l
-			switch mode {
-			case shflBFLY:
-				src = l ^ off
-			case shflDOWN:
-				src = l + off
-			case shflUP:
-				src = l - off
-			case shflIDX:
-				src = off
-			}
+			src := shflLane(mode, l, int(laneI32(&off, w.regs[l], u)))
 			v := snapshot[l]
 			if src >= 0 && src < WarpSize {
 				v = snapshot[src]
