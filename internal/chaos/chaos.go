@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"time"
 
@@ -290,11 +291,22 @@ func Service(ctx context.Context, cfg Config) (*ServiceResult, error) {
 	defer cancel()
 	res.Healthy = healthy && srv.Drain(drainCtx) == nil
 
-	for status, n := range res.Statuses {
-		fmt.Fprintf(cfg.Out, "chaos: service status %d: %d\n", status, n)
+	for _, status := range sortedStatuses(res.Statuses) {
+		fmt.Fprintf(cfg.Out, "chaos: service status %d: %d\n", status, res.Statuses[status])
 	}
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("chaos: service storm aborted: %w", err)
 	}
 	return res, nil
+}
+
+// sortedStatuses returns the statuses seen, ascending, so the storm's
+// status lines print in the same order on every run.
+func sortedStatuses(counts map[int]int) []int {
+	statuses := make([]int, 0, len(counts))
+	for status := range counts {
+		statuses = append(statuses, status)
+	}
+	sort.Ints(statuses)
+	return statuses
 }

@@ -7,6 +7,8 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -141,15 +143,33 @@ func TestServiceStormAbortStillDrains(t *testing.T) {
 }
 
 func TestServiceStormSurvives64Clients(t *testing.T) {
+	var out strings.Builder
 	res, err := Service(context.Background(), Config{
 		Seed:     11,
 		Rate:     1e-3,
 		Programs: goldenSubset,
 		Clients:  64,
 		Requests: 2,
+		Out:      &out,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One line per status seen, in ascending status order, so two runs'
+	// output compares byte for byte.
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(res.Statuses) {
+		t.Fatalf("%d status lines for statuses %v:\n%s", len(lines), res.Statuses, out.String())
+	}
+	for i, prev := 0, 0; i < len(lines); i++ {
+		var status, n int
+		if _, err := fmt.Sscanf(lines[i], "chaos: service status %d: %d", &status, &n); err != nil {
+			t.Fatalf("line %q: %v", lines[i], err)
+		}
+		if res.Statuses[status] != n || i > 0 && status <= prev {
+			t.Fatalf("status lines not one per status in ascending order (statuses %v):\n%s", res.Statuses, out.String())
+		}
+		prev = status
 	}
 	if res.Unclassified != 0 {
 		t.Fatalf("%d requests terminated unclassified (statuses %v)", res.Unclassified, res.Statuses)
