@@ -46,7 +46,6 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "enable deterministic fault injection on all planes")
 		seed    = flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
 		rate    = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
-		cycRate = flag.Float64("cycle-rate", 0, "node capacity in simulated cycles/sec (0 = unlimited); fleet benchmarks pin this")
 		campDir = flag.String("campaign-dir", "", "checkpoint root for POST /v1/profile campaigns (empty = no persistence; drained campaigns resume on re-POST when set)")
 		campWrk = flag.Int("campaign-workers", 0, "trial fan-out per campaign (0/1 = sequential; profiles are byte-identical either way)")
 	)
@@ -57,7 +56,6 @@ func main() {
 		Workers:            *workers,
 		DefaultCycleBudget: *budget,
 		MaxBodyBytes:       *maxBody,
-		CycleRate:          *cycRate,
 		CampaignDir:        *campDir,
 		CampaignWorkers:    *campWrk,
 	}

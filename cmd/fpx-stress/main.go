@@ -12,33 +12,18 @@
 //
 //	fpx-stress -chaos -seed 7
 //	fpx-stress -chaos -seed 7 -rate 1e-3 -clients 64
-//
-// With -fleet it runs the sharded-fleet throughput proof: it re-execs
-// itself as N serve-node child processes, mounts an fpx-gateway over them,
-// drives a cycle-balanced corpus mix with closed-loop clients, repeats the
-// mix against a single node at the same provisioned cycle rate, and writes
-// the schema-5 record (BENCH_5.json).
-//
-//	fpx-stress -fleet
-//	fpx-stress -fleet -fleet-nodes 3 -fleet-duration 10s -fleet-out BENCH_5.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"gpufpx/internal/chaos"
-	"gpufpx/internal/report"
 	"gpufpx/internal/stress"
 	"gpufpx/pkg/gpufpx"
 )
@@ -54,32 +39,9 @@ func main() {
 		rate     = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
 		clients  = flag.Int("clients", 64, "concurrent clients in the service storm (with -chaos)")
 		requests = flag.Int("requests", 4, "requests per storm client (with -chaos)")
-
-		fleetOn       = flag.Bool("fleet", false, "run the sharded-fleet throughput proof instead of an input search")
-		fleetNodes    = flag.Int("fleet-nodes", 3, "serve nodes in the fleet phase (with -fleet)")
-		fleetClients  = flag.Int("fleet-clients", 12, "closed-loop load clients (with -fleet)")
-		fleetDuration = flag.Duration("fleet-duration", 5*time.Second, "measured window per phase (with -fleet)")
-		cycleRate     = flag.Float64("cycle-rate", 1e7, "provisioned per-node capacity in cycles/s (with -fleet)")
-		fleetOut      = flag.String("fleet-out", "BENCH_5.json", "where to write the schema-5 record (with -fleet)")
-
-		// Hidden re-exec mode: -fleet spawns child copies of this binary as
-		// serve nodes so each shard has its own process and compile cache.
-		serveNode   = flag.Bool("serve-node", false, "")
-		nodeAddr    = flag.String("node-addr", "", "")
-		nodeWorkers = flag.Int("node-workers", 8, "")
 	)
 	flag.Parse()
 
-	if *serveNode {
-		if err := stress.ServeNode(*nodeAddr, *cycleRate, *nodeWorkers); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "fpx-stress: serve-node:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetOn {
-		os.Exit(runFleet(*fleetNodes, *fleetClients, *fleetDuration, *cycleRate, *fleetOut))
-	}
 	if *chaosOn {
 		os.Exit(runChaos(*seed, *rate, *clients, *requests))
 	}
@@ -118,98 +80,6 @@ func main() {
 			fmt.Printf("    %s @ pc %d lane %d: lost %d bits\n", sf.Kind, sf.PC, sf.Lane, sf.LostBits)
 		}
 	}
-}
-
-// runFleet drives the sharded-fleet throughput proof and writes the
-// schema-5 record; non-zero when the fleet misses the acceptance bar.
-func runFleet(nodes, clients int, duration time.Duration, cycleRate float64, out string) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	rec, err := stress.RunFleet(stress.FleetConfig{
-		Nodes:     nodes,
-		Clients:   clients,
-		Duration:  duration,
-		CycleRate: cycleRate,
-		StartNode: spawnNode(exe, cycleRate, clients*2),
-		Out:       os.Stderr,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	fmt.Printf("fleet: %d nodes %.1f req/s vs single %.1f req/s: %.2fx scale, p99 ratio %.2fx -> %s\n",
-		rec.Fleet.Nodes, rec.Fleet.RPS, rec.Single.RPS, rec.Scale, rec.P99Ratio, out)
-	if err := rec.Meets(report.FleetMinScale, report.FleetMaxP99Ratio); err != nil {
-		fmt.Fprintln(os.Stderr, "fpx-stress: fleet:", err)
-		return 1
-	}
-	return 0
-}
-
-// spawnNode re-execs this binary as a serve node on a fresh loopback port,
-// giving each shard its own process — and therefore its own compile cache,
-// which is what the per-shard cache-hit metrics in the record measure.
-func spawnNode(exe string, cycleRate float64, workers int) stress.StartNodeFunc {
-	return func(i int) (string, func() error, error) {
-		addr, err := freeAddr()
-		if err != nil {
-			return "", nil, err
-		}
-		cmd := exec.Command(exe,
-			"-serve-node",
-			"-node-addr", addr,
-			"-cycle-rate", fmt.Sprintf("%g", cycleRate),
-			"-node-workers", fmt.Sprint(workers),
-		)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return "", nil, err
-		}
-		stop := func() error {
-			cmd.Process.Signal(syscall.SIGTERM)
-			done := make(chan error, 1)
-			go func() { done <- cmd.Wait() }()
-			select {
-			case err := <-done:
-				return err
-			case <-time.After(30 * time.Second):
-				cmd.Process.Kill()
-				return <-done
-			}
-		}
-		return "http://" + addr, stop, nil
-	}
-}
-
-// freeAddr grabs a free loopback port for a node child. The tiny window
-// between Close and the child's Listen is acceptable for a local harness.
-func freeAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
 }
 
 // runChaos drives both campaign phases and reports the verdict; non-zero on

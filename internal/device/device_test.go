@@ -544,10 +544,16 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
+// TestF2FConversions runs F2F on every tier: an FP32 → FP64 → FP32 round
+// trip, and a narrowing whose .FTZ comes before the formats, which must
+// not shift which modifier names the source.
 func TestF2FConversions(t *testing.T) {
-	d := New(DefaultConfig())
-	out := d.Alloc(16)
-	src := `
+	pi64 := math.Float64bits(float64(math.Float32frombits(0x40490fdb)))
+	cases := []struct {
+		name, src string
+		want      []uint32 // the output words, in address order
+	}{
+		{"round-trip", `
 MOV32I R0, 0x40490fdb ;       // pi f32
 F2F.F64.F32 R2, R0 ;          // widen
 F2F.F32.F64 R4, R2 ;          // narrow back
@@ -555,17 +561,30 @@ MOV R5, c[0x0][0x160] ;
 STG.E [R5], R4 ;
 STG.E.64 [R5+0x8], R2 ;
 EXIT ;
-`
-	k := sass.MustParse("f2f", src)
-	if _, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 1, Params: []uint32{out}}); err != nil {
-		t.Fatal(err)
+`, []uint32{0x40490fdb, 0, uint32(pi64), uint32(pi64 >> 32)}},
+		{"ftz-first", `
+MOV32I R4, 0x0 ;
+MOV32I R5, 0x3ff00000 ;       // R4:R5 = 1.0
+F2F.FTZ.F32.F64 R2, R4 ;      // narrow
+MOV R6, c[0x0][0x160] ;
+STG.E [R6], R2 ;
+EXIT ;
+`, []uint32{0x3f800000}},
 	}
-	pi32 := math.Float32frombits(0x40490fdb)
-	if got := math.Float32frombits(d.Load32(out)); got != pi32 {
-		t.Errorf("f32→f64→f32 = %v, want %v", got, pi32)
-	}
-	if got := math.Float64frombits(d.Load64(out + 8)); got != float64(pi32) {
-		t.Errorf("widened = %v, want %v", got, float64(pi32))
+	for _, tc := range cases {
+		k := sass.MustParse(tc.name, tc.src)
+		for _, mode := range allTiers {
+			d := New(DefaultConfig())
+			out := d.Alloc(16)
+			if _, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 1, Params: []uint32{out}}, mode); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, mode, err)
+			}
+			for i, w := range tc.want {
+				if got := d.Load32(out + uint32(4*i)); got != w {
+					t.Errorf("%s %s: word %d = %#08x, want %#08x", tc.name, mode, i, got, w)
+				}
+			}
+		}
 	}
 }
 

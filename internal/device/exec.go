@@ -731,11 +731,11 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 	case sass.OpF2F:
 		dst, src := f2fFormats(m.sub[pc])
 		x := uint64(ex.srcBits32(w, l, &ops[1]))
-		if src == cvtF64 {
+		if src == fpval.FP64 {
 			x = math.Float64bits(ex.srcF64(w, l, &ops[1]))
 		}
 		v := f2fEval(dst, src, ftz, x)
-		if dst == cvtF64 {
+		if dst == fpval.FP64 {
 			ex.putF64(w, l, &ops[0], math.Float64frombits(v))
 		} else {
 			w.SetReg(l, ops[0].Reg, uint32(v))
@@ -1098,24 +1098,26 @@ func mufuEval(mode uint8, src uint32) uint32 {
 	if mode == mufuRCP64H {
 		x = math.Float64frombits(uint64(src) << 32)
 	}
-	var r float64
-	switch mode {
-	case mufuRCP, mufuRCP64H:
-		r = 1 / x
-	case mufuRSQ:
-		r = 1 / math.Sqrt(x)
-	case mufuSQRT:
-		r = math.Sqrt(x)
-	case mufuSIN:
-		r = math.Sin(x)
-	case mufuCOS:
-		r = math.Cos(x)
-	case mufuEX2:
-		r = math.Exp2(x)
-	case mufuLG2:
-		r = math.Log2(x)
-	default:
-		r = x
+	// A NaN source propagates quieted with its payload in every mode;
+	// math.Cos and math.Log2 would return the default NaN instead.
+	r := x
+	if x == x {
+		switch mode {
+		case mufuRCP, mufuRCP64H:
+			r = 1 / x
+		case mufuRSQ:
+			r = 1 / math.Sqrt(x)
+		case mufuSQRT:
+			r = math.Sqrt(x)
+		case mufuSIN:
+			r = math.Sin(x)
+		case mufuCOS:
+			r = math.Cos(x)
+		case mufuEX2:
+			r = math.Exp2(x)
+		case mufuLG2:
+			r = math.Log2(x)
+		}
 	}
 	if mode == mufuRCP64H {
 		_, hi := fpval.Split64(math.Float64bits(r))
@@ -1124,35 +1126,30 @@ func mufuEval(mode uint8, src uint32) uint32 {
 	return math.Float32bits(fpval.FlushFloat32(float32(r)))
 }
 
-// F2F conversion formats; decodeKernel packs a site's pair into
-// kernelMeta.sub (see f2fFormats).
-const (
-	cvtF32 uint8 = iota
-	cvtF64
-	cvtF16
-)
-
-// f2fFormats unpacks an F2F site's destination and source formats.
-func f2fFormats(sub uint8) (dst, src uint8) { return sub >> 2, sub & 3 }
+// f2fFormats unpacks an F2F site's destination and source formats, which
+// decodeKernel packs into kernelMeta.sub.
+func f2fFormats(sub uint8) (dst, src fpval.Format) {
+	return fpval.Format(sub >> 2), fpval.Format(sub & 3)
+}
 
 // f2fEval is one lane of F2F: the destination bits (an FP64's 64, or a
 // 32-bit register) from the source bits (an FP64's 64, or a 32-bit
 // register whose low half holds an FP16). An FP32 result flushes under
 // .FTZ.
-func f2fEval(dst, src uint8, ftz bool, x uint64) uint64 {
+func f2fEval(dst, src fpval.Format, ftz bool, x uint64) uint64 {
 	var v float64
 	switch src {
-	case cvtF64:
+	case fpval.FP64:
 		v = math.Float64frombits(x)
-	case cvtF16:
+	case fpval.FP16:
 		v = float64(fpval.F16ToFloat32(uint16(x)))
 	default:
 		v = float64(math.Float32frombits(uint32(x)))
 	}
 	switch dst {
-	case cvtF64:
+	case fpval.FP64:
 		return math.Float64bits(v)
-	case cvtF16:
+	case fpval.FP16:
 		return uint64(fpval.F16FromFloat32(float32(v)))
 	}
 	return uint64(out32(float32(v), ftz))

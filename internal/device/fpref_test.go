@@ -462,8 +462,8 @@ func refMUFU(mode uint8, x float32) float32 {
 
 // TestMUFUWithinOneULP holds RCP, RSQ and SQRT within one ulp of the
 // correctly rounded math/big result, and RCP64H's high word within one of
-// the correctly rounded FP64 reciprocal's. SIN, COS, EX2 and LG2 have no
-// independent reference yet.
+// the correctly rounded FP64 reciprocal's. TestMUFUTranscendentals covers
+// SIN, COS, EX2 and LG2.
 func TestMUFUWithinOneULP(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, mode := range []uint8{mufuRCP, mufuRSQ, mufuSQRT} {
@@ -512,6 +512,204 @@ func TestMUFUWithinOneULP(t *testing.T) {
 	}
 	for i := samples(20_000, 100_000); i > 0 && !t.Failed(); i-- {
 		checkRCP64H(uint32(math.Float64bits(randF64(r)) >> 32))
+	}
+}
+
+// bigSeriesPrec carries the transcendental series far past float32's 24
+// bits, so neither their truncation nor their rounding can move a float32
+// rounding of the result.
+const bigSeriesPrec = 256
+
+func bigN(v float64) *big.Float { return new(big.Float).SetPrec(bigSeriesPrec).SetFloat64(v) }
+
+// bigSeries sums first + a_1 + a_2 + ..., where step turns a_(k-1) into
+// a_k in place, until a term no longer moves the sum at bigSeriesPrec
+// bits.
+func bigSeries(first *big.Float, step func(k int, term *big.Float)) *big.Float {
+	sum, term := bigN(0).Set(first), bigN(0).Set(first)
+	for k := 1; term.Sign() != 0 && term.MantExp(nil) > sum.MantExp(nil)-bigSeriesPrec-2; k++ {
+		step(k, term)
+		sum.Add(sum, term)
+	}
+	return sum
+}
+
+// bigAtanh is Σ z^(2k+1)/(2k+1), for |z| well below 1.
+func bigAtanh(z *big.Float) *big.Float {
+	z2 := bigN(0).Mul(z, z)
+	return bigSeries(z, func(k int, t *big.Float) {
+		t.Mul(t, z2).Mul(t, bigN(float64(2*k-1))).Quo(t, bigN(float64(2*k+1)))
+	})
+}
+
+// bigAtanInv is atan(1/n) = Σ (-1)^k / ((2k+1) n^(2k+1)).
+func bigAtanInv(n float64) *big.Float {
+	z := bigN(1)
+	z.Quo(z, bigN(n))
+	negZ2 := bigN(0).Mul(z, z)
+	negZ2.Neg(negZ2)
+	return bigSeries(z, func(k int, t *big.Float) {
+		t.Mul(t, negZ2).Mul(t, bigN(float64(2*k-1))).Quo(t, bigN(float64(2*k+1)))
+	})
+}
+
+// bigLn2 is 2·atanh(1/3); bigHalfPi is π/2 by Machin's formula,
+// 8·atan(1/5) − 2·atan(1/239).
+var (
+	bigLn2    = bigN(0).Mul(bigN(2), bigAtanh(bigN(0).Quo(bigN(1), bigN(3))))
+	bigHalfPi = bigN(0).Sub(bigN(0).Mul(bigN(8), bigAtanInv(5)), bigN(0).Mul(bigN(2), bigAtanInv(239)))
+)
+
+// bigSinCos is sin(r) (cos false) or cos(r) by Taylor series, for
+// |r| ≤ π/4.
+func bigSinCos(r *big.Float, cos bool) *big.Float {
+	negR2 := bigN(0).Mul(r, r)
+	negR2.Neg(negR2)
+	first, off := r, 0
+	if cos {
+		first, off = bigN(1), 1
+	}
+	return bigSeries(first, func(k int, t *big.Float) {
+		t.Mul(t, negR2).Quo(t, bigN(float64((2*k-off)*(2*k+1-off))))
+	})
+}
+
+// refTransc is the SFU reference for SIN, COS, EX2 and LG2 on finite
+// operands: sin and cos after exact range reduction by π/2, 2^x as
+// 2^n·e^(f·ln2) with x = n + f, and log2(m·2^e) = e + 2·atanh((m−1)/(m+1))/ln2
+// for m in [1, 2). Each is rounded once to float32 and flushed to zero when
+// subnormal, as the SFU flushes its outputs.
+func refTransc(mode uint8, x float32) float32 {
+	xb := bigN(float64(x))
+	var r *big.Float
+	switch mode {
+	case mufuSIN, mufuCOS:
+		// k = round(x / (π/2)); x − k·π/2 lies within ±π/4, and sin x is
+		// ±sin or ±cos of it by k mod 4.
+		q := bigN(0).Quo(xb, bigHalfPi)
+		q.Add(q, bigN(math.Copysign(0.5, float64(x))))
+		k, _ := q.Int64()
+		rem := bigN(0).Sub(xb, bigN(0).Mul(bigN(float64(k)), bigHalfPi))
+		if mode == mufuCOS {
+			k++ // cos x = sin(x + π/2)
+		}
+		quad := (k%4 + 4) % 4
+		r = bigSinCos(rem, quad%2 == 1)
+		if quad >= 2 {
+			r.Neg(r)
+		}
+	case mufuEX2:
+		n := math.Floor(float64(x))
+		y := bigN(0).Sub(xb, bigN(n))
+		y.Mul(y, bigLn2)
+		r = bigSeries(bigN(1), func(k int, t *big.Float) { t.Mul(t, y).Quo(t, bigN(float64(k))) })
+		r.SetMantExp(r, int(n))
+	case mufuLG2:
+		m := bigN(0)
+		e := xb.MantExp(m) - 1
+		m.Mul(m, bigN(2)) // x = m·2^e, m in [1, 2)
+		z := bigN(0).Quo(bigN(0).Sub(m, bigN(1)), bigN(0).Add(m, bigN(1)))
+		r = bigN(0).Mul(bigN(2), bigAtanh(z))
+		r.Quo(r, bigLn2).Add(r, bigN(float64(e)))
+	}
+	f, _ := r.Float32()
+	return fpval.FlushFloat32(f)
+}
+
+// transcSpecial is the IEEE 754 result of SIN, COS, EX2 or LG2 for a NaN,
+// ±Inf, ±0 or negative-LG2 operand: a NaN propagates quieted with its
+// payload, an invalid operation gives the default quiet NaN, and the rest
+// are exact. ok is false for operands refTransc covers.
+func transcSpecial(mode uint8, x float32) (bits uint32, ok bool) {
+	const qnan = 0x7fc00000
+	inf, one := math.Float32bits(float32(math.Inf(1))), math.Float32bits(1)
+	xb := math.Float32bits(x)
+	switch {
+	case x != x:
+		return xb | 0x00400000, true
+	case mode == mufuSIN && x == 0:
+		return xb, true
+	case mode == mufuCOS && x == 0, mode == mufuEX2 && x == 0:
+		return one, true
+	case (mode == mufuSIN || mode == mufuCOS) && !finite32(x):
+		return qnan, true
+	case mode == mufuEX2 && !finite32(x):
+		if x > 0 {
+			return inf, true
+		}
+		return 0, true
+	case mode == mufuLG2 && x == 0:
+		return inf | 1<<31, true
+	case mode == mufuLG2 && x < 0:
+		return qnan, true
+	case mode == mufuLG2 && !finite32(x):
+		return inf, true
+	}
+	return 0, false
+}
+
+// TestMUFUTranscendentals holds SIN and COS on |x| ≤ 64, EX2 on
+// [−126, 127] and LG2 on the positive normals and subnormals within one
+// ulp of refTransc, and every mode's NaN, ±Inf, ±0 and negative-LG2
+// results to IEEE 754's bit for bit.
+func TestMUFUTranscendentals(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	type domain struct {
+		mode uint8
+		name string
+		pick func() float32
+	}
+	// hardSinCos are float32s nearest multiples of π/2, where sin or cos
+	// nearly cancels.
+	var hardSinCos []float32
+	for k := -40; k <= 40; k++ {
+		v := float32(float64(k) * math.Pi / 2)
+		hardSinCos = append(hardSinCos, v, math.Nextafter32(v, 100), math.Nextafter32(v, -100))
+	}
+	sinCos := func() float32 {
+		switch r.Intn(3) {
+		case 0:
+			return hardSinCos[r.Intn(len(hardSinCos))]
+		case 1:
+			// Every exponent up to 2^5, tiny and subnormal ones included.
+			return math.Float32frombits(r.Uint32()&0x80ffffff | uint32(r.Intn(0x85))<<23)
+		}
+		return float32(r.Float64()*128 - 64)
+	}
+	domains := []domain{
+		{mufuSIN, "SIN", sinCos},
+		{mufuCOS, "COS", sinCos},
+		{mufuEX2, "EX2", func() float32 {
+			if r.Intn(2) == 0 {
+				return float32(r.Intn(254) - 126)
+			}
+			return float32(r.Float64()*253 - 126)
+		}},
+		{mufuLG2, "LG2", func() float32 {
+			if r.Intn(4) == 0 {
+				return math.Float32frombits(0x3f800000 + uint32(r.Intn(64)) - 32) // near 1
+			}
+			return math.Float32frombits(1 + r.Uint32()%0x7f7fffff)
+		}},
+	}
+	for _, d := range domains {
+		for _, b := range specials32 {
+			x := math.Float32frombits(b)
+			want, ok := transcSpecial(d.mode, x)
+			if !ok {
+				continue
+			}
+			if got := mufuEval(d.mode, b); got != want {
+				t.Errorf("MUFU.%s of %#08x = %#08x, want %#08x", d.name, b, got, want)
+			}
+		}
+		for i := samples(2_000, 20_000); i > 0 && !t.Failed(); i-- {
+			x := d.pick()
+			got, want := mufuEval(d.mode, math.Float32bits(x)), math.Float32bits(refTransc(d.mode, x))
+			if ulps32(got, want) > 1 {
+				t.Errorf("MUFU.%s of %#08x = %#08x, want %#08x within 1 ulp", d.name, math.Float32bits(x), got, want)
+			}
+		}
 	}
 }
 

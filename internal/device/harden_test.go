@@ -30,6 +30,8 @@ func TestWidePairHazardsRejected(t *testing.T) {
 		// F2F.F64.F32's destination pair is invisible to Finalize's
 		// register sizing, so the pair can fall off the register file.
 		{"f2f-pair", "F2F.F64.F32 R4, R2 ;\nEXIT ;"},
+		// The same pair with .FTZ ahead of the formats.
+		{"f2f-ftz-pair", "F2F.FTZ.F64.F32 R4, R2 ;\nEXIT ;"},
 	}
 	for _, tc := range cases {
 		d := New(DefaultConfig())

@@ -393,7 +393,7 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 	var s64 src64
 	var s32 mopSrc
 	var uniform bool
-	if srcFmt == cvtF64 {
+	if srcFmt == fpval.FP64 {
 		s64 = lowerSrc64(&ops[1])
 		uniform = s64.uniform()
 	} else {
@@ -403,14 +403,14 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 		uniform = s32.reg < 0
 	}
 	read := func(w *Warp, l int, u64 uint64, u32 uint32) uint64 {
-		if srcFmt == cvtF64 {
+		if srcFmt == fpval.FP64 {
 			return s64.lane(w, l, u64)
 		}
 		return uint64(laneV32(&s32, w.regs[l], u32))
 	}
 	write := func(w *Warp, l int, v uint64) {
 		r := w.regs[l]
-		if dstFmt == cvtF64 {
+		if dstFmt == fpval.FP64 {
 			r[dst], r[dst+1] = fpval.Split64(v)
 			return
 		}

@@ -23,7 +23,7 @@ type kernelMeta struct {
 	cmp []uint8
 	// sub selects the opcode-specific variant per PC (see decodeKernel):
 	// the SETP combiner, LOP/RED operation, 64-bit LDG/STG, F64
-	// conversions, MUFU mode (mufu*), F2F formats (cvtDst<<2 | cvtSrc, see
+	// conversions, MUFU mode (mufu*), F2F formats (dst<<2 | src, see
 	// f2fFormats) and SHFL mode (shfl*). Every tier reads it, so no
 	// executor parses a modifier string.
 	sub []uint8
@@ -151,8 +151,8 @@ func decodeKernel(k *sass.Kernel) *kernelMeta {
 		case sass.OpMUFU:
 			m.sub[pc] = mufuMode(in)
 		case sass.OpF2F:
-			if len(in.Mods) >= 2 {
-				m.sub[pc] = cvtFormat(in.Mods[0])<<2 | cvtFormat(in.Mods[1])
+			if dst, src, ok := in.ConvFormats(); ok {
+				m.sub[pc] = uint8(dst)<<2 | uint8(src)
 			}
 		case sass.OpSHFL:
 			switch {
@@ -189,16 +189,4 @@ func mufuMode(in *sass.Instr) uint8 {
 		}
 	}
 	return mufuPass
-}
-
-// cvtFormat decodes one F2F format modifier; anything but F64 and F16 is
-// FP32.
-func cvtFormat(mod string) uint8 {
-	switch mod {
-	case "F64":
-		return cvtF64
-	case "F16":
-		return cvtF16
-	}
-	return cvtF32
 }

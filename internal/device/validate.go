@@ -148,16 +148,16 @@ func widePositions(in *sass.Instr) []int {
 			return []int{1}
 		}
 	case sass.OpF2F:
-		if len(in.Mods) >= 2 {
-			var w []int
-			if in.Mods[0] == "F64" {
+		var w []int
+		if dst, src, ok := in.ConvFormats(); ok {
+			if dst == fpval.FP64 {
 				w = append(w, 0)
 			}
-			if in.Mods[1] == "F64" {
+			if src == fpval.FP64 {
 				w = append(w, 1)
 			}
-			return w
 		}
+		return w
 	case sass.OpHMMA:
 		if f, ok := in.HMMADestFormat(); ok && f == fpval.FP32 {
 			return []int{0, 3}

@@ -134,9 +134,35 @@ func (i *Instr) HMMADestFormat() (fpval.Format, bool) {
 	if i.Op != OpHMMA || len(i.Mods) < 2 {
 		return 0, false
 	}
-	switch i.Mods[1] {
+	return modFormat(i.Mods[1])
+}
+
+// ConvFormats returns a conversion's destination and source formats: its
+// first two format modifiers, in modifier order (F2F.F32.F64 narrows FP64
+// to FP32). Other modifiers, such as .FTZ, may sit anywhere and are
+// skipped. ok is false unless two formats are named.
+func (i *Instr) ConvFormats() (dst, src fpval.Format, ok bool) {
+	n := 0
+	for _, m := range i.Mods {
+		f, isFmt := modFormat(m)
+		if !isFmt {
+			continue
+		}
+		if n == 1 {
+			return dst, f, true
+		}
+		dst, n = f, 1
+	}
+	return 0, 0, false
+}
+
+// modFormat maps a format modifier (F32, F64, F16, BF16) to its format.
+func modFormat(mod string) (fpval.Format, bool) {
+	switch mod {
 	case "F32":
 		return fpval.FP32, true
+	case "F64":
+		return fpval.FP64, true
 	case "F16":
 		return fpval.FP16, true
 	case "BF16":

@@ -77,6 +77,28 @@ func TestSrcFormat(t *testing.T) {
 	}
 }
 
+func TestConvFormats(t *testing.T) {
+	cases := []struct {
+		asm      string
+		dst, src fpval.Format
+		ok       bool
+	}{
+		{"F2F.F32.F64 R2, R4 ;", fpval.FP32, fpval.FP64, true},
+		{"F2F.F64.F32 R2, R4 ;", fpval.FP64, fpval.FP32, true},
+		{"F2F.FTZ.F32.F64 R2, R4 ;", fpval.FP32, fpval.FP64, true},
+		{"F2F.F16.FTZ.F32 R2, R4 ;", fpval.FP16, fpval.FP32, true},
+		{"F2F.FTZ.F32 R2, R4 ;", 0, 0, false},
+		{"F2F R2, R4 ;", 0, 0, false},
+	}
+	for _, c := range cases {
+		in := MustParse("k", c.asm+"\nEXIT ;").Instrs[0]
+		dst, src, ok := in.ConvFormats()
+		if ok != c.ok || dst != c.dst || src != c.src {
+			t.Errorf("%s: formats = %v, %v ok = %v, want %v, %v %v", c.asm, dst, src, ok, c.dst, c.src, c.ok)
+		}
+	}
+}
+
 func TestOpByNameRoundTrip(t *testing.T) {
 	for op := Op(1); op < opMax; op++ {
 		got, ok := OpByName(op.String())

@@ -148,9 +148,6 @@ func (s *Server) runBatchItem(j *job, i int) {
 			rep, err = it.session.Run(j.ctx, it.source)
 		}
 	}()
-	if rep != nil {
-		s.pace(j.ctx, rep.Cycles)
-	}
 	v := itemView(fmt.Sprintf("%s/%d", j.id, i), rep, err)
 	j.setItem(i, v)
 	if err == nil {

@@ -63,34 +63,17 @@ func FuzzCheck(f *testing.F) {
 		f.Add(seed)
 	}
 
-	s := New(Config{Workers: 2, DefaultCycleBudget: fuzzBudget})
-	s.Start()
-	f.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
+	s := fuzzServer(f)
 	h := s.Handler()
 	post := func(t *testing.T, body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(body)))
-		}()
-		select {
-		case <-done:
-		case <-time.After(fuzzPatience):
-			t.Fatalf("no response within %v", fuzzPatience)
-		}
-		return rec
+		return fuzzPost(t, h, "/v1/check", body)
 	}
 
 	f.Fuzz(func(t *testing.T, body string) {
 		// A request's own cycle_budget overrides the server's, so a large
 		// one bounds the run by the request, not by the fuzzer's patience.
 		var req CheckRequest
-		if json.Unmarshal([]byte(body), &req) == nil && req.CycleBudget > fuzzBudget {
+		if decodeFirst(body, &req) == nil && req.CycleBudget > fuzzBudget {
 			t.Skip("cycle_budget above the fuzzing budget")
 		}
 		rec := post(t, body)
@@ -117,6 +100,42 @@ func FuzzCheck(f *testing.F) {
 			t.Fatalf("repeat differs apart from the id:\n%s\n%s", rec.Body, again.Body)
 		}
 	})
+}
+
+// fuzzServer starts a server for a fuzz target and drains it when the
+// target ends.
+func fuzzServer(f *testing.F) *Server {
+	s := New(Config{Workers: 2, DefaultCycleBudget: fuzzBudget})
+	s.Start()
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	return s
+}
+
+// fuzzPost posts body to path, failing when no response comes within
+// fuzzPatience.
+func fuzzPost(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	}()
+	select {
+	case <-done:
+	case <-time.After(fuzzPatience):
+		t.Fatalf("no response within %v", fuzzPatience)
+	}
+	return rec
+}
+
+// decodeFirst decodes the first JSON value of body as the service's
+// decoder does, which ignores whatever follows it.
+func decodeFirst(body string, v any) error {
+	return json.NewDecoder(strings.NewReader(body)).Decode(v)
 }
 
 // checkOutcome fails on any response outside the wire contract.
@@ -148,5 +167,109 @@ func checkOutcome(t *testing.T, rec *httptest.ResponseRecorder) {
 	}
 	if (rec.Code == http.StatusBadRequest) != (e.Kind == "") {
 		t.Fatalf("status %d with error kind %q: %s", rec.Code, e.Kind, rec.Body)
+	}
+}
+
+// FuzzBatch drives arbitrary bytes through POST /v1/batch under
+// FuzzCheck's rules: every body gets a 200 or 202 batch view, or a typed
+// 4xx, never a 500 or a panic. A finished batch is done with one view per
+// item, and each item either carries its report or failed with a kind of
+// the request's own making; an internal or unclassified item failure is
+// a finding.
+//
+// The seeds are the batch request bodies of the service tests.
+// testdata/fuzz/FuzzBatch holds regression inputs.
+func FuzzBatch(f *testing.F) {
+	for _, seed := range []string{
+		`{"items": [{"prog": "myocyte"}, {"prog": "GRAMSCHM", "tool": "analyzer"}, {"prog": "libor", "fastmath": true}], "wait": true}`,
+		`{"items": [{"prog": "myocyte"}, {"prog": "GRAMSCHM"}]}`,
+		`{"items": [{"prog": "myocyte"}, {"prog": "GRAMSCHM", "tool": "analyzer"}, {"prog": "libor"}]}`,
+		`{"items": [{"prog": "myocyte"}, {"prog": "GRAMSCHM", "analyzer": true}], "wait": true}`,
+		`{"items": [{"prog": "myocyte"}, {"prog": "x", "tool": "nope"}]}`,
+		`{"items": null}`,
+		// Items that fail at run time, each with its own kind.
+		`{"items": [{"prog": "no-such"}, {"sass": "FADD R2, RZ, -QNAN ;\nEXIT ;", "name": "nan.sass"}], "wait": true}`,
+		`{"items": [{"sass": "L_top:\nFADD R2, R2, R3 ;\nBRA L_top ;\n"}, {"sass": "MOV32I R0, 0x7fffff00 ;\nLDG.E R1, [R0] ;\nEXIT ;\n"}], "wait": true}`,
+		`{"items": [{"sass": "FMUL R2, R3 ;\nEXIT ;"}, {"prog": "GRAMSCHM", "cycle_budget": 1}], "wait": true}`,
+		`{"items": [{"sass": "EXIT ;", "tool": "plain", "grid": 2, "block": 64}], "wait": true}`,
+		`{"items": [{}], "wait": true}`,
+		`{"items": [], "wait": true}`,
+		`{"items": [{"prog": "myocyte", "wait": true}], "extra": 1}`,
+		`{nope`,
+		``,
+	} {
+		f.Add(seed)
+	}
+
+	s := fuzzServer(f)
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, body string) {
+		// As in FuzzCheck, a request's own cycle_budget bounds its run; a
+		// long batch is bounded by its length. Either may outlast the
+		// fuzzer's patience, so neither is a finding.
+		var req BatchRequest
+		if decodeFirst(body, &req) == nil {
+			if len(req.Items) > 16 && len(req.Items) <= maxBatchItems {
+				t.Skip("batch too long to finish within the fuzzer's patience")
+			}
+			for _, it := range req.Items {
+				if it.CycleBudget > fuzzBudget {
+					t.Skip("cycle_budget above the fuzzing budget")
+				}
+			}
+		}
+		rec := fuzzPost(t, h, "/v1/batch", body)
+		checkOutcome(t, rec)
+		var v JobView
+		switch rec.Code {
+		case http.StatusOK:
+			_ = json.Unmarshal(rec.Body.Bytes(), &v) // checkOutcome decoded it already
+		case http.StatusAccepted:
+			id, _ := splitID(t, rec.Body.Bytes())
+			jv, ok := s.jobs.Load(id)
+			if !ok {
+				t.Fatalf("202 for job %s the server does not hold", id)
+			}
+			j := jv.(*job)
+			select {
+			case <-j.done:
+			case <-time.After(fuzzPatience):
+				t.Fatalf("batch %s not finished within %v", id, fuzzPatience)
+			}
+			v = j.view()
+		default:
+			return
+		}
+		checkBatchItems(t, v, len(req.Items))
+	})
+}
+
+// checkBatchItems fails on a finished batch view outside the wire
+// contract: the batch is done with n item views, and each item either
+// carries a report or failed with a kind of the request's own making.
+func checkBatchItems(t *testing.T, v JobView, n int) {
+	t.Helper()
+	if v.Status != StatusDone || len(v.Items) != n {
+		t.Fatalf("batch %s finished %q with %d items, want done with %d", v.ID, v.Status, len(v.Items), n)
+	}
+	for i, it := range v.Items {
+		switch it.Status {
+		case StatusDone:
+			if it.Error != "" || it.ErrorKind != "" {
+				t.Fatalf("item %d done with an error: %+v", i, it)
+			}
+		case StatusFailed:
+			switch it.ErrorKind {
+			case "unknown_program", "bad_source", "compile", "hang", "budget", "resource":
+			default:
+				t.Fatalf("item %d failed with kind %q: %s", i, it.ErrorKind, it.Error)
+			}
+			if it.Error == "" {
+				t.Fatalf("item %d failed without an error message", i)
+			}
+		default:
+			t.Fatalf("item %d in status %q", i, it.Status)
+		}
 	}
 }

@@ -168,9 +168,6 @@ func (s *Server) runProfileJob(j *job) {
 		}()
 		return j.session.Profile(j.ctx, j.source)
 	}()
-	if prof != nil {
-		s.pace(j.ctx, prof.TotalCycles)
-	}
 	s.m.running.Add(-1)
 	j.finishProfile(prof, err)
 	switch {

@@ -56,14 +56,6 @@ type Config struct {
 	// every job session, and the service plane injects worker panics,
 	// stalls and slow compiles at the pool. The zero plan injects nothing.
 	Faults gpufpx.FaultPlan
-	// CycleRate caps the node's throughput at this many simulated cycles
-	// per wall-clock second (0 = unlimited). It models a provisioned node
-	// slice: completed work is charged against the budget and responses
-	// wait for their cycles to "elapse". The fleet benchmark pins the same
-	// rate on every node so gateway scaling is measured against a fixed
-	// per-node capacity instead of whatever share of the host CPU each
-	// process happens to win.
-	CycleRate float64
 	// CampaignDir is the root directory for campaign checkpoints
 	// (POST /v1/profile). Each campaign checkpoints under a subdirectory
 	// keyed by its request content, so drained or killed campaigns resume
@@ -115,13 +107,6 @@ type Server struct {
 	finished   []*job
 	byKey      map[[32]byte]*job
 
-	// paceMu/paceNext implement the cycle-rate governor: a virtual
-	// completion clock shared by all workers. Charging c cycles advances
-	// the clock by c/CycleRate seconds and sleeps until it; under load the
-	// node's throughput converges to exactly CycleRate.
-	paceMu   sync.Mutex
-	paceNext time.Time
-
 	m metrics
 }
 
@@ -129,33 +114,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{cfg: cfg, queue: make(chan *job, cfg.QueueDepth), byKey: make(map[[32]byte]*job)}
-}
-
-// pace charges finished work against the node's cycle-rate budget,
-// blocking until the simulated capacity has "caught up" (or ctx ends).
-// A zero rate disables the governor.
-func (s *Server) pace(ctx context.Context, cycles uint64) {
-	if s.cfg.CycleRate <= 0 || cycles == 0 {
-		return
-	}
-	d := time.Duration(float64(cycles) / s.cfg.CycleRate * float64(time.Second))
-	s.paceMu.Lock()
-	now := time.Now()
-	if s.paceNext.Before(now) {
-		s.paceNext = now
-	}
-	s.paceNext = s.paceNext.Add(d)
-	wait := s.paceNext.Sub(now)
-	s.paceMu.Unlock()
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // Start spawns the worker pool.
@@ -301,16 +259,13 @@ func (s *Server) runJob(j *job) {
 	j.setRunning()
 	s.m.running.Add(1)
 	// A repeat of a retained clean job finishes with that job's report
-	// instead of re-simulating; it is still paced, counted and retired.
+	// instead of re-simulating; it is still counted and retired.
 	rep := s.reusable(j)
 	var err error
 	if rep != nil {
 		s.m.reused.Add(1)
 	} else {
 		rep, err = s.runSession(j)
-	}
-	if rep != nil {
-		s.pace(j.ctx, rep.Cycles)
 	}
 	s.m.running.Add(-1)
 	j.finish(rep, err)
