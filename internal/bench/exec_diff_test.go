@@ -99,7 +99,7 @@ func TestExecutorsDifferentialSubsetParallel(t *testing.T) {
 // TestConcurrentLaunchesShareCachedKernel launches one cached kernel from
 // many devices at once — the configuration the -race CI job uses to prove
 // concurrent launches never race on shared kernel state (lowered programs,
-// fused chains). Every device must land on the sequential reference's
+// fused regions). Every device must land on the sequential reference's
 // cycle count.
 func TestConcurrentLaunchesShareCachedKernel(t *testing.T) {
 	def := &cc.KernelDef{

@@ -33,8 +33,8 @@ var cbankModBody = []string{
 	"%[1]sSEL R%[2]d, -c[0x0][0x16c], R0, P0 ;",
 }
 
-// cbankModKernel runs cbankModBody twice: unguarded, where it is one fused
-// chain, then under @P0 (odd lanes), where no region covers it and every
+// cbankModKernel runs cbankModBody twice: unguarded, inside one fused
+// region body, then under @P0 (odd lanes), where no region covers it and every
 // site is stepped. Each lane stores both result sets.
 var cbankModKernel = func() *sass.Kernel {
 	var b strings.Builder
@@ -74,7 +74,7 @@ ISETP.NE.AND P0, PT, R7, RZ, PT ;
 const cbankModResults = 12
 
 // TestCBankModifiersAgree runs every modified constant-bank operand form
-// inside a fused chain and under a guard outside any region, on every tier,
+// inside a fused region body and under a guard outside any region, on every tier,
 // and requires the interpreter's bits and cycles from each. Spot values pin
 // the interpreter itself.
 func TestCBankModifiersAgree(t *testing.T) {
@@ -85,12 +85,8 @@ func TestCBankModifiersAgree(t *testing.T) {
 	for _, r := range prog.fk.regions {
 		for pc := r.start; pc < r.end; pc++ {
 			covered[pc] = true
-		}
-		for _, s := range r.segs {
-			for pc := s.start; pc < s.end; pc++ {
-				if len(s.fns) > 1 && prog.low.class[pc] == lowClassChain && negCBank(&k.Instrs[pc]) {
-					inChain++
-				}
+			if len(r.fns) > 1 && chainable(&k.Instrs[pc], prog.meta, pc) && !prog.low.isNop[pc] && negCBank(&k.Instrs[pc]) {
+				inChain++
 			}
 		}
 	}
@@ -100,7 +96,7 @@ func TestCBankModifiersAgree(t *testing.T) {
 		}
 	}
 	if n := len(cbankModBody); inChain != n || stepped != n {
-		t.Fatalf("%d sites in fused chains and %d stepped under a guard, want %d each", inChain, stepped, n)
+		t.Fatalf("%d sites in fused region bodies and %d stepped under a guard, want %d each", inChain, stepped, n)
 	}
 
 	const fpA, fpSub, intK = 0xc0200000, 0x80400000, 7 // -2.5, -2^-127, 7
@@ -130,7 +126,7 @@ func TestCBankModifiersAgree(t *testing.T) {
 		for i := range got {
 			if got[i] != ref[i] {
 				l, r := i/(2*cbankModResults), i%(2*cbankModResults)
-				part := "chain"
+				part := "fused"
 				if r >= cbankModResults {
 					part, r = "guarded", r-cbankModResults
 				}

@@ -1,7 +1,9 @@
 package device
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,6 +86,117 @@ EXIT ;
 	_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, InjectTab: BuildInjectTable(len(k.Instrs), inject)})
 	if err != boom {
 		t.Fatalf("got %v, want sentinel", err)
+	}
+}
+
+// abortRegion is one fused region of eleven @PT instructions (PCs 0–10)
+// with two stores in its body.
+var abortRegion = sass.MustParse("abort_region", `
+S2R R0, SR_TID.X ;
+MOV R8, c[0x0][0x160] ;
+SHL R9, R0, 0x2 ;
+IADD R8, R8, R9 ;
+I2F R1, R0 ;
+FMUL R3, R1, R1 ;
+STG.E [R8], R3 ;
+FADD R4, R3, R1 ;
+FFMA R5, R4, R3, R1 ;
+STG.E [R8+0x100], R5 ;
+FMUL R7, R5, R4 ;
+EXIT ;
+`)
+
+// abortRun is what one launch of abortRegion leaves observable.
+type abortRun struct {
+	err    string
+	cycles uint64
+	stats  [3]uint64 // Instructions, LaneOps, FPInstructions
+	mem    [128]uint32
+	// regs holds a snapshot of every lane's registers per injected call,
+	// in call order.
+	regs [][]uint32
+}
+
+// TestInjectedAbortAccountingTiersAgree aborts a launch inside an
+// instrumented fused region — once by an After call that returns an error
+// on the second warp, once by the instruction budget running out there —
+// and requires every tier to stop at the same instruction: the same
+// error, cycles, statistics, stores and register bits at each call.
+func TestInjectedAbortAccountingTiersAgree(t *testing.T) {
+	k := abortRegion
+	if r := programFor(k).fk.regions; len(r) != 1 || r[0].start != 0 || r[0].end != 11 {
+		t.Fatal("abort_region is not one fused region over PCs 0-10")
+	}
+	boom := errSentinel("boom")
+	// One warp runs 12 instructions; the budget lets the second warp
+	// issue PCs 0-6, so it stops after the After call at PC 6.
+	const budget = 12 + 7
+	for _, tc := range []struct {
+		name   string
+		errAt  int // the After call fails on this invocation (0: never)
+		budget uint64
+		want   error
+	}{
+		{"call-error", 2, 0, boom},
+		{"budget", 0, budget, ErrBudget},
+	} {
+		var ref *abortRun
+		for _, mode := range allTiers {
+			d := New(DefaultConfig())
+			out := d.Alloc(4 * 128)
+			got := &abortRun{}
+			snap := func(ctx *InjCtx) {
+				var r []uint32
+				for l := 0; l < WarpSize; l++ {
+					for reg := 0; reg < k.NumRegs; reg++ {
+						r = append(r, ctx.Warp.Reg(l, reg))
+					}
+				}
+				got.regs = append(got.regs, r)
+			}
+			calls := 0
+			tab := NewInjectTable(len(k.Instrs))
+			tab.Add(6, InjectedCall{When: After, Cost: 5, Fn: func(ctx *InjCtx) error {
+				snap(ctx)
+				if calls++; calls == tc.errAt {
+					return boom
+				}
+				return nil
+			}})
+			tab.Add(8, InjectedCall{When: Before, Cost: 7, Fn: func(ctx *InjCtx) error {
+				snap(ctx)
+				return nil
+			}})
+			_, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 48, Params: []uint32{out},
+				InjectTab: tab, MaxDynInstr: tc.budget}, mode)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s/%s: got %v, want %v", tc.name, mode, err, tc.want)
+			}
+			got.err = err.Error()
+			got.cycles = d.Cycles
+			got.stats = [3]uint64{d.Stats.Instructions, d.Stats.LaneOps, d.Stats.FPInstructions}
+			for i := range got.mem {
+				got.mem[i] = d.Load32(out + uint32(4*i))
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if got.err != ref.err || got.cycles != ref.cycles || got.stats != ref.stats {
+				t.Errorf("%s/%s: error %q, cycles %d, stats %v; interp: %q, %d, %v",
+					tc.name, mode, got.err, got.cycles, got.stats, ref.err, ref.cycles, ref.stats)
+			}
+			if got.mem != ref.mem {
+				t.Errorf("%s/%s: stores differ from interp", tc.name, mode)
+			}
+			if !reflect.DeepEqual(got.regs, ref.regs) {
+				t.Errorf("%s/%s: register snapshots at the calls differ from interp", tc.name, mode)
+			}
+		}
+		// Warp 0 runs both calls; warp 1 stops after its PC 6 call.
+		if len(ref.regs) != 3 {
+			t.Errorf("%s: %d calls ran, want 3", tc.name, len(ref.regs))
+		}
 	}
 }
 
@@ -242,7 +355,7 @@ EXIT ;
 }
 
 // TestIMADAddressShapesAgree runs IMAD R, R, imm|c[..], imm|c[..]|RZ (the
-// address-arithmetic shape) on every tier, unguarded in a fused chain and
+// address-arithmetic shape) on every tier, unguarded in a fused region body and
 // under a guard that leaves the odd lanes, against the wrapped product.
 func TestIMADAddressShapesAgree(t *testing.T) {
 	k := sass.MustParse("imad_addr", `

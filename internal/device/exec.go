@@ -110,7 +110,7 @@ func (d *Device) runGrid(ex *executor) error {
 	warps := growPtrs(sc.warps, warpsPerBlock)
 	done := func() {
 		sc.warps, sc.shared = warps, ex.shared
-		sc.regionDirty, sc.segDirty = ex.regionDirty, ex.segDirty
+		sc.regionDirty = ex.regionDirty
 		sc.release()
 	}
 	for wi := 0; wi < warpsPerBlock; wi++ {
@@ -162,11 +162,10 @@ type executor struct {
 	issued uint64
 	cancel <-chan struct{}
 
-	// regionDirty and segDirty mark regions/segments carrying injected
-	// calls for this launch; both nil when the launch is uninstrumented
-	// (everything clean).
+	// regionDirty marks the regions whose bodies hold injected calls for
+	// this launch; nil when the launch is uninstrumented (everything
+	// clean).
 	regionDirty []bool
-	segDirty    []bool
 
 	// injBefore and injAfter are the launch's injected calls indexed by
 	// PC; both nil when the launch is uninstrumented.
@@ -249,57 +248,40 @@ func (ex *executor) step(w *Warp) error {
 }
 
 // stepRegion executes one fused region for one warp: bulk accounting, then
-// the segment bodies, then the optional fused branch tail. Observable state
+// the body's thunks, then the optional fused branch tail. Observable state
 // after the region — registers, predicates, memory, statistics, PC and the
 // divergence stack — is bit-identical to stepping the same PCs one at a
 // time through stepOne.
 func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	fk := ex.fk
 	r := &fk.regions[ri]
-	if ex.issued+r.total > ex.budget {
-		// The region would cross the budget: fall back to per-instruction
-		// stepping so the abort lands on exactly the same instruction.
+	if ex.issued+r.total > ex.budget || ex.regionDirty != nil && ex.regionDirty[ri] {
+		// The region would cross the budget, or its body holds injected
+		// calls, which may abort the launch mid-region (event caps, early
+		// termination): step it one instruction at a time, so the calls
+		// see the per-instruction event order and an abort lands on exactly
+		// the same instruction and cycle count.
 		return ex.stepOne(w)
 	}
 	d := ex.d
 	exec := w.active
-	if ex.regionDirty != nil && ex.regionDirty[ri] {
-		// The body carries injected calls, which may abort the launch
-		// mid-region (event caps, early termination): statistics must be
-		// accounted per instruction so an abort observes exactly the
-		// cycle count stepOne would have reached.
-		if err := ex.runRegionSlow(w, r, exec); err != nil {
+	before := ex.issued
+	ex.issued += r.total
+	if ex.cancel != nil && before>>10 != ex.issued>>10 {
+		if err := ex.canceled(); err != nil {
 			return err
 		}
-		if r.tail {
-			ex.issued++
-			if ex.issued&1023 == 0 && ex.cancel != nil {
-				if err := ex.canceled(); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		before := ex.issued
-		ex.issued += r.total
-		if ex.cancel != nil && before>>10 != ex.issued>>10 {
-			if err := ex.canceled(); err != nil {
-				return err
-			}
-		}
-		// Every body instruction is @PT, so each would execute with the
-		// full active mask; nothing in a call-free body can abort, so
-		// statistics are identical accounted in bulk.
-		n := uint64(r.end - r.start)
-		d.Cycles += r.cost
-		d.Stats.Instructions += n
-		d.Stats.LaneOps += n * uint64(bits.OnesCount32(exec))
-		d.Stats.FPInstructions += r.fp
-		for si := range r.segs {
-			for _, fn := range r.segs[si].fns {
-				fn(ex, w, exec)
-			}
-		}
+	}
+	// Every body instruction is @PT, so each would execute with the full
+	// active mask; nothing in a call-free body can abort, so statistics
+	// are identical accounted in bulk.
+	n := uint64(r.end - r.start)
+	d.Cycles += r.cost
+	d.Stats.Instructions += n
+	d.Stats.LaneOps += n * uint64(bits.OnesCount32(exec))
+	d.Stats.FPInstructions += r.fp
+	for _, fn := range r.fns {
+		fn(ex, w, exec)
 	}
 
 	w.pc = r.end
@@ -323,82 +305,15 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	return nil
 }
 
-// runRegionSlow executes a region whose body carries injected calls:
-// call-free segments still run fused, the rest replays the per-instruction
-// protocol — before-calls, thunk, after-calls, with w.pc tracking each
-// site — so instrumented launches observe the exact lowered event order.
-// Statistics are accounted per instruction (never ahead of execution)
-// because any call may abort the launch.
-func (ex *executor) runRegionSlow(w *Warp, r *fusedRegion, exec uint32) error {
-	k := ex.l.Kernel
-	d := ex.d
-	m := ex.meta
-	lanes := uint64(bits.OnesCount32(exec))
-	for si := range r.segs {
-		s := &r.segs[si]
-		if !ex.segDirty[r.segBase+si] {
-			// No call can abort inside this segment, so its statistics
-			// can be settled before the fused body runs.
-			before := ex.issued
-			n := uint64(s.end - s.start)
-			ex.issued += n
-			if ex.cancel != nil && before>>10 != ex.issued>>10 {
-				if err := ex.canceled(); err != nil {
-					return err
-				}
-			}
-			d.Cycles += s.cost
-			d.Stats.FPInstructions += s.fp
-			d.Stats.Instructions += n
-			d.Stats.LaneOps += n * lanes
-			for _, fn := range s.fns {
-				fn(ex, w, exec)
-			}
-			continue
-		}
-		for pc := s.start; pc < s.end; pc++ {
-			ex.issued++
-			if ex.issued&1023 == 0 && ex.cancel != nil {
-				if err := ex.canceled(); err != nil {
-					return err
-				}
-			}
-			d.Cycles += m.cost[pc]
-			d.Stats.Instructions++
-			d.Stats.LaneOps += lanes
-			if m.isFP[pc] {
-				d.Stats.FPInstructions++
-			}
-			w.pc = pc
-			in := &k.Instrs[pc]
-			if ex.injBefore != nil {
-				if err := ex.runCalls(ex.injBefore[pc], w, in, exec); err != nil {
-					return err
-				}
-			}
-			ex.low.thunks[pc](ex, w, exec)
-			if ex.injAfter != nil {
-				if err := ex.runCalls(ex.injAfter[pc], w, in, exec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// prepFusedCalls marks, once per instrumented launch, which regions and
-// segments carry injected calls so the dispatch fast path stays a single
+// prepFusedCalls marks, once per instrumented launch, which regions hold
+// injected calls in their bodies so the dispatch fast path stays a single
 // bool test. It visits only the table's call PCs.
 func (ex *executor) prepFusedCalls(sc *launchScratch) {
 	fk := ex.fk
 	ex.regionDirty = growBools(sc.regionDirty, len(fk.regions))
-	ex.segDirty = growBools(sc.segDirty, fk.nsegs)
 	for _, pc := range ex.l.InjectTab.pcs {
-		if pc < len(fk.segAt) && fk.segAt[pc] >= 0 {
-			si := fk.segAt[pc]
-			ex.segDirty[si] = true
-			ex.regionDirty[fk.segRegion[si]] = true
+		if pc < len(fk.regionOf) && fk.regionOf[pc] >= 0 {
+			ex.regionDirty[fk.regionOf[pc]] = true
 		}
 	}
 }
@@ -465,7 +380,13 @@ func (ex *executor) stepOne(w *Warp) error {
 				return err
 			}
 		}
-		ex.execute(w, in, pc, exec)
+		if ex.low != nil {
+			// Direct-threaded dispatch: the lowering pass resolved the
+			// opcode and operand classes once per kernel.
+			ex.low.thunks[pc](ex, w, exec)
+		} else {
+			ex.interpret(w, in, pc, exec)
+		}
 		if ex.injAfter != nil {
 			if err := ex.runCalls(ex.injAfter[pc], w, in, exec); err != nil {
 				return err
@@ -520,13 +441,8 @@ func (ex *executor) runCalls(calls []InjectedCall, w *Warp, in *sass.Instr, exec
 
 // ---- per-lane semantics ----
 
-func (ex *executor) execute(w *Warp, in *sass.Instr, pc int, exec uint32) {
-	if ex.low != nil {
-		// Direct-threaded dispatch: the lowering pass resolved the opcode
-		// and operand classes once per kernel.
-		ex.low.thunks[pc](ex, w, exec)
-		return
-	}
+// interpret executes one instruction on the reference interpreter.
+func (ex *executor) interpret(w *Warp, in *sass.Instr, pc int, exec uint32) {
 	if in.Op == sass.OpSHFL {
 		// Shuffles exchange values between lanes: snapshot the source
 		// register across the warp first so in-place butterflies work.

@@ -107,7 +107,7 @@ func TestFMULTiersAgree(t *testing.T) {
 	const uniA, uniB = 0x1e3ce508, 0x9e3ce508 // the c-bank operands: ±1e-20
 	checkShapeTiers(t, fmulShapes, fmulPairs, uniA, uniB, bits32(refMulNaN32))
 	if n := chainedSites(fmulShapes, sass.OpFMUL); n != 8 {
-		t.Fatalf("%d of 8 FMUL sites in fused chains: the fused tier never ran their closures as a chain", n)
+		t.Fatalf("%d of 8 FMUL sites in fused region bodies: the fused tier never ran their closures fused", n)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestFADDTiersAgree(t *testing.T) {
 	const uniA, uniB = 0x00400000, 0x80000003 // the c-bank operands: subnormals
 	checkShapeTiers(t, faddShapes, faddPairs, uniA, uniB, bits32(refAdd32))
 	if n := chainedSites(faddShapes, sass.OpFADD); n != 8 {
-		t.Fatalf("%d of 8 FADD sites in fused chains: the fused tier never ran their closures as a chain", n)
+		t.Fatalf("%d of 8 FADD sites in fused region bodies: the fused tier never ran their closures fused", n)
 	}
 }
 
@@ -221,20 +221,19 @@ func checkShapeTiers(t *testing.T, k *sass.Kernel, pairs [32][2]uint32, uniA, un
 	}
 }
 
-// chainedSites counts the sites with opcode op that k's fused program runs
-// inside a chain segment of more than one closure.
+// chainedSites counts the chainable sites with opcode op that k's fused
+// program runs inside a region body of more than one thunk.
 func chainedSites(k *sass.Kernel, op sass.Op) int {
 	prog := programFor(k)
 	n := 0
 	for _, r := range prog.fk.regions {
-		for _, s := range r.segs {
-			if len(s.fns) < 2 {
-				continue
-			}
-			for pc := s.start; pc < s.end; pc++ {
-				if k.Instrs[pc].Op == op && prog.low.class[pc] == lowClassChain {
-					n++
-				}
+		if len(r.fns) < 2 {
+			continue
+		}
+		for pc := r.start; pc < r.end; pc++ {
+			in := &k.Instrs[pc]
+			if in.Op == op && chainable(in, prog.meta, pc) && !prog.low.isNop[pc] {
+				n++
 			}
 		}
 	}
@@ -525,7 +524,7 @@ func TestMUFUTiersAgree(t *testing.T) {
 		t.Run(c.mode, func(t *testing.T) {
 			checkShapeTiers(t, k, mufuPairs, uniA, uniB, c.want)
 			if n := chainedSites(k, sass.OpMUFU); n != 8 {
-				t.Fatalf("%d of 8 MUFU sites in fused chains", n)
+				t.Fatalf("%d of 8 MUFU sites in fused region bodies", n)
 			}
 		})
 	}

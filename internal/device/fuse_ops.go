@@ -11,19 +11,17 @@ import (
 // This file compiles lane-local instructions — FP32 arithmetic and compares,
 // MUFU, the integer ops, moves, selects and the TID.X/LANEID special
 // registers — into micro-op (mop) closures. Each chainable site is compiled
-// once, by lowerInstr, into one closure with the thunk signature: stepping
-// runs it as the site's thunk, and a fused chain is simply the run of its
-// sites' closures (fusedSeg.fns). Operand shapes are resolved at compile time;
+// once, by lowerInstr, into one closure with the thunk signature: it is the
+// site's thunk, which stepping runs alone and a fused region runs in its
+// body (fusedRegion.fns). Operand shapes are resolved at compile time;
 // constant-bank operands are read through the device at closure entry, with
 // their modifiers applied, and the inner lane loop touches only per-lane
 // registers. The hottest kinds specialize further on operand shape, and a
 // mop whose sources are all warp-invariant runs for one lane and broadcasts.
 //
-// Only lane-local operations are chainable: with no cross-lane reads, a run
-// of closures is observationally identical to stepping the same PCs one
-// instruction at a time. Memory ops, shuffles, HMMA, FP64/FP16, F2F and the
-// wide conversions keep their lowered thunks (lower_ops.go), which read
-// their 32-bit operands through the same mopSrc.
+// Memory ops, shuffles, HMMA, FP64/FP16, F2F and the wide conversions keep
+// hand-written thunks (lower_ops.go), which read their 32-bit operands
+// through the same mopSrc.
 //
 // Correctness contract: a closure must produce the same register and
 // predicate bits as the reference interpreter (executor.lane). It computes
@@ -33,8 +31,8 @@ import (
 // shape are its own. The differential suites in this package and
 // internal/bench hold every tier to the interpreter over the whole corpus.
 
-// chainable reports whether the site at pc compiles to a mop closure and so
-// may join a fused chain.
+// chainable reports whether the site at pc compiles to a mop closure rather
+// than a hand-written thunk.
 func chainable(in *sass.Instr, m *kernelMeta, pc int) bool {
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I, sass.OpFMUL, sass.OpFMUL32I,

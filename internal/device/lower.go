@@ -17,7 +17,8 @@ import (
 // becomes indexed thunk dispatch instead of a per-lane opcode switch.
 // Chainable lane-local sites get their mop closure (fuse_ops.go) as their
 // thunk; the rest are built in lower_ops.go. Each site has exactly one
-// compiled form, which per-instruction stepping and fused regions share.
+// compiled form, which per-instruction stepping and fused region bodies
+// share.
 //
 // Correctness contract: a thunk must be observationally identical to the
 // corresponding executor.lane / shfl / hmma path — same register and memory
@@ -38,8 +39,8 @@ type tier uint8
 const (
 	// tierFused dispatches fused superinstructions: straight-line runs of
 	// thunks collapsed into single region bodies (see fuse.go).
-	// Regions that carry injected calls step their thunks one instruction
-	// at a time around the calls.
+	// Regions whose bodies hold injected calls step one instruction at a
+	// time, as tierLowered does.
 	tierFused tier = iota
 	// tierLowered dispatches the same thunks (direct-threaded) one
 	// instruction at a time.
@@ -82,31 +83,18 @@ type thunk func(ex *executor, w *Warp, exec uint32)
 // loweredKernel is the thunk program for one kernel, indexed by PC.
 type loweredKernel struct {
 	thunks []thunk
-	// class records how each PC lowered (lowered thunk, no-op, chainable
-	// mop closure). The fusion pass reads it to decide which sites join a
-	// fused chain without re-deriving the lowering decisions.
-	class []uint8
+	// isNop marks the sites lowered to no-ops, whose thunks the fusion
+	// pass leaves out of region bodies.
+	isNop []bool
 	// per-kernel lowering statistics, folded into the global counters when
 	// the kernel's program is built.
 	instrs, uniform, nops uint64
 }
 
-// Lowering classes recorded per PC in loweredKernel.class.
-const (
-	// lowClassThunk is a non-chainable site's lowered thunk (including the
-	// no-op thunks of control flow, which executor.step handles).
-	lowClassThunk uint8 = iota
-	// lowClassNop is a pure instruction whose every destination is RZ or
-	// PT.
-	lowClassNop
-	// lowClassChain is a chainable site compiled to its mop closure.
-	lowClassChain
-)
-
 // nop records pc as a no-op site and returns its thunk.
 func (lk *loweredKernel) nop(pc int) thunk {
 	lk.nops++
-	lk.class[pc] = lowClassNop
+	lk.isNop[pc] = true
 	return nopThunk
 }
 
@@ -152,7 +140,7 @@ const fullExec = ^uint32(0)
 func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 	lk := &loweredKernel{
 		thunks: make([]thunk, len(k.Instrs)),
-		class:  make([]uint8, len(k.Instrs)),
+		isNop:  make([]bool, len(k.Instrs)),
 		instrs: uint64(len(k.Instrs)),
 	}
 	if m.verr != nil {

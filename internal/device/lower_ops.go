@@ -10,8 +10,9 @@ import (
 )
 
 // lowerInstr builds the thunk for one instruction. A chainable lane-local
-// site compiles to its mop closure (fuse_ops.go), the one form both
-// stepping and fused chains run; everything else gets a lowered thunk here.
+// site compiles to its mop closure (fuse_ops.go); everything else gets a
+// hand-written thunk here. Stepping and fused region bodies run the same
+// thunk.
 // Branch, barrier and exit control flow stays in executor.step; their
 // thunks are no-ops. Pure instructions whose every destination is RZ or PT
 // lower to no-ops as well: the interpreter computes and discards the
@@ -33,7 +34,6 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		if op.writesNothing() {
 			return lk.nop(pc)
 		}
-		lk.class[pc] = lowClassChain
 		return compileMop(&op)
 	}
 

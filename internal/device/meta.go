@@ -83,7 +83,6 @@ func buildProgram(k *sass.Kernel) any {
 		fuseKernelsN.Add(1)
 		fuseRegionsN.Add(p.fk.seqs)
 		fuseInstrsN.Add(p.fk.fusedInstrs)
-		fuseChainOpsN.Add(p.fk.chainOps)
 	}
 	return p
 }

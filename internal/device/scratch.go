@@ -18,7 +18,6 @@ type launchScratch struct {
 	warps       []*Warp
 	shared      []byte
 	regionDirty []bool
-	segDirty    []bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return &launchScratch{} }}

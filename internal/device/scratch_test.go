@@ -55,7 +55,7 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 
 func TestLaunchSteadyStateAllocsInstrumented(t *testing.T) {
 	// The instrumented fused path additionally exercises the pooled
-	// regionDirty/segDirty scratch and the table split.
+	// regionDirty scratch and the table split.
 	tab := NewInjectTable(len(ffmaDense.Instrs))
 	for i := range ffmaDense.Instrs {
 		in := &ffmaDense.Instrs[i]

@@ -13,7 +13,7 @@ import (
 // under every combiner, with and without a second destination, and with the
 // combiner input PT, a negated register or the destination register itself,
 // runs on every tier. Each SETP runs three times per variant: unguarded
-// inside a fused chain, under a divergent @!P1 guard (stepped), and as the
+// inside a fused region body, under a divergent @!P1 guard (stepped), and as the
 // body of a fused @P3 (or, every other variant, @!P3) BRA tail whose
 // divergence leaves every later variant running under a partial exec
 // mask. After each, every lane packs P0..P6 into a word and stores it; the
@@ -312,7 +312,7 @@ func TestSetpTiersAgree(t *testing.T) {
 }
 
 // checkSetpFusion asserts the kernel's shape on the fused tier: the
-// unguarded SETPs sit in multi-op chains, the guarded ones are stepped,
+// unguarded SETPs sit in fused region bodies, the guarded ones are stepped,
 // and every @P3 and @!P3 BRA is a fused tail.
 func checkSetpFusion(t *testing.T, k *sass.Kernel, opc string) {
 	t.Helper()

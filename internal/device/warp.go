@@ -29,8 +29,8 @@ type Warp struct {
 	regs [WarpSize][]uint32
 	// backing is the contiguous register storage behind regs, kept so
 	// reset can zero it in one pass. It is laid out lane-major with stride
-	// registers per lane; fused chain bodies index it directly so one
-	// lane's whole working set sits on adjacent cache lines.
+	// registers per lane; mop closures (fuse_ops.go) index it directly so
+	// one lane's whole working set sits on adjacent cache lines.
 	backing []uint32
 	// backingBox is the pooled box backing travels in; release hands the
 	// same box back so no slice header is re-heaped per launch.
@@ -126,15 +126,6 @@ var ptOnly = [sass.NumPredRegs]uint32{sass.PT: ^uint32(0)}
 
 // PC returns the warp's current program counter (instruction index).
 func (w *Warp) PC() int { return w.pc }
-
-// laneRegs returns lane l's row of the flat per-warp register file as a
-// full-capacity slice into the contiguous backing array. Fused chain
-// bodies hoist it once per lane, so every register access inside a chain
-// is a single indexed load/store on adjacent memory.
-func (w *Warp) laneRegs(l int) []uint32 {
-	base := l * w.stride
-	return w.backing[base : base+w.stride : base+w.stride]
-}
 
 // ActiveMask returns the mask of lanes executing the current path.
 func (w *Warp) ActiveMask() uint32 { return w.active }

@@ -71,7 +71,6 @@ func TestMetricsExportFusedCounters(t *testing.T) {
 		"gpufpx_fused_kernels_total",
 		"gpufpx_fused_regions_total",
 		"gpufpx_fused_instrs_total",
-		"gpufpx_fused_chain_ops_total",
 	} {
 		if !strings.Contains(body, name+" ") {
 			t.Errorf("/metrics missing %s", name)

@@ -73,7 +73,7 @@ func FuzzCheck(f *testing.F) {
 		// A request's own cycle_budget overrides the server's, so a large
 		// one bounds the run by the request, not by the fuzzer's patience.
 		var req CheckRequest
-		if decodeFirst(body, &req) == nil && req.CycleBudget > fuzzBudget {
+		if decodeBody([]byte(body), &req) == nil && req.CycleBudget > fuzzBudget {
 			t.Skip("cycle_budget above the fuzzing budget")
 		}
 		rec := post(t, body)
@@ -132,12 +132,6 @@ func fuzzPost(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 	return rec
 }
 
-// decodeFirst decodes the first JSON value of body as the service's
-// decoder does, which ignores whatever follows it.
-func decodeFirst(body string, v any) error {
-	return json.NewDecoder(strings.NewReader(body)).Decode(v)
-}
-
 // checkOutcome fails on any response outside the wire contract.
 func checkOutcome(t *testing.T, rec *httptest.ResponseRecorder) {
 	t.Helper()
@@ -168,6 +162,33 @@ func checkOutcome(t *testing.T, rec *httptest.ResponseRecorder) {
 	if (rec.Code == http.StatusBadRequest) != (e.Kind == "") {
 		t.Fatalf("status %d with error kind %q: %s", rec.Code, e.Kind, rec.Body)
 	}
+}
+
+// finishedView returns the finished job view behind a response that
+// passed checkOutcome: a 200's body, or a 202's job once it finishes
+// within fuzzPatience. ok is false for any other status.
+func finishedView(t *testing.T, s *Server, rec *httptest.ResponseRecorder) (v JobView, ok bool) {
+	t.Helper()
+	switch rec.Code {
+	case http.StatusOK:
+		_ = json.Unmarshal(rec.Body.Bytes(), &v) // checkOutcome decoded it already
+	case http.StatusAccepted:
+		id, _ := splitID(t, rec.Body.Bytes())
+		jv, held := s.jobs.Load(id)
+		if !held {
+			t.Fatalf("202 for job %s the server does not hold", id)
+		}
+		j := jv.(*job)
+		select {
+		case <-j.done:
+		case <-time.After(fuzzPatience):
+			t.Fatalf("job %s not finished within %v", id, fuzzPatience)
+		}
+		v = j.view()
+	default:
+		return v, false
+	}
+	return v, true
 }
 
 // FuzzBatch drives arbitrary bytes through POST /v1/batch under
@@ -209,7 +230,7 @@ func FuzzBatch(f *testing.F) {
 		// long batch is bounded by its length. Either may outlast the
 		// fuzzer's patience, so neither is a finding.
 		var req BatchRequest
-		if decodeFirst(body, &req) == nil {
+		if decodeBody([]byte(body), &req) == nil {
 			if len(req.Items) > 16 && len(req.Items) <= maxBatchItems {
 				t.Skip("batch too long to finish within the fuzzer's patience")
 			}
@@ -221,27 +242,9 @@ func FuzzBatch(f *testing.F) {
 		}
 		rec := fuzzPost(t, h, "/v1/batch", body)
 		checkOutcome(t, rec)
-		var v JobView
-		switch rec.Code {
-		case http.StatusOK:
-			_ = json.Unmarshal(rec.Body.Bytes(), &v) // checkOutcome decoded it already
-		case http.StatusAccepted:
-			id, _ := splitID(t, rec.Body.Bytes())
-			jv, ok := s.jobs.Load(id)
-			if !ok {
-				t.Fatalf("202 for job %s the server does not hold", id)
-			}
-			j := jv.(*job)
-			select {
-			case <-j.done:
-			case <-time.After(fuzzPatience):
-				t.Fatalf("batch %s not finished within %v", id, fuzzPatience)
-			}
-			v = j.view()
-		default:
-			return
+		if v, ok := finishedView(t, s, rec); ok {
+			checkBatchItems(t, v, len(req.Items))
 		}
-		checkBatchItems(t, v, len(req.Items))
 	})
 }
 
@@ -272,4 +275,68 @@ func checkBatchItems(t *testing.T, v JobView, n int) {
 			t.Fatalf("item %d in status %q", i, it.Status)
 		}
 	}
+}
+
+// FuzzProfile drives arbitrary bytes through POST /v1/profile under
+// FuzzCheck's rules: every body gets a 200 or 202 profile view, or a typed
+// 4xx, never a 500, a panic or a hang. A finished campaign is done with a
+// profile, or failed with a kind of the request's own making.
+//
+// The seeds are the profile request bodies of the service tests, with
+// their trial counts cut so each campaign runs in well under a second.
+// testdata/fuzz/FuzzProfile holds regression inputs.
+func FuzzProfile(f *testing.F) {
+	for _, seed := range []string{
+		`{"prog": "interval", "seed": 7, "trials_per_site": 2, "max_sites": 4, "wait": true}`,
+		`{"prog": "interval", "seed": 7, "trials_per_site": 2, "max_sites": 4}`,
+		`{"prog": "GRAMSCHM", "seed": 5, "trials_per_site": 1, "max_sites": 4}`,
+		`{"prog": "interval", "tool": "analyzer", "trials_per_site": 1, "max_sites": 2, "wait": true}`,
+		`{"sass": "FADD R2, RZ, -QNAN ;\nEXIT ;", "name": "nan.sass", "trials_per_site": 2, "max_sites": 2, "wait": true}`,
+		`{"sass": "L_top:\nFADD R2, R2, R3 ;\nBRA L_top ;\n", "trials_per_site": 1, "max_sites": 1, "wait": true}`,
+		`{"prog": "interval", "cycle_budget": 1, "trials_per_site": 1, "max_sites": 1, "wait": true}`,
+		// Admission-time and job-time rejections.
+		`{"prog": "interval", "trials_per_site": 65}`,
+		`{"prog": "interval", "max_sites": 257}`,
+		`{"prog": "interval", "trials_per_site": -1}`,
+		`{"prog": "no-such", "trials_per_site": 1, "max_sites": 1, "wait": true}`,
+		`{"prog": "interval", "tool": "binfpe", "tool_config": {"verbose": true}}`,
+		`{"prog": "interval", "seed": -1}`,
+		`{"prog": "interval", "analyzer": true}`,
+		`{"prog": "interval"}}`,
+		`{nope`,
+		``,
+	} {
+		f.Add(seed)
+	}
+
+	s := fuzzServer(f)
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, body string) {
+		// As in FuzzCheck, a request's own cycle_budget bounds its runs.
+		var req ProfileRequest
+		if decodeBody([]byte(body), &req) == nil && req.CycleBudget > fuzzBudget {
+			t.Skip("cycle_budget above the fuzzing budget")
+		}
+		rec := fuzzPost(t, h, "/v1/profile", body)
+		checkOutcome(t, rec)
+		v, ok := finishedView(t, s, rec)
+		if !ok {
+			return
+		}
+		switch v.Status {
+		case StatusDone:
+			if v.Profile == nil {
+				t.Fatalf("campaign %s done without a profile", v.ID)
+			}
+		case StatusFailed:
+			switch v.ErrorKind {
+			case "unknown_program", "bad_source", "compile", "hang", "budget", "resource":
+			default:
+				t.Fatalf("campaign %s failed with kind %q: %s", v.ID, v.ErrorKind, v.Error)
+			}
+		default:
+			t.Fatalf("campaign %s finished in status %q", v.ID, v.Status)
+		}
+	})
 }

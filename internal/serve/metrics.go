@@ -77,7 +77,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("gpufpx_fused_kernels_total", "Kernels fused into superinstruction programs.", hs.FusedKernels)
 	counter("gpufpx_fused_regions_total", "Superinstruction regions built by the fusion pass.", hs.FusedRegions)
 	counter("gpufpx_fused_instrs_total", "Instructions covered by fused regions.", hs.FusedInstrs)
-	counter("gpufpx_fused_chain_ops_total", "Fused instructions compiled into lane-major chain micro-ops.", hs.FusedChainOps)
 
 	fd, fc, fs := fault.Counters()
 	counter("gpufpx_fault_injected_device_total", "Injected device-plane faults (bit flips).", fd)

@@ -8,14 +8,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpufpx/pkg/gpufpx"
 )
@@ -65,6 +69,44 @@ func indexLen(s *Server) int {
 	s.finishedMu.Lock()
 	defer s.finishedMu.Unlock()
 	return len(s.byKey)
+}
+
+// TestReuseRepeatRightAfterReply repeats a check the moment its reply
+// arrives, while the worker that ran it has not yet retired it (held there
+// by the beforeRetire hook). The repeat runs on the other worker and must
+// still reuse the first job's report.
+func TestReuseRepeatRightAfterReply(t *testing.T) {
+	s := New(Config{Workers: 2})
+	release := make(chan struct{})
+	var held atomic.Bool
+	s.beforeRetire = func(*job) {
+		if held.CompareAndSwap(false, true) {
+			<-release
+		}
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	defer close(release)
+
+	req := CheckRequest{Prog: "myocyte", Wait: true}
+	before := reusedTotal(t, ts.URL)
+	if code, raw, _ := postRaw(t, ts.URL, "/v1/check", req); code != http.StatusOK {
+		t.Fatalf("status = %d: %s", code, raw)
+	}
+	if code, raw, _ := postRaw(t, ts.URL, "/v1/check", req); code != http.StatusOK {
+		t.Fatalf("repeat status = %d: %s", code, raw)
+	}
+	if got := reusedTotal(t, ts.URL); got != before+1 {
+		t.Errorf("a repeat sent right after the reply moved the reuse counter %d → %d, want +1", before, got)
+	}
 }
 
 func TestReuseRepeatIsByteIdentical(t *testing.T) {

@@ -101,13 +101,17 @@ type Server struct {
 
 	// finishedMu guards finished — the finished jobs still in jobs, oldest
 	// completion first (see retire) — and byKey, the report-reuse index:
-	// for each content key, the newest retained job that finished cleanly
-	// with it.
+	// for each content key, the newest job that finished cleanly with it
+	// and has not been evicted.
 	finishedMu sync.Mutex
 	finished   []*job
 	byKey      map[[32]byte]*job
 
 	m metrics
+
+	// beforeRetire, when set, runs on the worker between a job's finish and
+	// its retire. Tests use it to hold a finished job there.
+	beforeRetire func(*job)
 }
 
 // New builds a server; no goroutines run until Start.
@@ -196,23 +200,21 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.runJob(j)
+		if s.beforeRetire != nil {
+			s.beforeRetire(j)
+		}
 		s.retire(j)
 	}
 }
 
 // retire records a finished job and evicts the oldest finished job once
 // more than maxFinishedJobs are held. Waiters that already hold the job
-// are unaffected; only later lookups by id miss. A keyed job that finished
-// cleanly becomes its key's holder in the reuse index, so a key stays as
-// long as requests for it keep arriving; the key goes when its holder is
-// evicted.
+// are unaffected; only later lookups by id miss. A key stays in the reuse
+// index as long as requests for it keep arriving; it goes when its holder
+// is evicted.
 func (s *Server) retire(j *job) {
-	_, err := j.outcome()
 	s.finishedMu.Lock()
 	defer s.finishedMu.Unlock()
-	if j.keyed && err == nil {
-		s.byKey[j.key] = j
-	}
 	s.finished = append(s.finished, j)
 	if len(s.finished) > maxFinishedJobs {
 		old := s.finished[0]
@@ -225,10 +227,22 @@ func (s *Server) retire(j *job) {
 	}
 }
 
-// reusable returns the report of the retained job holding j's content key,
-// or nil. The report is shared between the jobs and read-only. A job
-// canceled before it ran does not reuse: it runs and fails classified, as
-// it would without the index.
+// hold makes a keyed job that is finishing cleanly its key's holder in the
+// reuse index. runJob calls it before finish sends the reply, so a repeat
+// posted the moment the reply arrives finds the job.
+func (s *Server) hold(j *job) {
+	if !j.keyed {
+		return
+	}
+	s.finishedMu.Lock()
+	s.byKey[j.key] = j
+	s.finishedMu.Unlock()
+}
+
+// reusable returns the report of the job holding j's content key, or nil
+// (also while the holder has not yet published its report). The report is
+// shared between the jobs and read-only. A job canceled before it ran does
+// not reuse: it runs and fails classified, as it would without the index.
 func (s *Server) reusable(j *job) *gpufpx.Report {
 	if !j.keyed || j.ctx.Err() != nil {
 		return nil
@@ -268,6 +282,9 @@ func (s *Server) runJob(j *job) {
 		rep, err = s.runSession(j)
 	}
 	s.m.running.Add(-1)
+	if err == nil {
+		s.hold(j)
+	}
 	j.finish(rep, err)
 	switch {
 	case err == nil:
@@ -371,23 +388,34 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Kind: kind.String()})
 }
 
-// decodeStrict reads and strictly decodes a JSON request body into v,
-// writing the failure response itself (400) when it returns false. Unknown
-// fields are errors, so a misspelled or retired key is never silently
-// dropped.
+// decodeStrict reads and strictly decodes a JSON request body into v (see
+// decodeBody), writing the failure response itself (400) when it returns
+// false.
 func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = decodeBody(body, v)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return false
 	}
+	return true
+}
+
+// decodeBody decodes one JSON value into v. Unknown fields are errors, so a
+// misspelled or retired key is never silently dropped, and so is anything
+// but whitespace after the value.
+func decodeBody(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return false
+		return err
 	}
-	return true
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // handleCheck admits one job. With "wait": true the response is the

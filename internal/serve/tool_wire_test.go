@@ -196,3 +196,32 @@ func TestToolConfigJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip drifted:\n  %+v\n  %+v", req, back)
 	}
 }
+
+// TestTrailingDataRejected posts bodies whose first JSON value is a valid
+// request followed by more than whitespace: each endpoint answers 400 and
+// admits no job. Trailing whitespace alone is still accepted.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/check", `{"sass":"EXIT ;"}0`},
+		{"/v1/check", `{"sass":"EXIT ;","wait":true} {"prog":"myocyte"}`},
+		{"/v1/batch", `{"items":[{"sass":"EXIT ;"}]}0`},
+		{"/v1/batch", `{"items":[{"sAss":"0"}]}0`}, // FuzzBatch's first finding
+		{"/v1/profile", `{"sass":"EXIT ;"}0`},
+		{"/v1/profile", `{"prog":"interval"}}`},
+	} {
+		code, eb := legacyPost(t, ts.URL, tc.path, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(eb.Error, "after the JSON value") {
+			t.Errorf("%s %s: status %d (%q), want 400 for data after the JSON value", tc.path, tc.body, code, eb.Error)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader("{\"sass\":\"EXIT ;\",\"wait\":true}\n\t \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusOK || v.Status != StatusDone {
+		t.Errorf("trailing whitespace: status %d, job %+v (%v), want 200 done", resp.StatusCode, v, err)
+	}
+}

@@ -27,9 +27,8 @@ type HarnessStats struct {
 	AnalyzerSites, AnalyzerUniformSites, AnalyzerConstOperands, DetectorSites, ShadowSites uint64
 	// FusedKernels and FusedRegions count kernels and superinstruction
 	// regions built by the fusion pass; FusedInstrs is the instruction count
-	// covered by fused regions and FusedChainOps the subset compiled into
-	// lane-major chain micro-ops.
-	FusedKernels, FusedRegions, FusedInstrs, FusedChainOps uint64
+	// covered by fused regions.
+	FusedKernels, FusedRegions, FusedInstrs uint64
 }
 
 // Stats returns the current shared-cache and lowering counters.
@@ -44,7 +43,6 @@ func Stats() HarnessStats {
 	s.AnalyzerConstOperands, s.DetectorSites = ss.AnalyzerConstOperands, ss.DetectorSites
 	s.ShadowSites = ss.ShadowSites
 	fs := device.FuseStatsSnapshot()
-	s.FusedKernels, s.FusedRegions = fs.Kernels, fs.Regions
-	s.FusedInstrs, s.FusedChainOps = fs.FusedInstrs, fs.ChainOps
+	s.FusedKernels, s.FusedRegions, s.FusedInstrs = fs.Kernels, fs.Regions, fs.FusedInstrs
 	return s
 }
