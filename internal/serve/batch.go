@@ -9,13 +9,9 @@ package serve
 // the gateway's content-keyed sharding preserves across nodes.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
-	"gpufpx/internal/fault"
-	"gpufpx/internal/pool"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -64,91 +60,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items[i] = batchItem{req: cr, session: session, source: source}
 	}
 
-	j := newBatchJob(fmt.Sprintf("b%06d", s.nextID.Add(1)), items)
-	stream := wantStream(r)
-	if stream {
+	j := newJob(fmt.Sprintf("b%06d", s.nextID.Add(1)), CheckRequest{}, nil, nil)
+	j.batch, j.views = items, make([]JobView, len(items))
+	if wantStream(r) {
 		j.stream = newJobStream()
 	}
-	if err := s.enqueue(j); err != nil {
-		switch {
-		case errors.Is(err, errDraining):
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		default:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		}
-		return
-	}
-	s.m.batches.Add(1)
-	s.m.batchItems.Add(uint64(len(items)))
-
-	if stream {
-		s.serveStream(w, r, j)
-		return
-	}
-	if !req.Wait {
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, j.view())
-		return
-	}
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		j.cancel()
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
+	s.respond(w, r, j, req.Wait)
 }
 
-// runBatchJob executes one batch on its worker: the items fan out over
-// the pool engine with the server's worker budget. The batch itself
-// always finishes "done"; per-item failures are carried in the item
-// views, classified through the same taxonomy as single jobs.
-func (s *Server) runBatchJob(j *job) {
-	j.setRunning()
-	s.m.running.Add(1)
-	func() {
-		// The barrier mirrors runSession's: whatever escapes the per-item
-		// barriers (a pool-level bug) must not kill the worker.
-		defer func() { recover() }()
-		if sf, ok := s.cfg.Faults.ServiceDecision(j.chaosKey()); ok && sf.Kind != fault.ServicePanic {
-			s.chaosDelay(j, sf)
-		}
-		pool.ForEachN(s.cfg.Workers, len(j.batch), func(i int) {
-			s.runBatchItem(j, i)
-		})
-	}()
-	s.m.running.Add(-1)
-	j.finish(nil, nil)
-	s.m.completed.Add(1)
-	if j.stream != nil {
-		v := j.view()
-		j.stream.send(StreamLine{Item: -1, Trailer: &v, Done: true})
-		j.stream.close()
-	}
-}
-
-// runBatchItem runs one item, hardened like a worker: a panic that
-// escapes the facade barrier fails the item, not the batch.
+// runBatchItem runs one item with its own recover barrier: a panic that
+// escapes the facade barrier fails the item, not the batch. The batch
+// itself finishes "done"; per-item failures are carried in the item views,
+// classified through the same taxonomy as single jobs.
 func (s *Server) runBatchItem(j *job, i int) {
 	it := j.batch[i]
-	var rep *gpufpx.Report
-	var err error
-	func() {
+	rep, err := func() (rep *gpufpx.Report, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				rep, err = nil, fmt.Errorf("batch item panic: %v", r)
 			}
 		}()
-		if j.stream != nil {
-			rep, err = it.session.RunStream(j.ctx, it.source, func(b []byte) {
-				j.stream.frag(i, b)
-			})
-		} else {
-			rep, err = it.session.Run(j.ctx, it.source)
-		}
+		return j.exec(i, it.session, it.source)
 	}()
-	v := itemView(fmt.Sprintf("%s/%d", j.id, i), rep, err)
+	v := JobView{ID: fmt.Sprintf("%s/%d", j.id, i), Status: StatusDone}
+	if err != nil {
+		v.Status = StatusFailed
+	}
+	v.setOutcome(rep, err)
 	j.setItem(i, v)
 	if err == nil {
 		s.m.itemsCompleted.Add(1)
@@ -160,32 +98,5 @@ func (s *Server) runBatchItem(j *job, i int) {
 	}
 	if j.stream != nil {
 		j.stream.send(StreamLine{Item: i, Trailer: &v})
-	}
-}
-
-// itemView renders one finished batch item as the shared wire shape.
-func itemView(id string, rep *gpufpx.Report, err error) JobView {
-	v := JobView{ID: id, Status: StatusDone}
-	if rep != nil {
-		v.Tool = rep.Tool
-		v.Cycles = rep.Cycles
-		v.Launches = rep.Launches
-		v.Detector = rep.Detector
-		v.Analyzer = rep.Analyzer
-		v.Shadow = rep.Shadow
-	}
-	if err != nil {
-		v.Status = StatusFailed
-		v.Error = err.Error()
-		v.ErrorKind = gpufpx.Classify(err).String()
-	}
-	return v
-}
-
-// chaosDelay applies a bounded injected stall/slow-compile to a job.
-func (s *Server) chaosDelay(j *job, sf fault.ServiceFault) {
-	select {
-	case <-time.After(time.Duration(sf.Millis) * time.Millisecond):
-	case <-j.ctx.Done():
 	}
 }

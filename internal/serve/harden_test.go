@@ -23,13 +23,67 @@ const spinSASS = "L_top:\nFADD R2, R2, R3 ;\nBRA L_top ;\n"
 
 func TestWorkerBarrierContainsPanic(t *testing.T) {
 	// A nil session is a stand-in for any harness bug that panics on the
-	// worker itself (past the facade's own barrier). The job must finish
-	// classified as an internal error and the counter must tick — the
+	// worker itself (past the facade's own barrier). Every job kind must
+	// finish classified and the internal-error counter must tick — the
 	// worker goroutine survives by construction (runJob returned).
-	s := New(Config{})
-	j := newJob("j-test", CheckRequest{}, nil, nil)
-	s.runJob(j)
+	for _, tc := range []struct {
+		name string
+		job  func() *job
+		// check inspects the finished job and the kind's own counters.
+		check func(t *testing.T, s *Server, j *job)
+	}{
+		{"check", func() *job {
+			return newJob("j-test", CheckRequest{}, nil, nil)
+		}, func(t *testing.T, s *Server, j *job) {
+			wantInternal(t, j, "worker panic")
+			if got := s.m.failed.Load(); got != 1 {
+				t.Errorf("failed = %d, want 1", got)
+			}
+		}},
+		{"batch-item", func() *job {
+			j := newJob("b-test", CheckRequest{}, nil, nil)
+			j.batch, j.views = []batchItem{{}}, make([]JobView, 1)
+			return j
+		}, func(t *testing.T, s *Server, j *job) {
+			v := j.view()
+			if v.Status != StatusDone || len(v.Items) != 1 {
+				t.Fatalf("batch = %q with %d items, want done with 1", v.Status, len(v.Items))
+			}
+			if it := v.Items[0]; it.Status != StatusFailed || it.ErrorKind != gpufpx.KindInternal.String() ||
+				!strings.Contains(it.Error, "batch item panic") {
+				t.Errorf("item = %q %q %q, want a failed internal batch-item panic", it.Status, it.ErrorKind, it.Error)
+			}
+			if got := s.m.itemsFailed.Load(); got != 1 {
+				t.Errorf("itemsFailed = %d, want 1", got)
+			}
+		}},
+		{"profile", func() *job {
+			j := newJob("p-test", CheckRequest{}, nil, nil)
+			j.profile = &ProfileRequest{}
+			return j
+		}, func(t *testing.T, s *Server, j *job) {
+			wantInternal(t, j, "worker panic")
+			if got := s.m.profilesFailed.Load(); got != 1 {
+				t.Errorf("profilesFailed = %d, want 1", got)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			j := tc.job()
+			s.runJob(j)
+			tc.check(t, s, j)
+			if got := s.m.internalErrors.Load(); got != 1 {
+				t.Fatalf("internalErrors = %d, want 1", got)
+			}
+		})
+	}
+}
 
+// wantInternal fails unless the finished job failed with no report as an
+// internal error whose message holds msg.
+func wantInternal(t *testing.T, j *job, msg string) {
+	t.Helper()
 	rep, err := j.outcome()
 	if rep != nil || err == nil {
 		t.Fatalf("outcome = (%v, %v), want (nil, error)", rep, err)
@@ -37,20 +91,17 @@ func TestWorkerBarrierContainsPanic(t *testing.T) {
 	if gpufpx.Classify(err) != gpufpx.KindInternal {
 		t.Fatalf("err %v classifies as %v, want KindInternal", err, gpufpx.Classify(err))
 	}
-	if !strings.Contains(err.Error(), "worker panic") {
-		t.Fatalf("err = %v, want a worker-panic message", err)
-	}
-	if got := s.m.internalErrors.Load(); got != 1 {
-		t.Fatalf("internalErrors = %d, want 1", got)
+	if !strings.Contains(err.Error(), msg) {
+		t.Fatalf("err = %v, want a %q message", err, msg)
 	}
 }
 
 func TestFinishIsIdempotent(t *testing.T) {
 	j := newJob("j-test", CheckRequest{}, nil, nil)
-	j.finish(nil, fmt.Errorf("first"))
+	j.finish(nil, nil, fmt.Errorf("first"))
 	// A second finish (e.g. a recover path firing after a normal publish)
 	// must neither panic on the closed channel nor overwrite the outcome.
-	j.finish(&gpufpx.Report{}, nil)
+	j.finish(&gpufpx.Report{}, nil, nil)
 	if _, err := j.outcome(); err == nil || err.Error() != "first" {
 		t.Fatalf("outcome overwritten: %v", err)
 	}

@@ -84,45 +84,35 @@ type ToolConfig struct {
 	MaxFindingsPerSite int `json:"max_findings_per_site,omitempty"`
 }
 
-// tool resolves the request's tool selector + config into a typed Tool.
+// tool resolves the request's tool selector (case-insensitive) and applies
+// its config. Only detector, analyzer and shadow take a tool_config.
 func (req CheckRequest) tool() (gpufpx.Tool, error) {
+	t, err := gpufpx.ParseTool(strings.ToLower(req.Tool))
 	tc := req.ToolConfig
-	switch strings.ToLower(req.Tool) {
-	case "", "detector":
+	if err != nil || tc == nil {
+		return t, err
+	}
+	switch t.Name() {
+	case "detector":
 		cfg := gpufpx.DefaultDetectorConfig()
-		if tc != nil {
-			cfg.Verbose = tc.Verbose
-		}
+		cfg.Verbose = tc.Verbose
 		return gpufpx.Detector(cfg), nil
 	case "analyzer":
-		return gpufpx.Analyzer(gpufpx.DefaultAnalyzerConfig()), nil
+		return t, nil
 	case "shadow":
 		cfg := gpufpx.DefaultShadowConfig()
-		if tc != nil {
-			if tc.SigBits > 0 {
-				cfg.SigBits = tc.SigBits
-			}
-			if tc.CancelBits > 0 {
-				cfg.CancelBits = tc.CancelBits
-			}
-			if tc.MaxFindingsPerSite > 0 {
-				cfg.MaxFindingsPerSite = tc.MaxFindingsPerSite
-			}
+		if tc.SigBits > 0 {
+			cfg.SigBits = tc.SigBits
+		}
+		if tc.CancelBits > 0 {
+			cfg.CancelBits = tc.CancelBits
+		}
+		if tc.MaxFindingsPerSite > 0 {
+			cfg.MaxFindingsPerSite = tc.MaxFindingsPerSite
 		}
 		return gpufpx.Shadow(cfg), nil
-	case "binfpe", "memcheck", "plain":
-		if tc != nil {
-			return gpufpx.Tool{}, fmt.Errorf("tool %q takes no tool_config", req.Tool)
-		}
-		switch strings.ToLower(req.Tool) {
-		case "binfpe":
-			return gpufpx.BinFPE(), nil
-		case "memcheck":
-			return gpufpx.Memcheck(), nil
-		}
-		return gpufpx.Plain(), nil
 	}
-	return gpufpx.Tool{}, fmt.Errorf("unknown tool %q (want detector, analyzer, shadow, binfpe, memcheck or plain)", req.Tool)
+	return gpufpx.Tool{}, fmt.Errorf("tool %q takes no tool_config", req.Tool)
 }
 
 // build validates the request into a runnable (Session, Source) pair.
@@ -262,9 +252,10 @@ func (req CheckRequest) key(defaultBudget uint64) [32]byte {
 	return k
 }
 
-// job is one admitted check run — or one admitted batch, which occupies
-// a single queue slot and fans its items out on the worker that picks it
-// up.
+// job is one admitted run of any kind: a check, a batch — which occupies a
+// single queue slot and fans its items out on the worker that picks it up —
+// or a vulnerability-profiling campaign. All three share one lifecycle:
+// newJob, enqueue, runJob, finish, retire.
 type job struct {
 	id      string
 	req     CheckRequest
@@ -286,8 +277,8 @@ type job struct {
 	stream *jobStream
 
 	// key is the content key of a check job that may reuse, and be reused
-	// as, a retained job's report; keyed is false for streaming, batch and
-	// profile jobs and on servers with a fault plan.
+	// as, a held report; keyed is false for streaming, batch and profile
+	// jobs and on servers with a fault plan.
 	key   [32]byte
 	keyed bool
 
@@ -312,7 +303,8 @@ type job struct {
 	progDone, progTotal int
 }
 
-// newJob builds an admitted job with its run context.
+// newJob builds an admitted job with its run context. Batch and campaign
+// handlers attach their items or plan before queueing it.
 func newJob(id string, req CheckRequest, session *gpufpx.Session, source gpufpx.Source) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
@@ -320,36 +312,6 @@ func newJob(id string, req CheckRequest, session *gpufpx.Session, source gpufpx.
 		req:     req,
 		session: session,
 		source:  source,
-		ctx:     ctx,
-		cancel:  cancel,
-		status:  StatusQueued,
-		done:    make(chan struct{}),
-	}
-}
-
-// newBatchJob builds an admitted batch job.
-func newBatchJob(id string, items []batchItem) *job {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &job{
-		id:     id,
-		batch:  items,
-		views:  make([]JobView, len(items)),
-		ctx:    ctx,
-		cancel: cancel,
-		status: StatusQueued,
-		done:   make(chan struct{}),
-	}
-}
-
-// newProfileJob builds an admitted campaign job. Its session and source
-// are attached by the handler once the campaign's progress callback has
-// been wired to this job.
-func newProfileJob(id string, req ProfileRequest) *job {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &job{
-		id:      id,
-		req:     req.CheckRequest,
-		profile: &req,
 		ctx:     ctx,
 		cancel:  cancel,
 		status:  StatusQueued,
@@ -396,48 +358,25 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish publishes the outcome and releases waiters. Idempotent: only the
-// first outcome sticks, so a recover path that fires after a normal finish
-// cannot double-close done or overwrite the published result.
-func (j *job) finish(rep *gpufpx.Report, err error) {
+// finish publishes the outcome — a report, a campaign's profile or an
+// error — and releases waiters. Idempotent: only the first outcome sticks,
+// so a recover path that fires after a normal finish cannot double-close
+// done or overwrite the published result.
+func (j *job) finish(rep *gpufpx.Report, prof *gpufpx.ProfileReport, err error) {
 	j.mu.Lock()
 	if j.finished {
 		j.mu.Unlock()
 		return
 	}
 	j.finished = true
-	j.rep, j.err = rep, err
+	j.rep, j.prof, j.err = rep, prof, err
 	if err != nil {
 		j.status = StatusFailed
 	} else {
 		j.status = StatusDone
 	}
 	j.mu.Unlock()
-	if j.cancel != nil {
-		j.cancel()
-	}
-	close(j.done)
-}
-
-// finishProfile publishes a campaign job's outcome. Idempotent like
-// finish.
-func (j *job) finishProfile(prof *gpufpx.ProfileReport, err error) {
-	j.mu.Lock()
-	if j.finished {
-		j.mu.Unlock()
-		return
-	}
-	j.finished = true
-	j.prof, j.err = prof, err
-	if err != nil {
-		j.status = StatusFailed
-	} else {
-		j.status = StatusDone
-	}
-	j.mu.Unlock()
-	if j.cancel != nil {
-		j.cancel()
-	}
+	j.cancel()
 	close(j.done)
 }
 
@@ -487,6 +426,23 @@ type ProgressView struct {
 	Total int `json:"total"`
 }
 
+// setOutcome fills the report and error fields of a finished check or
+// batch item.
+func (v *JobView) setOutcome(rep *gpufpx.Report, err error) {
+	if rep != nil {
+		v.Tool = rep.Tool
+		v.Cycles = rep.Cycles
+		v.Launches = rep.Launches
+		v.Detector = rep.Detector
+		v.Analyzer = rep.Analyzer
+		v.Shadow = rep.Shadow
+	}
+	if err != nil {
+		v.Error = err.Error()
+		v.ErrorKind = gpufpx.Classify(err).String()
+	}
+}
+
 // view snapshots the job for the wire.
 func (j *job) view() JobView {
 	j.mu.Lock()
@@ -503,17 +459,6 @@ func (j *job) view() JobView {
 		v.Tool = j.prof.Tool
 		v.Cycles = j.prof.TotalCycles
 	}
-	if j.rep != nil {
-		v.Tool = j.rep.Tool
-		v.Cycles = j.rep.Cycles
-		v.Launches = j.rep.Launches
-		v.Detector = j.rep.Detector
-		v.Analyzer = j.rep.Analyzer
-		v.Shadow = j.rep.Shadow
-	}
-	if j.err != nil {
-		v.Error = j.err.Error()
-		v.ErrorKind = gpufpx.Classify(j.err).String()
-	}
+	v.setOutcome(j.rep, j.err)
 	return v
 }

@@ -17,7 +17,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -112,71 +111,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := newProfileJob(fmt.Sprintf("p%06d", s.nextID.Add(1)), req)
+	j := newJob(fmt.Sprintf("p%06d", s.nextID.Add(1)), req.CheckRequest, nil, src)
+	j.profile = &req
 	// Wire durable progress to the job before the session captures the
 	// campaign config.
 	camp.OnProgress = j.setProgress
 	j.session = gpufpx.New(append(opts, gpufpx.WithCampaign(camp))...)
-	j.source = src
-
-	if err := s.enqueue(j); err != nil {
-		switch {
-		case errors.Is(err, errDraining):
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		default:
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		}
-		return
-	}
-	s.m.profiles.Add(1)
-
-	if !req.Wait {
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, j.view())
-		return
-	}
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// The synchronous waiter went away; stop the campaign. Completed
-		// shards are durable, so a re-POST resumes.
-		j.cancel()
-		return
-	}
-	v := j.view()
-	if v.Status == StatusFailed {
-		_, err := j.outcome()
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// runProfileJob executes one campaign on its worker, hardened like
-// runJob: whatever escapes the facade, the job finishes classified and
-// the worker survives. Pacing charges the campaign's total simulated
-// cycles once, at completion.
-func (s *Server) runProfileJob(j *job) {
-	j.setRunning()
-	s.m.running.Add(1)
-	prof, err := func() (p *gpufpx.ProfileReport, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				p, err = nil, fmt.Errorf("worker panic: %v", r)
-			}
-		}()
-		return j.session.Profile(j.ctx, j.source)
-	}()
-	s.m.running.Add(-1)
-	j.finishProfile(prof, err)
-	switch {
-	case err == nil:
-		s.m.profilesCompleted.Add(1)
-	default:
-		s.m.profilesFailed.Add(1)
-		if gpufpx.Classify(err) == gpufpx.KindInternal {
-			s.m.internalErrors.Add(1)
-		}
-	}
+	s.respond(w, r, j, req.Wait)
 }

@@ -22,6 +22,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"gpufpx/internal/fault"
+	"gpufpx/internal/pool"
 	"gpufpx/pkg/gpufpx"
 )
 
@@ -100,12 +102,13 @@ type Server struct {
 	nextID atomic.Uint64
 
 	// finishedMu guards finished — the finished jobs still in jobs, oldest
-	// completion first (see retire) — and byKey, the report-reuse index:
-	// for each content key, the newest job that finished cleanly with it
-	// and has not been evicted.
+	// completion first (see retire) — and the report-reuse index (see
+	// hold): byKey maps a content key to its entry in held, a
+	// least-recently-used list of clean reports, most recent first.
 	finishedMu sync.Mutex
 	finished   []*job
-	byKey      map[[32]byte]*job
+	byKey      map[[32]byte]*list.Element
+	held       list.List
 
 	m metrics
 
@@ -117,7 +120,7 @@ type Server struct {
 // New builds a server; no goroutines run until Start.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{cfg: cfg, queue: make(chan *job, cfg.QueueDepth), byKey: make(map[[32]byte]*job)}
+	return &Server{cfg: cfg, queue: make(chan *job, cfg.QueueDepth), byKey: make(map[[32]byte]*list.Element)}
 }
 
 // Start spawns the worker pool.
@@ -182,6 +185,13 @@ func (s *Server) enqueue(j *job) error {
 	select {
 	case s.queue <- j:
 		s.m.accepted.Add(1)
+		switch {
+		case j.batch != nil:
+			s.m.batches.Add(1)
+			s.m.batchItems.Add(uint64(len(j.batch)))
+		case j.profile != nil:
+			s.m.profiles.Add(1)
+		}
 		return nil
 	default:
 		s.jobs.Delete(j.id)
@@ -191,8 +201,10 @@ func (s *Server) enqueue(j *job) error {
 }
 
 // maxFinishedJobs bounds how many finished jobs stay pollable at
-// /v1/jobs/{id}. Past it the oldest finished job is forgotten and its id
-// answers 404; queued and running jobs are never evicted.
+// /v1/jobs/{id}, and how many content keys the reuse index holds. Past it
+// the oldest finished job is forgotten and its id answers 404, and the
+// least recently used key is dropped; queued and running jobs are never
+// evicted.
 const maxFinishedJobs = 1024
 
 // worker drains the queue until Drain closes it.
@@ -209,113 +221,122 @@ func (s *Server) worker() {
 
 // retire records a finished job and evicts the oldest finished job once
 // more than maxFinishedJobs are held. Waiters that already hold the job
-// are unaffected; only later lookups by id miss. A key stays in the reuse
-// index as long as requests for it keep arriving; it goes when its holder
-// is evicted.
+// are unaffected; only later lookups by id miss.
 func (s *Server) retire(j *job) {
 	s.finishedMu.Lock()
 	defer s.finishedMu.Unlock()
 	s.finished = append(s.finished, j)
 	if len(s.finished) > maxFinishedJobs {
-		old := s.finished[0]
+		s.jobs.Delete(s.finished[0].id)
 		s.finished[0] = nil
 		s.finished = s.finished[1:]
-		s.jobs.Delete(old.id)
-		if old.keyed && s.byKey[old.key] == old {
-			delete(s.byKey, old.key)
-		}
 	}
 }
 
-// hold makes a keyed job that is finishing cleanly its key's holder in the
-// reuse index. runJob calls it before finish sends the reply, so a repeat
-// posted the moment the reply arrives finds the job.
-func (s *Server) hold(j *job) {
+// heldReport is one entry of the reuse index.
+type heldReport struct {
+	key [32]byte
+	rep *gpufpx.Report
+}
+
+// hold records the clean report of a keyed job as its key's report, or
+// marks the key used if it is already held, and drops the least recently
+// used key past maxFinishedJobs keys. runJob calls it before finish sends
+// the reply, so a repeat posted the moment the reply arrives finds it.
+func (s *Server) hold(j *job, rep *gpufpx.Report) {
 	if !j.keyed {
 		return
 	}
 	s.finishedMu.Lock()
-	s.byKey[j.key] = j
-	s.finishedMu.Unlock()
+	defer s.finishedMu.Unlock()
+	if e := s.byKey[j.key]; e != nil {
+		s.held.MoveToFront(e)
+		return
+	}
+	s.byKey[j.key] = s.held.PushFront(heldReport{j.key, rep})
+	if s.held.Len() > maxFinishedJobs {
+		delete(s.byKey, s.held.Remove(s.held.Back()).(heldReport).key)
+	}
 }
 
-// reusable returns the report of the job holding j's content key, or nil
-// (also while the holder has not yet published its report). The report is
-// shared between the jobs and read-only. A job canceled before it ran does
-// not reuse: it runs and fails classified, as it would without the index.
+// reusable returns the held report for j's content key, or nil. The report
+// is shared between the jobs and read-only. A job canceled before it ran
+// does not reuse: it runs and fails classified, as it would without the
+// index.
 func (s *Server) reusable(j *job) *gpufpx.Report {
 	if !j.keyed || j.ctx.Err() != nil {
 		return nil
 	}
 	s.finishedMu.Lock()
-	h := s.byKey[j.key]
-	s.finishedMu.Unlock()
-	if h == nil {
-		return nil
+	defer s.finishedMu.Unlock()
+	if e := s.byKey[j.key]; e != nil {
+		return e.Value.(heldReport).rep
 	}
-	rep, _ := h.outcome()
-	return rep
+	return nil
 }
 
-// runJob executes one job and publishes its outcome. The worker itself is
-// hardened: whatever happens inside — a device fault that escaped the
-// facade barrier, an injected chaos panic, a harness bug — the job finishes
-// classified and the worker goroutine survives to take the next job.
+// runJob executes one job of any kind and publishes its outcome. The
+// worker itself is hardened: whatever happens inside — a device fault that
+// escaped the facade barrier, an injected chaos panic, a harness bug — the
+// job finishes classified and the worker goroutine survives to take the
+// next job.
 func (s *Server) runJob(j *job) {
-	if j.batch != nil {
-		s.runBatchJob(j)
-		return
-	}
-	if j.profile != nil {
-		s.runProfileJob(j)
-		return
-	}
 	j.setRunning()
 	s.m.running.Add(1)
-	// A repeat of a retained clean job finishes with that job's report
-	// instead of re-simulating; it is still counted and retired.
-	rep := s.reusable(j)
-	var err error
-	if rep != nil {
-		s.m.reused.Add(1)
-	} else {
-		rep, err = s.runSession(j)
-	}
+	rep, prof, err := s.run(j)
 	s.m.running.Add(-1)
 	if err == nil {
-		s.hold(j)
+		s.hold(j, rep)
 	}
-	j.finish(rep, err)
-	switch {
-	case err == nil:
-		s.m.completed.Add(1)
-	default:
-		s.m.failed.Add(1)
+	j.finish(rep, prof, err)
+	completed, failed := &s.m.completed, &s.m.failed
+	if j.profile != nil {
+		completed, failed = &s.m.profilesCompleted, &s.m.profilesFailed
+	}
+	if err == nil {
+		completed.Add(1)
+	} else {
+		failed.Add(1)
 		if gpufpx.Classify(err) == gpufpx.KindInternal {
 			s.m.internalErrors.Add(1)
 		}
 	}
 	if j.stream != nil {
+		// A check's trailer is its item 0; a batch's aggregate is item -1.
+		item := 0
+		if j.batch != nil {
+			item = -1
+		}
 		v := j.view()
-		j.stream.send(StreamLine{Item: 0, Trailer: &v, Done: true})
+		j.stream.send(StreamLine{Item: item, Trailer: &v, Done: true})
 		j.stream.close()
 	}
 }
 
-// runSession runs the job's session inside the worker recover barrier,
-// applying any service-plane chaos decision first. The barrier is
-// unconditional — it guards real harness bugs, not just injected ones.
-func (s *Server) runSession(j *job) (rep *gpufpx.Report, err error) {
+// run is the job's per-kind body inside the worker recover barrier: a
+// campaign runs Session.Profile, a batch fans its items out, and a check
+// reuses a held report or runs its session. Checks and batches first meet
+// any service-plane chaos decision; a batch rides out an injected panic.
+// The barrier is unconditional — it guards real harness bugs, not just
+// injected ones.
+func (s *Server) run(j *job) (rep *gpufpx.Report, prof *gpufpx.ProfileReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("worker panic: %v", r)
+			rep, prof, err = nil, nil, fmt.Errorf("worker panic: %v", r)
 		}
 	}()
+	if j.profile != nil {
+		prof, err = j.session.Profile(j.ctx, j.source)
+		return rep, prof, err
+	}
+	// A repeat of a held clean check finishes with its report instead of
+	// re-simulating; it is still counted and retired.
+	if rep = s.reusable(j); rep != nil {
+		s.m.reused.Add(1)
+		return rep, nil, nil
+	}
 	if sf, ok := s.cfg.Faults.ServiceDecision(j.chaosKey()); ok {
-		switch sf.Kind {
-		case fault.ServicePanic:
-			panic(fmt.Sprintf("chaos: injected worker panic (job %s)", j.id))
-		case fault.ServiceStall, fault.ServiceSlowCompile:
+		if sf.Kind != fault.ServicePanic {
 			// A bounded injected delay: the job sits on its worker — queue
 			// stall — or "compiles slowly" before running. Either way the
 			// job still terminates classified.
@@ -323,14 +344,29 @@ func (s *Server) runSession(j *job) (rep *gpufpx.Report, err error) {
 			case <-time.After(time.Duration(sf.Millis) * time.Millisecond):
 			case <-j.ctx.Done():
 			}
+		} else if j.batch == nil {
+			panic(fmt.Sprintf("chaos: injected worker panic (job %s)", j.id))
 		}
 	}
-	if j.stream != nil {
-		return j.session.RunStream(j.ctx, j.source, func(b []byte) {
-			j.stream.frag(0, b)
+	if j.batch != nil {
+		pool.ForEachN(s.cfg.Workers, len(j.batch), func(i int) {
+			s.runBatchItem(j, i)
 		})
+		return nil, nil, nil
 	}
-	return j.session.Run(j.ctx, j.source)
+	rep, err = j.exec(0, j.session, j.source)
+	return rep, nil, err
+}
+
+// exec runs one source of the job, streaming its report fragments as item
+// i when the job streams.
+func (j *job) exec(i int, session *gpufpx.Session, source gpufpx.Source) (*gpufpx.Report, error) {
+	if j.stream == nil {
+		return session.Run(j.ctx, source)
+	}
+	return session.RunStream(j.ctx, source, func(b []byte) {
+		j.stream.frag(i, b)
+	})
 }
 
 // Handler returns the service's route table.
@@ -434,51 +470,54 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := newJob(fmt.Sprintf("j%06d", s.nextID.Add(1)), req, session, source)
-	stream := wantStream(r)
-	if stream {
+	if wantStream(r) {
 		j.stream = newJobStream()
 	} else if !s.cfg.Faults.Enabled() {
 		// Streams must deliver fragments as the run produces them, and
 		// chaos-mode jobs must each meet their faults, so neither reuses.
 		j.key, j.keyed = req.key(s.cfg.DefaultCycleBudget), true
 	}
+	s.respond(w, r, j, req.Wait)
+}
+
+// respond queues an admitted job of any kind and answers its request: 503
+// while draining, 429 with Retry-After on a full queue; otherwise the
+// ndjson stream, 202 with the job's Location, or — with wait — the
+// finished view, a failed job's error mapped through the taxonomy.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *job, wait bool) {
 	if err := s.enqueue(j); err != nil {
-		switch {
-		case errors.Is(err, errDraining):
+		if errors.Is(err, errDraining) {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		default:
+		} else {
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 		}
 		return
 	}
-
-	if stream {
+	if j.stream != nil {
 		s.serveStream(w, r, j)
 		return
 	}
-	if !req.Wait {
+	if !wait {
 		w.Header().Set("Location", "/v1/jobs/"+j.id)
 		writeJSON(w, http.StatusAccepted, j.view())
 		return
 	}
-
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
 		// The synchronous client went away: nobody wants this run anymore,
 		// so cancel it. The launch stops cooperatively (KindCanceled) and
-		// the job stays pollable with its classified outcome.
+		// the job stays pollable with its classified outcome; a campaign's
+		// completed shards are durable, so a re-POST resumes.
 		j.cancel()
 		return
 	}
-	v := j.view()
-	if v.Status == StatusFailed {
-		_, err := j.outcome()
+	if _, err := j.outcome(); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeJSON(w, http.StatusOK, j.view())
 }
 
 // handleJob reports one job's state (and, once done, its report).

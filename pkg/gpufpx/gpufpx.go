@@ -18,6 +18,7 @@ package gpufpx
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"gpufpx/internal/binfpe"
@@ -127,7 +128,7 @@ func ParseTool(name string) (Tool, error) {
 	case "plain":
 		return Plain(), nil
 	}
-	return Tool{}, errors.New("unknown tool " + name + " (want detector, analyzer, shadow, binfpe, memcheck or plain)")
+	return Tool{}, fmt.Errorf("unknown tool %q (want detector, analyzer, shadow, binfpe, memcheck or plain)", name)
 }
 
 // ToolNames lists the valid WithTool/ParseTool selections in wire order.

@@ -1,22 +1,16 @@
 package gpufpx
 
-// Streaming and batch entry points of the facade: the engine behind
-// fpx-serve's /v1/batch endpoint and its streaming results API.
-//
-// RunStream emits the canonical report body incrementally — fragments are
-// committed as the device→host channel delivers records, and the
-// concatenation of every fragment byte-equals Report.ToolBody() (which is
-// what the synchronous path serves). RunBatch fans many (session, source)
-// pairs over the shared worker pool from internal/pool — the same engine
-// the benchmark sweep loops run on — so a batch request costs one HTTP
-// round-trip instead of one per kernel.
+// The streaming entry point of the facade, behind fpx-serve's streaming
+// results API. RunStream emits the canonical report body incrementally —
+// fragments are committed as the device→host channel delivers records, and
+// the concatenation of every fragment byte-equals Report.ToolBody() (which
+// is what the synchronous path serves).
 
 import (
 	"bytes"
 	"context"
 
 	"gpufpx/internal/fpx"
-	"gpufpx/internal/pool"
 )
 
 // StreamSink receives canonical report fragments, in order, on the run's
@@ -89,56 +83,4 @@ func (r *Report) ToolBody() []byte {
 		return nil
 	}
 	return buf.Bytes()
-}
-
-// BatchItem is one unit of batch work: a source checked under a session.
-// Items may share a session (sessions are safe for concurrent Runs) or
-// carry their own.
-type BatchItem struct {
-	Session *Session
-	Source  Source
-}
-
-// BatchResult pairs one item's report with its classified error, in item
-// order.
-type BatchResult struct {
-	Report *Report
-	Err    error
-}
-
-// RunBatch checks every item, fanned out over the shared worker-pool
-// engine with at most workers goroutines (≤ 0 means GOMAXPROCS). Results
-// land by index, so the output — like the benchmark sweep's tables — is
-// byte-identical to a serial run. Each item gets its private device and
-// context; the shared compile and lowering caches do the de-duplication
-// across items, which is what makes content-affine sharding pay off.
-func RunBatch(ctx context.Context, items []BatchItem, workers int) []BatchResult {
-	return runBatch(ctx, items, workers, nil)
-}
-
-// RunBatchStream is RunBatch with per-item streaming: sink receives each
-// item's canonical report fragments tagged with the item index. Fragment
-// callbacks for different items interleave (items run concurrently); the
-// per-item concatenation contract is per item, and sink must be safe for
-// concurrent calls.
-func RunBatchStream(ctx context.Context, items []BatchItem, workers int, sink func(item int, frag []byte)) []BatchResult {
-	return runBatch(ctx, items, workers, sink)
-}
-
-func runBatch(ctx context.Context, items []BatchItem, workers int, sink func(item int, frag []byte)) []BatchResult {
-	if workers <= 0 {
-		workers = pool.Count(len(items))
-	}
-	out := make([]BatchResult, len(items))
-	pool.ForEachN(workers, len(items), func(i int) {
-		it := items[i]
-		if sink == nil {
-			out[i].Report, out[i].Err = it.Session.Run(ctx, it.Source)
-			return
-		}
-		out[i].Report, out[i].Err = it.Session.RunStream(ctx, it.Source, func(frag []byte) {
-			sink(i, frag)
-		})
-	})
-	return out
 }

@@ -2,13 +2,11 @@ package gpufpx
 
 // Streaming contract tests: RunStream's concatenated fragments must
 // byte-equal the synchronous report body for every corpus program under
-// both streaming tools, and the batch entry point must produce reports
-// byte-identical to serial Runs regardless of worker count.
+// both streaming tools.
 
 import (
 	"bytes"
 	"context"
-	"sync"
 	"testing"
 )
 
@@ -86,61 +84,5 @@ func TestRunStreamNonStreamingTool(t *testing.T) {
 	}
 	if rep.Tool != "plain" || rep.Launches == 0 {
 		t.Fatalf("plain report malformed: %+v", rep)
-	}
-}
-
-// TestRunBatchMatchesSerial: batch results are byte-identical to serial
-// Runs in item order, at every worker count.
-func TestRunBatchMatchesSerial(t *testing.T) {
-	names := []string{"myocyte", "GRAMSCHM", "HPCG", "libor", "SRU-Example"}
-	s := New()
-	var want [][]byte
-	for _, n := range names {
-		rep, err := s.Run(context.Background(), Program(n))
-		if err != nil {
-			t.Fatalf("serial Run(%s): %v", n, err)
-		}
-		want = append(want, rep.ToolBody())
-	}
-	items := make([]BatchItem, len(names))
-	for i, n := range names {
-		items[i] = BatchItem{Session: s, Source: Program(n)}
-	}
-	for _, workers := range []int{1, 3, 8} {
-		res := RunBatch(context.Background(), items, workers)
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("workers=%d item %d (%s): %v", workers, i, names[i], r.Err)
-			}
-			if !bytes.Equal(r.Report.ToolBody(), want[i]) {
-				t.Errorf("workers=%d item %d (%s): batch report differs from serial", workers, i, names[i])
-			}
-		}
-	}
-}
-
-// TestRunBatchStreamPerItemConcat: interleaved per-item fragments, once
-// demultiplexed by item and concatenated, equal each item's sync body.
-func TestRunBatchStreamPerItemConcat(t *testing.T) {
-	names := []string{"myocyte", "GRAMSCHM", "libor"}
-	s := New()
-	items := make([]BatchItem, len(names))
-	for i, n := range names {
-		items[i] = BatchItem{Session: s, Source: Program(n)}
-	}
-	var mu sync.Mutex
-	bufs := make([]bytes.Buffer, len(items))
-	res := RunBatchStream(context.Background(), items, 3, func(item int, frag []byte) {
-		mu.Lock()
-		bufs[item].Write(frag)
-		mu.Unlock()
-	})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("item %d (%s): %v", i, names[i], r.Err)
-		}
-		if !bytes.Equal(bufs[i].Bytes(), r.Report.ToolBody()) {
-			t.Errorf("item %d (%s): demuxed stream differs from report body", i, names[i])
-		}
 	}
 }
