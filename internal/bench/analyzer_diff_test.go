@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -13,12 +15,13 @@ import (
 
 // analyzerObservation is everything one analyzer run reports for a program:
 // the capped event stream, the uncapped aggregate stats, the textual report
-// (per-event lines plus the OnExit summary and hottest-site digest), and the
-// simulated cycle count.
+// (per-event lines plus the OnExit summary and hottest-site digest), the
+// canonical JSON report and the simulated cycle count.
 type analyzerObservation struct {
 	events []fpx.FlowEvent
 	stats  fpx.AnalyzerStats
 	report string
+	json   []byte
 	cycles uint64
 	err    error
 }
@@ -33,10 +36,15 @@ func observeAnalyzer(p progs.Program) analyzerObservation {
 		return analyzerObservation{err: err}
 	}
 	ctx.Exit()
+	var js bytes.Buffer
+	if err := an.WriteJSON(&js); err != nil {
+		return analyzerObservation{err: err}
+	}
 	return analyzerObservation{
 		events: an.Events(),
 		stats:  an.Stats(),
 		report: buf.String(),
+		json:   js.Bytes(),
 		cycles: ctx.Dev.Cycles,
 	}
 }
@@ -74,8 +82,32 @@ func diffAnalyzerObs(t *testing.T, ps []progs.Program, want, got []analyzerObser
 		if w.report != g.report {
 			t.Errorf("%s: %s: analyzer report text differs", label, ps[i].Name)
 		}
+		if !bytes.Equal(w.json, g.json) {
+			t.Errorf("%s: %s: analyzer JSON report differs", label, ps[i].Name)
+		}
 	}
 }
+
+// reportDigest is the SHA-256 over every program's name, text report and
+// JSON report, in list order: one number that changes when any report byte
+// a tool prints or serializes changes.
+func reportDigest(ps []progs.Program, report func(i int) (text string, js []byte, err error)) string {
+	h := sha256.New()
+	for i, p := range ps {
+		text, js, err := report(i)
+		if err != nil {
+			text = "error: " + err.Error()
+		}
+		h.Write([]byte(p.Name + "\n"))
+		h.Write([]byte(text))
+		h.Write(js)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// analyzerCorpusDigest pins the production tier's analyzer reports, text
+// and JSON, over the full corpus.
+const analyzerCorpusDigest = "1ef431c75f10b22c6dc5f6e43d211678cf49e95096003d22f74f4da7b6db8f3c"
 
 // TestAnalyzerDifferentialFullCorpus is the analyzer lowering pass's
 // correctness contract: for every corpus program, the per-site compiled
@@ -96,6 +128,13 @@ func TestAnalyzerDifferentialFullCorpus(t *testing.T) {
 	fused := observeCorpusAnalyzer(ps)
 
 	diffAnalyzerObs(t, ps, interp, fused, "analyzer interp vs fused")
+
+	got := reportDigest(ps, func(i int) (string, []byte, error) {
+		return fused[i].report, fused[i].json, fused[i].err
+	})
+	if got != analyzerCorpusDigest {
+		t.Errorf("analyzer corpus report digest = %s, want %s", got, analyzerCorpusDigest)
+	}
 }
 
 // TestAnalyzerDifferentialSubset is the fast cross-section that still runs

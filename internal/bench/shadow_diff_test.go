@@ -119,6 +119,10 @@ func TestShadowDifferentialSubset(t *testing.T) {
 	}
 }
 
+// shadowCorpusDigest pins the production tier's shadow reports, text and
+// JSON, over the full corpus plus the precision suite.
+const shadowCorpusDigest = "7b499d4a1b74e2f2959ba0af08b03d4944198ac4b10cd8153646802a41eaf633"
+
 // TestShadowDifferentialFullCorpus is the acceptance gate: the full paper
 // corpus plus the precision suite, all three executors.
 func TestShadowDifferentialFullCorpus(t *testing.T) {
@@ -134,6 +138,14 @@ func TestShadowDifferentialFullCorpus(t *testing.T) {
 			base = got
 		} else {
 			diffShadowObs(t, ps, base, got, "shadow corpus interp vs "+tier)
+		}
+		if tier == "fused" {
+			sum := reportDigest(ps, func(i int) (string, []byte, error) {
+				return got[i].report, got[i].json, got[i].err
+			})
+			if sum != shadowCorpusDigest {
+				t.Errorf("shadow corpus report digest = %s, want %s", sum, shadowCorpusDigest)
+			}
 		}
 	}
 }

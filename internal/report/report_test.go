@@ -289,6 +289,97 @@ func TestCompareAnalyzer(t *testing.T) {
 			t.Errorf("analyzer text diff missing %q:\n%s", want, txt.String())
 		}
 	}
+	const wantText = "flow-state events (before -> after):\n" +
+		"  APPEARANCE              5 -> 0         (-5)\n" +
+		"  DISAPPEARANCE           1 -> 1       \n" +
+		"  PROPAGATION            20 -> 3         (-17)\n" +
+		"flow sites fixed (1):\n" +
+		"  [k] @ a.cu:10 (20 events)\n" +
+		"flow sites new (0):\n"
+	if txt.String() != wantText {
+		t.Errorf("analyzer text diff:\n%s\nwant:\n%s", txt.String(), wantText)
+	}
+	txt.Reset()
+	dq := CompareAnalyzer(after, fpx.AnalyzerReportJSON{
+		States: map[string]int{"APPEARANCE": 0, "PROPAGATION": 0, "DISAPPEARANCE": 0},
+		TopFlows: []fpx.FlowSiteJSON{
+			{Kernel: "k2", PC: 48, Total: 7, SASS: "FSETP.GT.AND P0, PT, R1, R2, PT ;"},
+		},
+	})
+	dq.WriteText(&txt)
+	const wantQuiet = "flow-state events (before -> after):\n" +
+		"  APPEARANCE              0 -> 0       \n" +
+		"  DISAPPEARANCE           1 -> 0         (-1)\n" +
+		"  PROPAGATION             3 -> 0         (-3)\n" +
+		"flow sites fixed (1):\n" +
+		"  [k] @ a.cu:11 (3 events)\n" +
+		"flow sites new (1):\n" +
+		"  [k2] @ FSETP.GT.AND P0, PT, R1, R2, PT ; (7 events)\n" +
+		"verdict: QUIET (no exception flow remains)\n"
+	if txt.String() != wantQuiet {
+		t.Errorf("quiet analyzer text diff:\n%s\nwant:\n%s", txt.String(), wantQuiet)
+	}
+}
+
+func TestCompareShadow(t *testing.T) {
+	before := fpx.ShadowReportJSON{
+		Kinds: map[string]uint64{"SIGNIFICANCE LOSS": 9, "CANCELLATION": 4, "DIVERGENCE": 0},
+		TopSites: []fpx.ShadowSiteJSON{
+			{Kernel: "sum", File: "ill_sum.cu", Line: 16, Total: 4, SASS: "FADD R4, R2, -R3 ;"},
+			{Kernel: "sum", File: "ill_sum.cu", Line: 18, Total: 9, SASS: "FMUL R5, R4, R4 ;"},
+		},
+	}
+	after := fpx.ShadowReportJSON{
+		Kinds: map[string]uint64{"SIGNIFICANCE LOSS": 12, "CANCELLATION": 0, "DIVERGENCE": 1},
+		TopSites: []fpx.ShadowSiteJSON{
+			{Kernel: "sum", File: "ill_sum.cu", Line: 18, Total: 12, SASS: "FMUL R5, R4, R4 ;"},
+			{Kernel: "sum", PC: 96, Total: 1, SASS: "MUFU.RCP R6, R5 ;"},
+		},
+	}
+	d := CompareShadow(before, after)
+	if c := d.Kinds["CANCELLATION"]; c != [2]uint64{4, 0} {
+		t.Errorf("CANCELLATION counts = %v, want [4 0]", c)
+	}
+	if len(d.FixedSites) != 1 || d.FixedSites[0].Line != 16 {
+		t.Errorf("fixed sites = %+v, want the line-16 site", d.FixedSites)
+	}
+	if len(d.NewSites) != 1 || d.NewSites[0].PC != 96 {
+		t.Errorf("new sites = %+v, want the binary-only MUFU site", d.NewSites)
+	}
+	if d.Quiet() {
+		t.Error("13 findings remain; not quiet")
+	}
+	if dq := CompareShadow(after, fpx.ShadowReportJSON{Kinds: map[string]uint64{"DIVERGENCE": 0}}); !dq.Quiet() {
+		t.Error("all-zero after run must be quiet")
+	}
+
+	var txt strings.Builder
+	d.WriteText(&txt)
+	const wantText = "shadow findings (before -> after):\n" +
+		"  CANCELLATION              4 -> 0         (-4)\n" +
+		"  DIVERGENCE                0 -> 1         (+1)\n" +
+		"  SIGNIFICANCE LOSS         9 -> 12        (+3)\n" +
+		"shadow sites fixed (1):\n" +
+		"  [sum] @ ill_sum.cu:16 (4 findings)\n" +
+		"shadow sites new (1):\n" +
+		"  [sum] @ MUFU.RCP R6, R5 ; (1 findings)\n"
+	if txt.String() != wantText {
+		t.Errorf("shadow text diff:\n%s\nwant:\n%s", txt.String(), wantText)
+	}
+	txt.Reset()
+	CompareShadow(after, fpx.ShadowReportJSON{}).WriteText(&txt)
+	const wantQuiet = "shadow findings (before -> after):\n" +
+		"  CANCELLATION              0 -> 0       \n" +
+		"  DIVERGENCE                1 -> 0         (-1)\n" +
+		"  SIGNIFICANCE LOSS        12 -> 0         (-12)\n" +
+		"shadow sites fixed (2):\n" +
+		"  [sum] @ ill_sum.cu:18 (12 findings)\n" +
+		"  [sum] @ MUFU.RCP R6, R5 ; (1 findings)\n" +
+		"shadow sites new (0):\n" +
+		"verdict: QUIET (no precision loss remains)\n"
+	if txt.String() != wantQuiet {
+		t.Errorf("quiet shadow text diff:\n%s\nwant:\n%s", txt.String(), wantQuiet)
+	}
 }
 
 // End-to-end analyzer diff: the fixed SRU-style kernel silences all flow.
