@@ -47,7 +47,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
 		rate    = flag.Float64("rate", 1e-4, "device-plane fault rate (with -chaos)")
 		campDir = flag.String("campaign-dir", "", "checkpoint root for POST /v1/profile campaigns (empty = no persistence; drained campaigns resume on re-POST when set)")
-		campWrk = flag.Int("campaign-workers", 0, "trial fan-out per campaign (0/1 = sequential; profiles are byte-identical either way)")
 	)
 	flag.Parse()
 
@@ -57,7 +56,6 @@ func main() {
 		DefaultCycleBudget: *budget,
 		MaxBodyBytes:       *maxBody,
 		CampaignDir:        *campDir,
-		CampaignWorkers:    *campWrk,
 	}
 	if *chaos {
 		plan := gpufpx.DefaultFaultPlan(*seed)

@@ -64,23 +64,42 @@ func (t Tool) String() string {
 	}
 }
 
-// ParseTool maps a -tool flag value to the bench series it measures.
+// ParseTool maps a -tool flag value, any name gpufpx.ParseTool accepts, to
+// the bench series that runs that tool in its default configuration.
 func ParseTool(name string) (Tool, error) {
-	switch name {
-	case "", "detector":
-		return ToolFPX, nil
-	case "analyzer":
-		return ToolAnalyzer, nil
-	case "shadow":
-		return ToolShadow, nil
-	case "binfpe":
-		return ToolBinFPE, nil
-	case "memcheck":
-		return ToolMemcheck, nil
-	case "plain":
-		return ToolNone, nil
+	ft, err := gpufpx.ParseTool(name)
+	if err != nil {
+		return 0, fmt.Errorf("bench: %w", err)
 	}
-	return 0, fmt.Errorf("bench: unknown tool %q (want detector, analyzer, shadow, binfpe, memcheck or plain)", name)
+	// ToolFPXNoGT is left out: the default detector keeps its GT.
+	for _, t := range []Tool{ToolNone, ToolBinFPE, ToolFPX, ToolAnalyzer, ToolShadow, ToolMemcheck} {
+		if t.facade().Name() == ft.Name() {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("bench: no series runs tool %q", ft.Name())
+}
+
+// facade is the tool the series runs, built through the public session
+// facade.
+func (t Tool) facade() gpufpx.Tool {
+	switch t {
+	case ToolBinFPE:
+		return gpufpx.BinFPE()
+	case ToolFPXNoGT:
+		cfg := gpufpx.DefaultDetectorConfig()
+		cfg.UseGT = false
+		return gpufpx.Detector(cfg)
+	case ToolFPX:
+		return gpufpx.Detector(gpufpx.DefaultDetectorConfig())
+	case ToolAnalyzer:
+		return gpufpx.Analyzer(gpufpx.DefaultAnalyzerConfig())
+	case ToolShadow:
+		return gpufpx.Shadow(gpufpx.DefaultShadowConfig())
+	case ToolMemcheck:
+		return gpufpx.Memcheck()
+	}
+	return gpufpx.Plain()
 }
 
 // deviceConfig is the evaluation device: the default cost model with a
@@ -180,27 +199,10 @@ func execute(p progs.Program, k runKey) RunResult {
 		gpufpx.WithDeviceConfig(dev),
 		gpufpx.WithCompile(k.opt.Compiler),
 		gpufpx.WithFreq(k.opt.FreqRedn),
+		gpufpx.WithTool(k.tool.facade()),
 	}
 	if k.white != "" {
 		sOpts = append(sOpts, gpufpx.WithKernelWhitelist(strings.Split(k.white, "\n")...))
-	}
-	switch k.tool {
-	case ToolNone:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Plain()))
-	case ToolBinFPE:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.BinFPE()))
-	case ToolFPXNoGT:
-		cfg := gpufpx.DefaultDetectorConfig()
-		cfg.UseGT = false
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Detector(cfg)))
-	case ToolFPX:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Detector(gpufpx.DefaultDetectorConfig())))
-	case ToolAnalyzer:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Analyzer(gpufpx.DefaultAnalyzerConfig())))
-	case ToolShadow:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Shadow(gpufpx.DefaultShadowConfig())))
-	case ToolMemcheck:
-		sOpts = append(sOpts, gpufpx.WithTool(gpufpx.Memcheck()))
 	}
 
 	// The program runs wrapped so the run can report which kernels it

@@ -96,14 +96,6 @@ func LowerClassSrc(op *sass.Operand, f fpval.Format) ClassSrc {
 	}
 }
 
-// Const reports whether the operand's class was fully resolved at lowering
-// time (no runtime read at all).
-func (s *ClassSrc) Const() bool { return s.kind == classConst }
-
-// Uniform reports whether the operand classifies identically in every lane,
-// so a site whose operands are all uniform needs no lane loop.
-func (s *ClassSrc) Uniform() bool { return s.kind == classConst || s.kind == classCBank }
-
 // Worst returns the most severe IEEE class the operand takes across the
 // executing lanes (NaN > INF > SUB > VAL > VAL0). Compile-time operands
 // return their baked class; constant-bank operands classify one warp-

@@ -86,41 +86,28 @@ type loweredKernel struct {
 	// isNop marks the sites lowered to no-ops, whose thunks the fusion
 	// pass leaves out of region bodies.
 	isNop []bool
-	// per-kernel lowering statistics, folded into the global counters when
-	// the kernel's program is built.
-	instrs, uniform, nops uint64
+	// instrs counts the kernel's lowered instructions, folded into the
+	// global counter when the kernel's program is built.
+	instrs uint64
 }
 
 // nop records pc as a no-op site and returns its thunk.
 func (lk *loweredKernel) nop(pc int) thunk {
-	lk.nops++
 	lk.isNop[pc] = true
 	return nopThunk
 }
 
-var lowKernels, lowInstrs, lowUniform, lowNops atomic.Uint64
+var lowKernels, lowInstrs atomic.Uint64
 
 // LowerStats is a snapshot of the process-wide lowering counters.
 type LowerStats struct {
 	// Kernels and Instrs count distinct lowered kernels and instructions.
 	Kernels, Instrs uint64
-	// UniformSites counts non-chainable instructions lowered to the
-	// uniform-operand broadcast path (all sources warp-invariant: compute
-	// once, broadcast). Chainable sites compile to mop closures instead.
-	UniformSites uint64
-	// NopSites counts pure instructions whose every destination is RZ or
-	// PT, lowered to no-ops.
-	NopSites uint64
 }
 
 // LowerStatsSnapshot returns the current lowering counters.
 func LowerStatsSnapshot() LowerStats {
-	return LowerStats{
-		Kernels:      lowKernels.Load(),
-		Instrs:       lowInstrs.Load(),
-		UniformSites: lowUniform.Load(),
-		NopSites:     lowNops.Load(),
-	}
+	return LowerStats{Kernels: lowKernels.Load(), Instrs: lowInstrs.Load()}
 }
 
 // Prelower builds a kernel's program ahead of its first launch, so the

@@ -23,12 +23,6 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 	ops := in.Operands
 	wide := m.sub[pc] == subWide
 
-	// uni marks a uniform-operand broadcast site.
-	uni := func(t thunk) thunk {
-		lk.uniform++
-		return t
-	}
-
 	if chainable(in, m, pc) {
 		op := buildMop(in, m, pc)
 		if op.writesNothing() {
@@ -83,9 +77,9 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 		s := mopSrcI(&ops[1])
 		if s.reg < 0 {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast64(w, dst, math.Float64bits(float64(int32(s.entry(ex.d)))), exec)
-			})
+			}
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
 			u := s.entry(ex.d)
@@ -103,9 +97,9 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 		s := lowerSrc64(&ops[1])
 		if s.uniform() {
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, uint32(truncToI32(math.Float64frombits(s.fetch(ex.d)))), exec)
-			})
+			}
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
 			u := s.fetch(ex.d)
@@ -214,9 +208,9 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		}
 		bank, off := ops[1].Bank, ops[1].Off
 		// Constant-bank reads are warp-invariant by construction.
-		return uni(func(ex *executor, w *Warp, exec uint32) {
+		return func(ex *executor, w *Warp, exec uint32) {
 			broadcast32(w, dst, ex.d.CBankRead(bank, off), exec)
-		})
+		}
 
 	case sass.OpS2R:
 		dst := ops[0].Reg
@@ -226,21 +220,21 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		// SR_TID.X and SR_LANEID are chainable; the rest are warp-invariant.
 		switch ops[1].SR {
 		case sass.SRCtaidX:
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, uint32(w.Block), exec)
-			})
+			}
 		case sass.SRNtidX:
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, uint32(ex.l.BlockDim), exec)
-			})
+			}
 		case sass.SRNctaidX:
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, uint32(ex.l.GridDim), exec)
-			})
+			}
 		default:
-			return uni(func(ex *executor, w *Warp, exec uint32) {
+			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast32(w, dst, 0, exec)
-			})
+			}
 		}
 
 	case sass.OpSHFL:
@@ -300,7 +294,6 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != d64Fma || s3.uniform()) {
-		lk.uniform++
 		return func(ex *executor, w *Warp, exec uint32) {
 			a := math.Float64frombits(s1.fetch(ex.d))
 			b := math.Float64frombits(s2.fetch(ex.d))
@@ -365,7 +358,6 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 		}
 	}
 	if s1.uniform() && s2.uniform() && (kind != h16Fma || s3.uniform()) {
-		lk.uniform++
 		return func(ex *executor, w *Warp, exec uint32) {
 			a := fpval.F16ToFloat32(s1.fetch(ex.d))
 			b := fpval.F16ToFloat32(s2.fetch(ex.d))
@@ -415,9 +407,6 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 			return
 		}
 		r[dst] = uint32(v)
-	}
-	if uniform {
-		lk.uniform++
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
 		u64, u32 := s64.fetch(ex.d), s32.entry(ex.d)

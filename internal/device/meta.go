@@ -76,8 +76,6 @@ func buildProgram(k *sass.Kernel) any {
 	p := &program{meta: m, low: lowerKernel(k, m)}
 	lowKernels.Add(1)
 	lowInstrs.Add(p.low.instrs)
-	lowUniform.Add(p.low.uniform)
-	lowNops.Add(p.low.nops)
 	if m.verr == nil {
 		p.fk = fuseKernel(k, m, p.low)
 		fuseKernelsN.Add(1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"gpufpx/internal/cuda"
@@ -118,20 +117,18 @@ type AnalyzerStats struct {
 
 // Analyzer is the GPU-FPX analyzer tool.
 type Analyzer struct {
-	cfg   AnalyzerConfig
-	white map[string]bool
-	out   io.Writer
+	cfg    AnalyzerConfig
+	filter launchFilter
+	out    io.Writer
 
 	events []FlowEvent
-	// sites aggregates per-location state counters and the emitted-event
-	// cap; entries are created at Instrument time and shared by sites with
-	// the same ⟨kernel, pc⟩ location.
-	sites map[locKey]*siteCounts
+	// sites counts Table 2 states per location (indexed by FlowState).
+	sites siteTally
 	stats AnalyzerStats
 	// scratch holds one fixed-size pre-execution class buffer per warp in a
-	// block, reused across instructions and launches — the lowered
-	// replacement for a per-instruction map insert/delete.
-	scratch []siteClasses
+	// block — the lowered replacement for a per-instruction map
+	// insert/delete.
+	scratch warpSlots[siteClasses]
 }
 
 // NewAnalyzer builds an analyzer tool.
@@ -141,18 +138,13 @@ func NewAnalyzer(cfg AnalyzerConfig) *Analyzer {
 	}
 	a := &Analyzer{
 		cfg:     cfg,
+		filter:  newLaunchFilter(cfg.Whitelist, cfg.FreqRednFactor),
 		out:     cfg.Output,
-		sites:   make(map[locKey]*siteCounts),
-		scratch: make([]siteClasses, 32), // covers blockDim ≤ 1024 without growth
+		sites:   siteTally{},
+		scratch: make(warpSlots[siteClasses], 32), // covers blockDim ≤ 1024 without growth
 	}
 	if a.out == nil {
 		a.out = io.Discard
-	}
-	if len(cfg.Whitelist) > 0 {
-		a.white = make(map[string]bool, len(cfg.Whitelist))
-		for _, n := range cfg.Whitelist {
-			a.white[n] = true
-		}
 	}
 	return a
 }
@@ -169,13 +161,7 @@ func (a *Analyzer) Name() string { return "GPU-FPX-analyzer" }
 
 // ShouldInstrument implements Algorithm 3 for the analyzer.
 func (a *Analyzer) ShouldInstrument(k *sass.Kernel, invocation int) bool {
-	if a.white != nil && !a.white[k.Name] {
-		return false
-	}
-	if f := a.cfg.FreqRednFactor; f > 1 && invocation%f != 0 {
-		return false
-	}
-	return true
+	return a.filter.admit(k, invocation)
 }
 
 // Instrument compiles every tracked FP instruction — including the
@@ -277,25 +263,8 @@ func (a *Analyzer) OnExit() {
 		"#GPU-FPX-ANA summary: %d appearances, %d propagations, %d disappearances, %d comparisons, %d shared-register events, %d exceptional values stored to output\n",
 		a.stats.Appearances, a.stats.Propagations, a.stats.Disappearances,
 		a.stats.Comparisons, a.stats.SharedRegister, a.stats.OutputExceptions)
-	flows := a.TopFlows(8)
-	if len(flows) == 0 {
-		return
-	}
-	fmt.Fprintln(a.out, "#GPU-FPX-ANA hottest exception-flow sites:")
-	for _, site := range flows {
-		fmt.Fprintf(a.out, "  %6d  @ %s in [%s]:%d  %s ", site.Total, site.Loc, site.Kernel, site.PC, site.SASS)
-		first := true
-		for _, st := range []FlowState{StateAppearance, StatePropagation, StateDisappearance, StateComparison, StateSharedRegister} {
-			if n := site.States[st]; n > 0 {
-				if !first {
-					fmt.Fprint(a.out, ", ")
-				}
-				fmt.Fprintf(a.out, "%s x%d", st, n)
-				first = false
-			}
-		}
-		fmt.Fprintln(a.out)
-	}
+	writeHottest(a.out, a.sites, "#GPU-FPX-ANA hottest exception-flow sites:",
+		StateAppearance, StatePropagation, StateDisappearance, StateComparison, StateSharedRegister)
 }
 
 // Events returns the recorded flow events (capped per location).
@@ -317,53 +286,13 @@ type FlowSite struct {
 // first — the "where do exceptions appear, propagate and die" digest a user
 // reads before diving into individual events.
 func (a *Analyzer) TopFlows(limit int) []FlowSite {
-	agg := make(map[locKey]*FlowSite)
-	for lk, c := range a.sites {
-		var total uint64
-		for _, n := range c.states {
-			total += n
-		}
-		if total == 0 {
-			// Instrumented but never saw an exceptional value.
-			continue
-		}
-		site := &FlowSite{Kernel: lk.kernel, PC: lk.pc, Total: total,
-			States: make(map[FlowState]uint64)}
-		for st, n := range c.states {
-			if n > 0 {
-				site.States[FlowState(st)] = n
-			}
-		}
-		// Fill in the instruction text from any recorded event.
-		agg[lk] = site
+	ranked := a.sites.top(limit)
+	out := make([]FlowSite, len(ranked))
+	for i, s := range ranked {
+		out[i] = FlowSite{Kernel: s.kernel, PC: s.pc, SASS: s.sass, Loc: s.loc,
+			States: byCategory[FlowState](s.locCounts), Total: s.total}
 	}
-	for _, ev := range a.events {
-		if site, ok := agg[locKey{ev.Kernel, ev.PC}]; ok && site.SASS == "" {
-			site.SASS = ev.SASS
-			site.Loc = ev.Loc
-		}
-	}
-	out := make([]*FlowSite, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		if out[i].Kernel != out[j].Kernel {
-			return out[i].Kernel < out[j].Kernel
-		}
-		return out[i].PC < out[j].PC
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	res := make([]FlowSite, len(out))
-	for i, s := range out {
-		res[i] = *s
-	}
-	return res
+	return out
 }
 
 // Stats returns the aggregate flow counters.

@@ -20,15 +20,6 @@ const maxSiteOps = 8
 // siteClasses is one warp's fixed-size class capture buffer.
 type siteClasses [maxSiteOps]fpval.Class
 
-// siteCounts aggregates one instruction location: per-state dynamic
-// occurrence counters (TopFlows' evidence) and the emitted-event count the
-// MaxEventsPerLocation cap applies to. Sites from different kernels that
-// share a ⟨kernel name, pc⟩ location share one siteCounts.
-type siteCounts struct {
-	states  [5]uint64 // indexed by FlowState
-	emitted int
-}
-
 // siteProg is one analyzer site compiled at Instrument time.
 type siteProg struct {
 	a *Analyzer
@@ -44,9 +35,6 @@ type siteProg struct {
 	shared  bool
 	compare bool
 	hasDst  bool
-	// uniform marks sites whose operands all classify warp-invariantly —
-	// the broadcast fast path needs no lane loop at all.
-	uniform bool
 
 	// Pre-rendered report identity: the SASS text is built once here, never
 	// per event.
@@ -55,7 +43,7 @@ type siteProg struct {
 	sass   string
 	loc    sass.SourceLoc
 
-	counts *siteCounts
+	counts *locCounts
 }
 
 // compileSite lowers one tracked instruction. The operand formats replicate
@@ -78,8 +66,6 @@ func (a *Analyzer) compileSite(kernel string, in *sass.Instr) *siteProg {
 		panic("fpx: analyzer site exceeds maxSiteOps tracked operands")
 	}
 	s.n = len(ops)
-	constOps := 0
-	s.uniform = true
 	for i := range ops {
 		f := srcFmt
 		if wide {
@@ -89,30 +75,12 @@ func (a *Analyzer) compileSite(kernel string, in *sass.Instr) *siteProg {
 			f = dstFmt
 		}
 		s.srcs[i] = device.LowerClassSrc(&ops[i], f)
-		if s.srcs[i].Const() {
-			constOps++
-		}
-		if !s.srcs[i].Uniform() {
-			s.uniform = false
-		}
 	}
 	_, s.hasDst = in.DestReg()
 	s.shared = in.SharesDestWithSource()
 	s.compare = in.Op.IsControlFlowFP()
-
-	lk := locKey{kernel, in.PC}
-	if c, ok := a.sites[lk]; ok {
-		s.counts = c
-	} else {
-		s.counts = &siteCounts{}
-		a.sites[lk] = s.counts
-	}
-
+	s.counts = a.sites.at(kernel, in.PC)
 	anaSites.Add(1)
-	anaConstOps.Add(uint64(constOps))
-	if s.uniform {
-		anaUniform.Add(1)
-	}
 	return s
 }
 
@@ -128,7 +96,7 @@ func (s *siteProg) needBefore() bool { return s.shared || s.hasDst }
 // before is the injected pre-execution capture, writing into the warp's
 // fixed scratch slot: no map insert, no allocation.
 func (s *siteProg) before(ctx *device.InjCtx) error {
-	buf := s.a.scratchFor(ctx.Warp.WarpInBlock)
+	buf := s.a.scratch.at(ctx.Warp.WarpInBlock)
 	if s.shared {
 		for i := 0; i < s.n; i++ {
 			buf[i] = s.srcs[i].Worst(ctx)
@@ -203,7 +171,7 @@ func (st *AnalyzerStats) bump(state FlowState) {
 // emit materializes and ships one flow event — the under-cap path of the
 // after call. The caller has already checked the per-location cap.
 func (a *Analyzer) emit(s *siteProg, state FlowState, bef, aft *siteClasses, dev *device.Device) error {
-	s.counts.emitted++
+	s.counts.emit(s.sass, s.loc)
 	n := s.n
 	before := make([]fpval.Class, n)
 	copy(before, bef[:n])
@@ -230,29 +198,17 @@ func (a *Analyzer) emit(s *siteProg, state FlowState, bef, aft *siteClasses, dev
 // after classifies the instruction state (Table 2) and emits the report.
 func (s *siteProg) after(ctx *device.InjCtx) error {
 	a := s.a
-	bef, aft := s.capture(ctx, a.scratchFor(ctx.Warp.WarpInBlock))
+	bef, aft := s.capture(ctx, a.scratch.at(ctx.Warp.WarpInBlock))
 	state, ok := s.triage(&bef, &aft)
 	if !ok {
 		return nil
 	}
 	a.stats.bump(state)
-	s.counts.states[state]++
+	s.counts.n[state]++
 	if s.counts.emitted < a.cfg.MaxEventsPerLocation {
 		// Only now — when the event will actually be emitted — is the
 		// FlowEvent materialized.
 		return a.emit(s, state, &bef, &aft, ctx.Dev)
 	}
 	return nil
-}
-
-// scratchFor returns the warp's class capture slot, growing the pool on
-// first contact with a deeper block shape. The pool is reused across
-// launches like the executor's warp pool.
-func (a *Analyzer) scratchFor(warpInBlock int) *siteClasses {
-	if warpInBlock >= len(a.scratch) {
-		grown := make([]siteClasses, warpInBlock+1)
-		copy(grown, a.scratch)
-		a.scratch = grown
-	}
-	return &a.scratch[warpInBlock]
 }

@@ -77,9 +77,9 @@ type DetectorStats struct {
 
 // Detector is the GPU-FPX detector tool.
 type Detector struct {
-	cfg   DetectorConfig
-	white map[string]bool
-	locs  *LocTable
+	cfg    DetectorConfig
+	filter launchFilter
+	locs   *LocTable
 	// gt is the host mirror of the device's 4 MiB global dedup table, held
 	// as one bit per ⟨exception, location, format⟩ key. The simulated cost
 	// of the real table is modeled by GTBytes/GTAllocCycles; the host only
@@ -128,21 +128,16 @@ func takeKeySet() keySet {
 // context.
 func NewDetector(cfg DetectorConfig) *Detector {
 	d := &Detector{
-		cfg:  cfg,
-		locs: NewLocTable(),
-		out:  cfg.Output,
+		cfg:    cfg,
+		filter: newLaunchFilter(cfg.Whitelist, cfg.FreqRednFactor),
+		locs:   NewLocTable(),
+		out:    cfg.Output,
 	}
 	if d.out == nil {
 		d.out = io.Discard
 	}
 	if cfg.UseGT {
 		d.gt = takeKeySet()
-	}
-	if len(cfg.Whitelist) > 0 {
-		d.white = make(map[string]bool, len(cfg.Whitelist))
-		for _, n := range cfg.Whitelist {
-			d.white[n] = true
-		}
 	}
 	return d
 }
@@ -173,10 +168,7 @@ func (d *Detector) Name() string { return "GPU-FPX-detector" }
 
 // ShouldInstrument implements Algorithm 3.
 func (d *Detector) ShouldInstrument(k *sass.Kernel, invocation int) bool {
-	if d.white != nil && !d.white[k.Name] {
-		return false
-	}
-	if f := d.cfg.FreqRednFactor; f > 1 && invocation%f != 0 {
+	if !d.filter.admit(k, invocation) {
 		return false
 	}
 	if d.cfg.Verbose && !d.announced[k.Name] {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"gpufpx/internal/fpval"
+	"gpufpx/internal/sass"
 )
 
 // JSON export of detector and analyzer results, for piping reports into
@@ -33,6 +34,15 @@ type RecordJSON struct {
 	Line      int    `json:"line,omitempty"`
 }
 
+// wireLoc is a source position as the reports carry it: file and line for
+// source-mapped code, both empty (and omitted) for binary-only kernels.
+func wireLoc(l sass.SourceLoc) (string, int) {
+	if l.IsKnown() {
+		return l.File, l.Line
+	}
+	return "", 0
+}
+
 func recordJSON(r Record) RecordJSON {
 	out := RecordJSON{
 		Exception: r.Exc.String(),
@@ -41,10 +51,7 @@ func recordJSON(r Record) RecordJSON {
 		PC:        r.PC,
 		SASS:      r.SASS,
 	}
-	if r.Loc.IsKnown() {
-		out.File = r.Loc.File
-		out.Line = r.Loc.Line
-	}
+	out.File, out.Line = wireLoc(r.Loc)
 	return out
 }
 
@@ -150,10 +157,7 @@ func eventJSON(ev FlowEvent) EventJSON {
 		Before: classNames(ev.Before),
 		After:  classNames(ev.After),
 	}
-	if ev.Loc.IsKnown() {
-		e.File = ev.Loc.File
-		e.Line = ev.Loc.Line
-	}
+	e.File, e.Line = wireLoc(ev.Loc)
 	return e
 }
 
@@ -171,23 +175,9 @@ func (a *Analyzer) ReportJSON() AnalyzerReportJSON {
 			StateSharedRegister.String(): int(a.stats.SharedRegister),
 		},
 	}
-	for _, site := range a.TopFlows(16) {
-		fs := FlowSiteJSON{
-			Kernel: site.Kernel,
-			PC:     site.PC,
-			SASS:   site.SASS,
-			Total:  site.Total,
-			States: map[string]uint64{},
-		}
-		if site.Loc.IsKnown() {
-			fs.File = site.Loc.File
-			fs.Line = site.Loc.Line
-		}
-		for st, n := range site.States {
-			fs.States[st.String()] = n
-		}
-		rep.TopFlows = append(rep.TopFlows, fs)
-	}
+	rep.TopFlows = topSitesJSON[FlowState](a.sites, func(s siteJSON) FlowSiteJSON {
+		return FlowSiteJSON{s.kernel, s.pc, s.sass, s.file, s.line, s.total, s.counts}
+	})
 	for _, ev := range a.events {
 		rep.Events = append(rep.Events, eventJSON(ev))
 	}
@@ -231,10 +221,7 @@ func findingJSON(f Finding) FindingJSON {
 		RelErr:   formatShadowValue(f.RelErr),
 		LostBits: f.LostBits,
 	}
-	if f.Loc.IsKnown() {
-		out.File = f.Loc.File
-		out.Line = f.Loc.Line
-	}
+	out.File, out.Line = wireLoc(f.Loc)
 	return out
 }
 
@@ -270,23 +257,9 @@ func (sh *Shadow) ReportJSON() ShadowReportJSON {
 			KindDivergence.String():       sh.stats.Divergences,
 		},
 	}
-	for _, site := range sh.TopSites(16) {
-		ss := ShadowSiteJSON{
-			Kernel: site.Kernel,
-			PC:     site.PC,
-			SASS:   site.SASS,
-			Total:  site.Total,
-			Kinds:  map[string]uint64{},
-		}
-		if site.Loc.IsKnown() {
-			ss.File = site.Loc.File
-			ss.Line = site.Loc.Line
-		}
-		for k, n := range site.Kinds {
-			ss.Kinds[k.String()] = n
-		}
-		rep.TopSites = append(rep.TopSites, ss)
-	}
+	rep.TopSites = topSitesJSON[ShadowKind](sh.sites, func(s siteJSON) ShadowSiteJSON {
+		return ShadowSiteJSON{s.kernel, s.pc, s.sass, s.file, s.line, s.total, s.counts}
+	})
 	for _, f := range sh.findings {
 		rep.Findings = append(rep.Findings, findingJSON(f))
 	}

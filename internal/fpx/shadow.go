@@ -3,7 +3,6 @@ package fpx
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -148,9 +147,9 @@ func (st *ShadowStats) bump(kind ShadowKind) {
 
 // Shadow is the GPU-FPX shadow-precision sanitizer tool.
 type Shadow struct {
-	cfg   ShadowConfig
-	white map[string]bool
-	out   io.Writer
+	cfg    ShadowConfig
+	filter launchFilter
+	out    io.Writer
 
 	// epoch is the current launch's generation, drawn from the process-wide
 	// shadowEpoch counter once per launch (ShouldInstrument runs exactly
@@ -164,10 +163,8 @@ type Shadow struct {
 	sigThresh32, sigThresh16 float64
 
 	findings []Finding
-	// sites aggregates per-location kind counters and the emitted-finding
-	// cap; entries are created at Instrument time and shared by sites with
-	// the same ⟨kernel, pc⟩ location.
-	sites map[locKey]*shadowCounts
+	// sites counts findings per location (indexed by ShadowKind).
+	sites siteTally
 	stats ShadowStats
 
 	// slabs is the shadow register file, indexed by warp
@@ -175,8 +172,8 @@ type Shadow struct {
 	// makes clearing unnecessary, exactly like the detector's pooled GT.
 	slabs shadowSlabs
 	// scratch holds one fixed-size operand capture buffer per warp in a
-	// block, reused across instructions and launches.
-	scratch []shadowScratch
+	// block.
+	scratch warpSlots[shadowScratch]
 }
 
 // NewShadow builds a shadow-precision sanitizer tool.
@@ -193,20 +190,15 @@ func NewShadow(cfg ShadowConfig) *Shadow {
 	}
 	sh := &Shadow{
 		cfg:         cfg,
+		filter:      newLaunchFilter(cfg.Whitelist, cfg.FreqRednFactor),
 		out:         cfg.Output,
-		sites:       make(map[locKey]*shadowCounts),
-		scratch:     make([]shadowScratch, 32), // covers blockDim ≤ 1024 without growth
+		sites:       siteTally{},
+		scratch:     make(warpSlots[shadowScratch], 32), // covers blockDim ≤ 1024 without growth
 		sigThresh32: sigThreshold(cfg.SigBits, 24),
 		sigThresh16: sigThreshold(cfg.SigBits, 11),
 	}
 	if sh.out == nil {
 		sh.out = io.Discard
-	}
-	if len(cfg.Whitelist) > 0 {
-		sh.white = make(map[string]bool, len(cfg.Whitelist))
-		for _, n := range cfg.Whitelist {
-			sh.white[n] = true
-		}
 	}
 	return sh
 }
@@ -233,13 +225,7 @@ var shadowEpoch atomic.Uint64
 // file slabs.
 func (sh *Shadow) ShouldInstrument(k *sass.Kernel, invocation int) bool {
 	sh.epoch = shadowEpoch.Add(1)
-	if sh.white != nil && !sh.white[k.Name] {
-		return false
-	}
-	if f := sh.cfg.FreqRednFactor; f > 1 && invocation%f != 0 {
-		return false
-	}
-	return true
+	return sh.filter.admit(k, invocation)
 }
 
 // Instrument compiles every shadowed FP32/FP16 compute instruction into a
@@ -302,26 +288,8 @@ func (sh *Shadow) OnExit() {
 		"#GPU-FPX-SHA summary: %d significance losses, %d cancellations, %d divergences over %d shadowed warp executions (%d resyncs)\n",
 		sh.stats.SignificanceLosses, sh.stats.Cancellations, sh.stats.Divergences,
 		sh.stats.ShadowedOps, sh.stats.Resyncs)
-	top := sh.TopSites(8)
-	if len(top) == 0 {
-		sh.slabs.release()
-		return
-	}
-	fmt.Fprintln(sh.out, "#GPU-FPX-SHA hottest precision-drift sites:")
-	for _, site := range top {
-		fmt.Fprintf(sh.out, "  %6d  @ %s in [%s]:%d  %s ", site.Total, site.Loc, site.Kernel, site.PC, site.SASS)
-		first := true
-		for _, k := range []ShadowKind{KindDivergence, KindCancellation, KindSignificanceLoss} {
-			if n := site.Kinds[k]; n > 0 {
-				if !first {
-					fmt.Fprint(sh.out, ", ")
-				}
-				fmt.Fprintf(sh.out, "%s x%d", k, n)
-				first = false
-			}
-		}
-		fmt.Fprintln(sh.out)
-	}
+	writeHottest(sh.out, sh.sites, "#GPU-FPX-SHA hottest precision-drift sites:",
+		KindDivergence, KindCancellation, KindSignificanceLoss)
 	sh.slabs.release()
 }
 
@@ -344,49 +312,11 @@ type ShadowSite struct {
 
 // TopSites compiles the per-site drift summary, most active sites first.
 func (sh *Shadow) TopSites(limit int) []ShadowSite {
-	agg := make(map[locKey]*ShadowSite)
-	for lk, c := range sh.sites {
-		var total uint64
-		for _, n := range c.kinds {
-			total += n
-		}
-		if total == 0 {
-			continue
-		}
-		site := &ShadowSite{Kernel: lk.kernel, PC: lk.pc, Total: total,
-			Kinds: make(map[ShadowKind]uint64)}
-		for k, n := range c.kinds {
-			if n > 0 {
-				site.Kinds[ShadowKind(k)] = n
-			}
-		}
-		agg[lk] = site
+	ranked := sh.sites.top(limit)
+	out := make([]ShadowSite, len(ranked))
+	for i, s := range ranked {
+		out[i] = ShadowSite{Kernel: s.kernel, PC: s.pc, SASS: s.sass, Loc: s.loc,
+			Kinds: byCategory[ShadowKind](s.locCounts), Total: s.total}
 	}
-	for _, f := range sh.findings {
-		if site, ok := agg[locKey{f.Kernel, f.PC}]; ok && site.SASS == "" {
-			site.SASS = f.SASS
-			site.Loc = f.Loc
-		}
-	}
-	out := make([]*ShadowSite, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		if out[i].Kernel != out[j].Kernel {
-			return out[i].Kernel < out[j].Kernel
-		}
-		return out[i].PC < out[j].PC
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	res := make([]ShadowSite, len(out))
-	for i, s := range out {
-		res[i] = *s
-	}
-	return res
+	return out
 }

@@ -102,13 +102,6 @@ type shadowLaneOps struct {
 // shadowScratch is one warp's operand capture buffer.
 type shadowScratch [device.WarpSize]shadowLaneOps
 
-// shadowCounts aggregates one instruction location: per-kind finding
-// counters and the emitted count the MaxFindingsPerSite cap applies to.
-type shadowCounts struct {
-	kinds   [3]uint64 // indexed by ShadowKind
-	emitted int
-}
-
 // shadowCand is one warp execution's worst-lane finding candidate — the
 // triage output of judge.
 type shadowCand struct {
@@ -139,7 +132,7 @@ type shadowSite struct {
 	sass   string
 	loc    sass.SourceLoc
 
-	counts *shadowCounts
+	counts *locCounts
 }
 
 // compileShadowSite lowers one shadowed instruction; nil when the
@@ -203,14 +196,7 @@ func (sh *Shadow) compileShadowSite(kernel string, in *sass.Instr) *shadowSite {
 	for i := 0; i < s.nsrc; i++ {
 		s.srcs[i] = device.LowerValSrc(&in.Operands[i+1], s.fmt)
 	}
-
-	lk := locKey{kernel, in.PC}
-	if c, ok := sh.sites[lk]; ok {
-		s.counts = c
-	} else {
-		s.counts = &shadowCounts{}
-		sh.sites[lk] = s.counts
-	}
+	s.counts = sh.sites.at(kernel, in.PC)
 	shadowSites.Add(1)
 	return s
 }
@@ -370,7 +356,7 @@ func lostSignificandBits(relErr float64, f fpval.Format) int {
 // emit materializes and ships one finding — the under-cap path of the after
 // call. The caller has already checked the per-location cap.
 func (sh *Shadow) emit(s *shadowSite, c *shadowCand, dev *device.Device) error {
-	s.counts.emitted++
+	s.counts.emit(s.sass, s.loc)
 	f := Finding{
 		Kind:     c.kind,
 		Kernel:   s.kernel,
@@ -396,7 +382,7 @@ func (sh *Shadow) emit(s *shadowSite, c *shadowCand, dev *device.Device) error {
 func (s *shadowSite) before(ctx *device.InjCtx) error {
 	sh := s.sh
 	wib := ctx.Warp.WarpInBlock
-	sh.stats.Resyncs += s.capture(ctx, sh.slabs.warp(wib), sh.gen(ctx.Warp.Block), sh.scratchFor(wib))
+	sh.stats.Resyncs += s.capture(ctx, sh.slabs.warp(wib), sh.gen(ctx.Warp.Block), sh.scratch.at(wib))
 	return nil
 }
 
@@ -404,26 +390,15 @@ func (s *shadowSite) before(ctx *device.InjCtx) error {
 func (s *shadowSite) after(ctx *device.InjCtx) error {
 	sh := s.sh
 	wib := ctx.Warp.WarpInBlock
-	cand, ok := s.judge(ctx, sh.slabs.warp(wib), sh.gen(ctx.Warp.Block), sh.scratchFor(wib))
+	cand, ok := s.judge(ctx, sh.slabs.warp(wib), sh.gen(ctx.Warp.Block), sh.scratch.at(wib))
 	sh.stats.ShadowedOps++
 	if !ok {
 		return nil
 	}
 	sh.stats.bump(cand.kind)
-	s.counts.kinds[cand.kind]++
+	s.counts.n[cand.kind]++
 	if s.counts.emitted < sh.cfg.MaxFindingsPerSite {
 		return sh.emit(s, &cand, ctx.Dev)
 	}
 	return nil
-}
-
-// scratchFor returns the warp's operand capture slot, growing the pool on
-// first contact with a deeper block shape.
-func (sh *Shadow) scratchFor(warpInBlock int) *shadowScratch {
-	if warpInBlock >= len(sh.scratch) {
-		grown := make([]shadowScratch, warpInBlock+1)
-		copy(grown, sh.scratch)
-		sh.scratch = grown
-	}
-	return &sh.scratch[warpInBlock]
 }

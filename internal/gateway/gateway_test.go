@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"gpufpx/internal/serve"
+	"gpufpx/pkg/gpufpx"
 )
 
 // fleet boots n serve nodes on httptest listeners and a gateway over
@@ -207,10 +208,16 @@ func TestGatewayAffinity(t *testing.T) {
 // metrics.
 func TestGatewayReroutesPastDeadNode(t *testing.T) {
 	g, gw, nodes := fleet(t, 2, Config{HealthInterval: time.Hour}) // probes off: exercise live-traffic demotion
-	// Find a program served by node 0 so killing it forces a reroute.
+	// Find a program served by node 0 so killing it forces a reroute. Node
+	// URLs carry random ports, so each program lands on node 0 about half
+	// the time: the whole corpus backs up the four preferred probes.
+	probes := []string{"myocyte", "GRAMSCHM", "HPCG", "libor"}
+	for _, p := range gpufpx.Programs() {
+		probes = append(probes, p.Name)
+	}
 	var victimReq serve.CheckRequest
 	found := false
-	for _, prog := range []string{"myocyte", "GRAMSCHM", "HPCG", "libor"} {
+	for _, prog := range probes {
 		req := serve.CheckRequest{Prog: prog}
 		if g.Shard(ShardKey(req)) == nodes[0].URL {
 			victimReq, found = req, true

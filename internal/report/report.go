@@ -32,13 +32,18 @@ type Key struct {
 	Site string
 }
 
+// siteOf is a report site's position that survives recompilation:
+// "file:line" for source-mapped sites, the SASS text otherwise.
+func siteOf(file string, line int, sass string) string {
+	if file != "" {
+		return fmt.Sprintf("%s:%d", file, line)
+	}
+	return sass
+}
+
 // keyOf derives the match key for a record.
 func keyOf(r fpx.RecordJSON) Key {
-	site := r.SASS
-	if r.File != "" {
-		site = fmt.Sprintf("%s:%d", r.File, r.Line)
-	}
-	return Key{Exception: r.Exception, Format: r.Format, Kernel: r.Kernel, Site: site}
+	return Key{Exception: r.Exception, Format: r.Format, Kernel: r.Kernel, Site: siteOf(r.File, r.Line, r.SASS)}
 }
 
 // severe reports whether the record is in one of the categories the paper
@@ -216,15 +221,11 @@ func (d DetectorDiff) WriteText(w io.Writer) {
 	section := func(title string, rs []fpx.RecordJSON) {
 		fmt.Fprintf(w, "%s (%d):\n", title, len(rs))
 		for _, r := range rs {
-			site := r.SASS
-			if r.File != "" {
-				site = fmt.Sprintf("%s:%d", r.File, r.Line)
-			}
 			marker := " "
 			if severe(r) {
 				marker = "!"
 			}
-			fmt.Fprintf(w, "  %s %-4s [%s] in [%s] @ %s\n", marker, r.Exception, r.Format, r.Kernel, site)
+			fmt.Fprintf(w, "  %s %-4s [%s] in [%s] @ %s\n", marker, r.Exception, r.Format, r.Kernel, siteOf(r.File, r.Line, r.SASS))
 		}
 	}
 	section("FIXED", d.Fixed)
@@ -250,95 +251,32 @@ type AnalyzerDiff struct {
 	NewSites []fpx.FlowSiteJSON
 }
 
-// siteKey matches flow sites across recompilation, preferring source lines.
-func siteKey(s fpx.FlowSiteJSON) Key {
-	site := s.SASS
-	if s.File != "" {
-		site = fmt.Sprintf("%s:%d", s.File, s.Line)
-	}
-	return Key{Kernel: s.Kernel, Site: site}
+// flowSite is a flow site's match key and event total.
+func flowSite(s fpx.FlowSiteJSON) (Key, uint64) {
+	return Key{Kernel: s.Kernel, Site: siteOf(s.File, s.Line, s.SASS)}, s.Total
+}
+
+// analyzerText labels the analyzer diff's text rendering.
+var analyzerText = diffText{
+	counts: "flow-state events", width: 16, sites: "flow sites", unit: "events",
+	verdict: "QUIET (no exception flow remains)",
 }
 
 // CompareAnalyzer diffs two analyzer reports.
 func CompareAnalyzer(before, after fpx.AnalyzerReportJSON) AnalyzerDiff {
-	d := AnalyzerDiff{States: make(map[string][2]int)}
-	for st, n := range before.States {
-		c := d.States[st]
-		c[0] = n
-		d.States[st] = c
-	}
-	for st, n := range after.States {
-		c := d.States[st]
-		c[1] = n
-		d.States[st] = c
-	}
-	prev := make(map[Key]bool, len(before.TopFlows))
-	for _, s := range before.TopFlows {
-		prev[siteKey(s)] = true
-	}
-	cur := make(map[Key]bool, len(after.TopFlows))
-	for _, s := range after.TopFlows {
-		cur[siteKey(s)] = true
-		if !prev[siteKey(s)] {
-			d.NewSites = append(d.NewSites, s)
-		}
-	}
-	for _, s := range before.TopFlows {
-		if !cur[siteKey(s)] {
-			d.FixedSites = append(d.FixedSites, s)
-		}
-	}
+	d := AnalyzerDiff{States: diffCounts(before.States, after.States)}
+	d.FixedSites, d.NewSites = diffSites(before.TopFlows, after.TopFlows, flowSite)
 	return d
 }
 
 // Quiet reports whether the after run has no exception-flow activity at all
 // — every appearance, propagation, comparison, disappearance and
 // shared-register count is zero.
-func (d AnalyzerDiff) Quiet() bool {
-	for _, c := range d.States {
-		if c[1] != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d AnalyzerDiff) Quiet() bool { return quiet(d.States) }
 
 // WriteText renders the analyzer diff.
 func (d AnalyzerDiff) WriteText(w io.Writer) {
-	names := make([]string, 0, len(d.States))
-	for st := range d.States {
-		names = append(names, st)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(w, "flow-state events (before -> after):")
-	for _, st := range names {
-		c := d.States[st]
-		delta := ""
-		switch {
-		case c[1] < c[0]:
-			delta = fmt.Sprintf("  (-%d)", c[0]-c[1])
-		case c[1] > c[0]:
-			delta = fmt.Sprintf("  (+%d)", c[1]-c[0])
-		}
-		fmt.Fprintf(w, "  %-16s %8d -> %-8d%s\n", st, c[0], c[1], delta)
-	}
-	site := func(s fpx.FlowSiteJSON) string {
-		if s.File != "" {
-			return fmt.Sprintf("%s:%d", s.File, s.Line)
-		}
-		return s.SASS
-	}
-	fmt.Fprintf(w, "flow sites fixed (%d):\n", len(d.FixedSites))
-	for _, s := range d.FixedSites {
-		fmt.Fprintf(w, "  [%s] @ %s (%d events)\n", s.Kernel, site(s), s.Total)
-	}
-	fmt.Fprintf(w, "flow sites new (%d):\n", len(d.NewSites))
-	for _, s := range d.NewSites {
-		fmt.Fprintf(w, "  [%s] @ %s (%d events)\n", s.Kernel, site(s), s.Total)
-	}
-	if d.Quiet() {
-		fmt.Fprintln(w, "verdict: QUIET (no exception flow remains)")
-	}
+	writeDiff(w, analyzerText, d.States, d.FixedSites, d.NewSites, flowSite)
 }
 
 // ShadowDiff is the outcome of comparing two shadow-sanitizer runs: per-kind
@@ -352,52 +290,56 @@ type ShadowDiff struct {
 	NewSites []fpx.ShadowSiteJSON
 }
 
-// shadowSiteKey matches shadow sites across recompilation, preferring source
-// lines.
-func shadowSiteKey(s fpx.ShadowSiteJSON) Key {
-	site := s.SASS
-	if s.File != "" {
-		site = fmt.Sprintf("%s:%d", s.File, s.Line)
-	}
-	return Key{Kernel: s.Kernel, Site: site}
+// shadowSite is a shadow site's match key and finding total.
+func shadowSite(s fpx.ShadowSiteJSON) (Key, uint64) {
+	return Key{Kernel: s.Kernel, Site: siteOf(s.File, s.Line, s.SASS)}, s.Total
+}
+
+// shadowText labels the shadow diff's text rendering.
+var shadowText = diffText{
+	counts: "shadow findings", width: 18, sites: "shadow sites", unit: "findings",
+	verdict: "QUIET (no precision loss remains)",
 }
 
 // CompareShadow diffs two shadow-sanitizer reports.
 func CompareShadow(before, after fpx.ShadowReportJSON) ShadowDiff {
-	d := ShadowDiff{Kinds: make(map[string][2]uint64)}
-	for k, n := range before.Kinds {
-		c := d.Kinds[k]
-		c[0] = n
-		d.Kinds[k] = c
-	}
-	for k, n := range after.Kinds {
-		c := d.Kinds[k]
-		c[1] = n
-		d.Kinds[k] = c
-	}
-	prev := make(map[Key]bool, len(before.TopSites))
-	for _, s := range before.TopSites {
-		prev[shadowSiteKey(s)] = true
-	}
-	cur := make(map[Key]bool, len(after.TopSites))
-	for _, s := range after.TopSites {
-		cur[shadowSiteKey(s)] = true
-		if !prev[shadowSiteKey(s)] {
-			d.NewSites = append(d.NewSites, s)
-		}
-	}
-	for _, s := range before.TopSites {
-		if !cur[shadowSiteKey(s)] {
-			d.FixedSites = append(d.FixedSites, s)
-		}
-	}
+	d := ShadowDiff{Kinds: diffCounts(before.Kinds, after.Kinds)}
+	d.FixedSites, d.NewSites = diffSites(before.TopSites, after.TopSites, shadowSite)
 	return d
 }
 
 // Quiet reports whether the after run has no precision findings at all —
 // every significance-loss, cancellation and divergence count is zero.
-func (d ShadowDiff) Quiet() bool {
-	for _, c := range d.Kinds {
+func (d ShadowDiff) Quiet() bool { return quiet(d.Kinds) }
+
+// WriteText renders the shadow diff.
+func (d ShadowDiff) WriteText(w io.Writer) {
+	writeDiff(w, shadowText, d.Kinds, d.FixedSites, d.NewSites, shadowSite)
+}
+
+// count is a per-category report count: the analyzer's state counts are
+// ints, the sanitizer's kind counts uint64s.
+type count interface{ ~int | ~uint64 }
+
+// diffCounts pairs each category's before and after counts.
+func diffCounts[N count](before, after map[string]N) map[string][2]N {
+	d := make(map[string][2]N)
+	for k, n := range before {
+		c := d[k]
+		c[0] = n
+		d[k] = c
+	}
+	for k, n := range after {
+		c := d[k]
+		c[1] = n
+		d[k] = c
+	}
+	return d
+}
+
+// quiet reports whether every category's after count is zero.
+func quiet[N count](counts map[string][2]N) bool {
+	for _, c := range counts {
 		if c[1] != 0 {
 			return false
 		}
@@ -405,16 +347,55 @@ func (d ShadowDiff) Quiet() bool {
 	return true
 }
 
-// WriteText renders the shadow diff.
-func (d ShadowDiff) WriteText(w io.Writer) {
-	names := make([]string, 0, len(d.Kinds))
-	for k := range d.Kinds {
+// diffSites matches two runs' top sites by kernel and site: fixed are the
+// sites only the before run lists, added those only the after run lists,
+// each in its run's order.
+func diffSites[S any](before, after []S, key func(S) (Key, uint64)) (fixed, added []S) {
+	in := func(ss []S) map[Key]bool {
+		m := make(map[Key]bool, len(ss))
+		for _, s := range ss {
+			k, _ := key(s)
+			m[k] = true
+		}
+		return m
+	}
+	prev, cur := in(before), in(after)
+	for _, s := range after {
+		if k, _ := key(s); !prev[k] {
+			added = append(added, s)
+		}
+	}
+	for _, s := range before {
+		if k, _ := key(s); !cur[k] {
+			fixed = append(fixed, s)
+		}
+	}
+	return fixed, added
+}
+
+// diffText labels one tool's diff rendering: the count table's title and
+// name column width, the site sections' title and total's unit, and the
+// verdict printed when the after run is quiet.
+type diffText struct {
+	counts  string
+	width   int
+	sites   string
+	unit    string
+	verdict string
+}
+
+// writeDiff renders a count-and-site diff: the count table sorted by
+// category name with each change's delta, the fixed and new sites, and the
+// quiet verdict.
+func writeDiff[N count, S any](w io.Writer, l diffText, counts map[string][2]N, fixed, added []S, key func(S) (Key, uint64)) {
+	names := make([]string, 0, len(counts))
+	for k := range counts {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	fmt.Fprintln(w, "shadow findings (before -> after):")
+	fmt.Fprintf(w, "%s (before -> after):\n", l.counts)
 	for _, k := range names {
-		c := d.Kinds[k]
+		c := counts[k]
 		delta := ""
 		switch {
 		case c[1] < c[0]:
@@ -422,23 +403,19 @@ func (d ShadowDiff) WriteText(w io.Writer) {
 		case c[1] > c[0]:
 			delta = fmt.Sprintf("  (+%d)", c[1]-c[0])
 		}
-		fmt.Fprintf(w, "  %-18s %8d -> %-8d%s\n", k, c[0], c[1], delta)
+		fmt.Fprintf(w, "  %-*s %8d -> %-8d%s\n", l.width, k, c[0], c[1], delta)
 	}
-	site := func(s fpx.ShadowSiteJSON) string {
-		if s.File != "" {
-			return fmt.Sprintf("%s:%d", s.File, s.Line)
+	for _, sec := range []struct {
+		title string
+		sites []S
+	}{{"fixed", fixed}, {"new", added}} {
+		fmt.Fprintf(w, "%s %s (%d):\n", l.sites, sec.title, len(sec.sites))
+		for _, s := range sec.sites {
+			k, total := key(s)
+			fmt.Fprintf(w, "  [%s] @ %s (%d %s)\n", k.Kernel, k.Site, total, l.unit)
 		}
-		return s.SASS
 	}
-	fmt.Fprintf(w, "shadow sites fixed (%d):\n", len(d.FixedSites))
-	for _, s := range d.FixedSites {
-		fmt.Fprintf(w, "  [%s] @ %s (%d findings)\n", s.Kernel, site(s), s.Total)
-	}
-	fmt.Fprintf(w, "shadow sites new (%d):\n", len(d.NewSites))
-	for _, s := range d.NewSites {
-		fmt.Fprintf(w, "  [%s] @ %s (%d findings)\n", s.Kernel, site(s), s.Total)
-	}
-	if d.Quiet() {
-		fmt.Fprintln(w, "verdict: QUIET (no precision loss remains)")
+	if quiet(counts) {
+		fmt.Fprintln(w, "verdict: "+l.verdict)
 	}
 }

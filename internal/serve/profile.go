@@ -71,7 +71,6 @@ func (req ProfileRequest) plan(cfg Config) ([]gpufpx.Option, gpufpx.Source, gpuf
 		Seed:          req.Seed,
 		TrialsPerSite: req.TrialsPerSite,
 		MaxSites:      req.MaxSites,
-		Workers:       cfg.CampaignWorkers,
 	}
 	if camp.TrialsPerSite == 0 {
 		camp.TrialsPerSite = DefaultTrialsPerSite

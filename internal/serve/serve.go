@@ -64,11 +64,6 @@ type Config struct {
 	// when the same request is re-POSTed. Empty disables persistence:
 	// campaigns still run, but an interrupted one starts over.
 	CampaignDir string
-	// CampaignWorkers fans one campaign's trials over this many runners
-	// (0 or 1 = sequential). Profiles are byte-identical either way; this
-	// only trades one campaign's latency against the node's job
-	// throughput.
-	CampaignWorkers int
 }
 
 // withDefaults resolves zero fields.
