@@ -20,8 +20,8 @@ import (
 // mop whose sources are all warp-invariant runs for one lane and broadcasts.
 //
 // Memory ops, shuffles, HMMA, FP64/FP16, F2F and the wide conversions keep
-// hand-written thunks (lower_ops.go), which read their 32-bit operands
-// through the same mopSrc.
+// hand-written thunks (lower_ops.go), which read their operands through
+// the same compiled form (src, lower.go).
 //
 // Correctness contract: a closure must produce the same register and
 // predicate bits as the reference interpreter (executor.lane). It computes
@@ -80,96 +80,11 @@ const (
 	s2rChainLane
 )
 
-// mopSrc is a compiled 32-bit operand, for mops and lowered thunks alike,
-// with its access class resolved at compile time: a per-lane register, a
-// constant-bank word read at closure entry, or a fully baked constant. The
-// FP sign masks and FTZ, or the integer negation, apply to register and
-// constant-bank reads; baked constants carry them already.
-type mopSrc struct {
-	reg       int32 // >= 0: register index into the lane row
-	cb        bool  // constant-bank operand (reg < 0)
-	bank, off int
-	neg, abs  uint32
-	ftz       bool
-	ineg      bool   // integer two's-complement negation
-	bits      uint32 // baked value when reg < 0 && !cb
-}
-
-// mopSrc32 resolves an FP32/raw-bits operand.
-func mopSrc32(op *sass.Operand, ftz bool) mopSrc {
-	neg, abs := op.SignMasks32()
-	var raw uint32
-	switch op.Type {
-	case sass.OperandImmDouble:
-		raw = math.Float32bits(float32(op.Imm))
-	case sass.OperandGeneric:
-		raw = uint32(genericBits(op.Gen, fpval.FP32))
-	case sass.OperandImmInt:
-		raw = uint32(op.IVal)
-	}
-	// RZ and anything srcBits32 defaults to zero stays raw == 0.
-	return mopSrc{neg: neg, abs: abs, ftz: ftz}.resolve(op, raw)
-}
-
-// mopSrcI resolves an integer operand.
-func mopSrcI(op *sass.Operand) mopSrc {
-	var raw uint32
-	switch op.Type {
-	case sass.OperandImmInt:
-		raw = uint32(op.IVal)
-	case sass.OperandImmDouble:
-		raw = uint32(int32(op.Imm))
-	}
-	return mopSrc{ineg: op.Neg}.resolve(op, raw)
-}
-
-// resolve picks the operand's access class: a per-lane register, a
-// constant-bank word, or otherwise raw, baked with the modifiers.
-func (s mopSrc) resolve(op *sass.Operand, raw uint32) mopSrc {
-	s.reg = -1
-	switch {
-	case op.IsPlainReg():
-		s.reg = int32(op.Reg)
-	case op.Type == sass.OperandCBank:
-		s.cb, s.bank, s.off = true, op.Bank, op.Off
-	default:
-		s.bits = s.apply(raw)
-	}
-	return s
-}
-
-// apply applies the operand's modifiers to a raw word: the FP sign masks
-// and FTZ, or the integer negation.
-func (s *mopSrc) apply(v uint32) uint32 {
-	v = (v &^ s.abs) ^ s.neg
-	if s.ftz {
-		v = fpval.Flush32(v)
-	}
-	if s.ineg {
-		v = uint32(-int32(v))
-	}
-	return v
-}
-
-// entry resolves the operand's warp-invariant value at closure entry: a
-// constant-bank word with the operand's modifiers applied, or the baked
-// constant. Meaningless (and unused) for register operands. It stays small
-// enough to inline, so only constant-bank operands pay a call.
-func (s *mopSrc) entry(d *Device) uint32 {
-	if !s.cb {
-		return s.bits
-	}
-	return s.cbank(d)
-}
-
-// cbank reads a constant-bank operand and applies its modifiers.
-func (s *mopSrc) cbank(d *Device) uint32 { return s.apply(d.CBankRead(s.bank, s.off)) }
-
 // laneV32 reads an operand for one lane as raw 32-bit value with FP sign
 // masks applied; ev is the entry-resolved value for non-register operands.
-func laneV32(s *mopSrc, r []uint32, ev uint32) uint32 {
+func laneV32(s *src[uint32], r []uint32, ev uint32) uint32 {
 	if s.reg >= 0 {
-		b := (r[s.reg] &^ s.abs) ^ s.neg
+		b := s.sign(r[s.reg])
 		if s.ftz {
 			b = fpval.Flush32(b)
 		}
@@ -178,12 +93,12 @@ func laneV32(s *mopSrc, r []uint32, ev uint32) uint32 {
 	return ev
 }
 
-func laneF32(s *mopSrc, r []uint32, ev uint32) float32 {
+func laneF32(s *src[uint32], r []uint32, ev uint32) float32 {
 	return math.Float32frombits(laneV32(s, r, ev))
 }
 
 // laneI32 reads an operand with integer-source semantics (Neg negates).
-func laneI32(s *mopSrc, r []uint32, ev uint32) uint32 {
+func laneI32(s *src[uint32], r []uint32, ev uint32) uint32 {
 	if s.reg >= 0 {
 		v := r[s.reg]
 		if s.ineg {
@@ -201,7 +116,7 @@ type mop struct {
 	sub     uint8 // LOP op / MUFU mode / S2R kind
 	ftz     bool
 	dst     int32 // -1 when absent or RZ
-	a, b, c mopSrc
+	a, b, c src[uint32]
 	// setpCore holds the predicate side: the predicate destinations pd
 	// and pq (-1 when absent or PT), the predicate source ps (SEL
 	// selector, FMNMX min, SETP combiner input) and, for SETP and FSET,
@@ -236,31 +151,33 @@ func predDst(p int) int32 {
 func buildMop(in *sass.Instr, m *kernelMeta, pc int) mop {
 	ops := in.Operands
 	ftz := m.ftz[pc]
+	f32 := func(i int, ftz bool) src[uint32] { return lowerSrc[uint32](&ops[i], fpval.FP32, ftz) }
+	i32 := func(i int) src[uint32] { return lowerSrc[uint32](&ops[i], fmtInt, false) }
 	// Unused sources and the predicate source read as warp-invariant.
-	none := mopSrc{reg: -1}
+	none := src[uint32]{reg: -1}
 	op := mop{ftz: ftz, dst: -1, a: none, b: none, c: none, setpCore: setpCore{pd: -1, pq: -1, ps: srcP{pred: sass.PT}}}
 	switch in.Op {
 	case sass.OpFADD, sass.OpFADD32I:
 		op.kind = mopFADD
-		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
+		op.a, op.b = f32(1, ftz), f32(2, ftz)
 	case sass.OpFMUL, sass.OpFMUL32I:
 		op.kind = mopFMUL
-		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
+		op.a, op.b = f32(1, ftz), f32(2, ftz)
 	case sass.OpFFMA, sass.OpFFMA32I:
 		op.kind = mopFFMA
-		op.a, op.b, op.c = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz), mopSrc32(&ops[3], ftz)
+		op.a, op.b, op.c = f32(1, ftz), f32(2, ftz), f32(3, ftz)
 	case sass.OpMUFU:
 		op.kind = mopMUFU
 		op.sub = m.sub[pc]
-		op.a = mopSrc32(&ops[1], false)
+		op.a = f32(1, false)
 	case sass.OpFSEL, sass.OpSEL:
 		// Both select raw bits between two sources on a predicate.
 		op.kind = mopSEL
-		op.a, op.b = mopSrc32(&ops[1], false), mopSrc32(&ops[2], false)
+		op.a, op.b = f32(1, false), f32(2, false)
 		op.ps = lowerSrcP(&ops[3])
 	case sass.OpFSET:
 		op.kind = mopFSET
-		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
+		op.a, op.b = f32(1, ftz), f32(2, ftz)
 		op.want = setMasksOf(m.cmp[pc])
 		op.tbits = ^uint32(0)
 		if m.sub[pc] == subWide { // .BF: boolean-float result
@@ -268,46 +185,46 @@ func buildMop(in *sass.Instr, m *kernelMeta, pc int) mop {
 		}
 	case sass.OpFSETP:
 		op.kind = mopFSETP
-		op.a, op.b = mopSrc32(&ops[2], ftz), mopSrc32(&ops[3], ftz)
+		op.a, op.b = f32(2, ftz), f32(3, ftz)
 		op.setpCore = lowerSetpCore(in, m, pc)
 		return op
 	case sass.OpISETP:
 		op.kind = mopISETP
-		op.a, op.b = mopSrcI(&ops[2]), mopSrcI(&ops[3])
+		op.a, op.b = i32(2), i32(3)
 		op.setpCore = lowerSetpCore(in, m, pc)
 		return op
 	case sass.OpFMNMX:
 		op.kind = mopFMNMX
-		op.a, op.b = mopSrc32(&ops[1], ftz), mopSrc32(&ops[2], ftz)
+		op.a, op.b = f32(1, ftz), f32(2, ftz)
 		op.ps = lowerSrcP(&ops[3])
 	case sass.OpMOV, sass.OpMOV32I:
 		op.kind = mopMOV
-		op.a = mopSrc32(&ops[1], false)
+		op.a = f32(1, false)
 	case sass.OpIADD:
 		op.kind = mopIADD
-		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
+		op.a, op.b = i32(1), i32(2)
 	case sass.OpIADD3:
 		op.kind = mopIADD3
-		op.a, op.b, op.c = mopSrcI(&ops[1]), mopSrcI(&ops[2]), mopSrcI(&ops[3])
+		op.a, op.b, op.c = i32(1), i32(2), i32(3)
 	case sass.OpIMAD:
 		op.kind = mopIMAD
-		op.a, op.b, op.c = mopSrcI(&ops[1]), mopSrcI(&ops[2]), mopSrcI(&ops[3])
+		op.a, op.b, op.c = i32(1), i32(2), i32(3)
 	case sass.OpSHL:
 		op.kind = mopSHL
-		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
+		op.a, op.b = i32(1), i32(2)
 	case sass.OpSHR:
 		op.kind = mopSHR
-		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
+		op.a, op.b = i32(1), i32(2)
 	case sass.OpLOP:
 		op.kind = mopLOP
 		op.sub = m.sub[pc]
-		op.a, op.b = mopSrcI(&ops[1]), mopSrcI(&ops[2])
+		op.a, op.b = i32(1), i32(2)
 	case sass.OpI2F:
 		op.kind = mopI2F
-		op.a = mopSrcI(&ops[1])
+		op.a = i32(1)
 	case sass.OpF2I:
 		op.kind = mopF2I
-		op.a = mopSrc32(&ops[1], false)
+		op.a = f32(1, false)
 	case sass.OpS2R:
 		op.kind = mopS2R
 		op.sub = s2rChainLane
@@ -317,7 +234,7 @@ func buildMop(in *sass.Instr, m *kernelMeta, pc int) mop {
 	case sass.OpFCHK:
 		op.kind = mopFCHK
 		op.pd = predDst(ops[0].Pred)
-		op.a, op.b = mopSrc32(&ops[1], false), mopSrc32(&ops[2], false)
+		op.a, op.b = f32(1, false), f32(2, false)
 		return op
 	}
 	op.dst = regDst(ops[0].Reg)
@@ -338,10 +255,10 @@ func laneCol(w *Warp, r int32, n int) []uint32 {
 // plainReg reports whether an FP operand is a bare per-lane register read —
 // no sign masks, no flush — so a specialized closure can load r[reg]
 // directly.
-func plainReg(s *mopSrc) bool { return s.reg >= 0 && s.neg == 0 && s.abs == 0 && !s.ftz }
+func plainReg(s *src[uint32]) bool { return s.reg >= 0 && s.neg == 0 && s.abs == 0 && !s.ftz }
 
 // plainRegI is plainReg for integer-source semantics.
-func plainRegI(s *mopSrc) bool { return s.reg >= 0 && !s.ineg }
+func plainRegI(s *src[uint32]) bool { return s.reg >= 0 && !s.ineg }
 
 // compileMop builds the site's thunk from its mop. A mop that reads no
 // per-lane state writes the same value to every executing lane, so its

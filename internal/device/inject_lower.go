@@ -8,127 +8,69 @@ import (
 	"gpufpx/internal/sass"
 )
 
-// This file is the instrumentation-side counterpart of lower.go: pre-resolved
-// operand accessors for injected tool code. Where lower.go compiles the
-// executor's operand reads into direct-threaded thunks, these helpers compile
-// a tool's per-site operand *classification* — the analyzer's worst-lane
-// class reduction and the detector's destination check — so the per-dynamic-
-// instruction path never re-switches on operand kind, never re-parses a
-// GENERIC constant, and iterates executing lanes by mask bits instead of
-// probing all 32.
+// This file is the instrumentation-side counterpart of lower.go: compiled
+// operand readers for injected tool code. A tool operand is the executor's
+// compiled form (src) held at 64-bit width, so one reader carries any
+// format: the analyzer reads its worst-lane IEEE class, the shadow
+// sanitizer its value promoted to float64. The per-dynamic-instruction path
+// never re-switches on operand kind, never re-parses a GENERIC constant,
+// and iterates executing lanes by mask bits instead of probing all 32. The
+// detector's destination check (ExcMasks32/64/16) reads registers directly.
 
-// classKind is the compile-time shape of a ClassSrc.
-type classKind uint8
+// ToolSrc is one instruction operand compiled for injected tool code.
+type ToolSrc struct{ s src[uint64] }
 
-const (
-	// classConst is an operand whose class is fully known at lowering time:
-	// IMM_DOUBLE and GENERIC constants, the zero register, and the operand
-	// kinds the analyzer reads as no value at all (memory references,
-	// integer immediates, special registers).
-	classConst classKind = iota
-	// classCBank is a constant-bank read: runtime-valued but warp-invariant,
-	// so one classification serves every lane.
-	classCBank
-	// classReg32/64/16/BF16 are per-lane register reads in the respective
-	// format; FP64 reads the pair (reg, reg+1).
-	classReg32
-	classReg64
-	classReg16
-	classRegBF16
-)
-
-// ClassSrc classifies one instruction operand for injected tool code, with
-// the operand kind, register numbers, format and compile-time value resolved
-// once at instrumentation time (Listing 2's IMM/GENERIC resolution moved out
-// of the per-lane runtime path).
-type ClassSrc struct {
-	kind      classKind
-	reg       int
-	bank, off int
-	fmt       fpval.Format
-	konst     fpval.Class
-}
-
-// LowerClassSrc compiles an operand classifier for format f, reading the
-// operand's raw bits the way analyzer-injected code reads its variadic
+// LowerClassSrc compiles the analyzer's reader for op in format f. It reads
+// the operand's raw bits the way analyzer-injected code reads its variadic
 // REG/CBANK arguments (Listing 1), without the instruction's sign
 // modifiers: a register per lane (the pair for FP64, the low 16 bits for
 // FP16/BF16), a constant-bank word per call, and compile-time operands
-// (RZ, IMM_DOUBLE, GENERIC) classified once here. Operand kinds that carry
-// no floating-point value classify as VAL0.
-func LowerClassSrc(op *sass.Operand, f fpval.Format) ClassSrc {
+// (RZ, IMM_DOUBLE, GENERIC) decoded once here. Operand kinds that carry no
+// floating-point value — integer immediates, memory references, special
+// and predicate registers — read as a zero constant, so they classify as
+// VAL0.
+func LowerClassSrc(op *sass.Operand, f fpval.Format) ToolSrc {
+	var o sass.Operand
 	switch op.Type {
-	case sass.OperandReg:
-		if op.Reg == sass.RZ {
-			return ClassSrc{kind: classConst, konst: fpval.Classify(f, 0)}
-		}
-		switch f {
-		case fpval.FP64:
-			return ClassSrc{kind: classReg64, reg: op.Reg}
-		case fpval.FP16:
-			return ClassSrc{kind: classReg16, reg: op.Reg}
-		case fpval.BF16:
-			return ClassSrc{kind: classRegBF16, reg: op.Reg}
-		default:
-			return ClassSrc{kind: classReg32, reg: op.Reg}
-		}
-	case sass.OperandCBank:
-		return ClassSrc{kind: classCBank, bank: op.Bank, off: op.Off, fmt: f}
-	case sass.OperandImmDouble:
-		var raw uint64
-		switch f {
-		case fpval.FP64:
-			raw = math.Float64bits(op.Imm)
-		case fpval.FP16:
-			raw = uint64(fpval.F16FromFloat32(float32(op.Imm)))
-		default:
-			raw = uint64(math.Float32bits(float32(op.Imm)))
-		}
-		return ClassSrc{kind: classConst, konst: fpval.Classify(f, raw)}
-	case sass.OperandGeneric:
-		// The one place a GENERIC constant is parsed: per site, not per lane
-		// per dynamic call.
-		return ClassSrc{kind: classConst, konst: fpval.Classify(f, genericBits(op.Gen, f))}
-	default:
-		// These kinds carry no value; the worst-lane fold over "no value"
-		// keeps its VAL0 seed.
-		return ClassSrc{kind: classConst, konst: fpval.Zero}
+	case sass.OperandReg, sass.OperandCBank, sass.OperandImmDouble, sass.OperandGeneric:
+		o = *op
+		o.Neg, o.Abs = false, false
 	}
+	return ToolSrc{lowerSrc[uint64](&o, f, false)}
+}
+
+// LowerValSrc compiles the shadow sanitizer's reader for op in format f
+// (FP32 or FP16): the executor's read, without FTZ source flushing —
+// shadow execution deliberately keeps the subnormal value the flush would
+// discard.
+func LowerValSrc(op *sass.Operand, f fpval.Format) ToolSrc {
+	return ToolSrc{lowerSrc[uint64](op, f, false)}
+}
+
+// raw reads a register operand's unmodified bits for one lane in its
+// format: the pair for FP64, else the 32-bit word, whose low half the
+// 16-bit formats read.
+func (t *ToolSrc) raw(r []uint32) uint64 {
+	v := uint64(r[t.s.reg])
+	if t.s.fmt == fpval.FP64 {
+		v |= uint64(r[t.s.reg+1]) << 32
+	}
+	return v
 }
 
 // Worst returns the most severe IEEE class the operand takes across the
-// executing lanes (NaN > INF > SUB > VAL > VAL0). Compile-time operands
-// return their baked class; constant-bank operands classify one warp-
-// invariant read; register operands walk the exec mask bit by bit with
-// direct register-file access and stop early once a NaN lane is seen.
-func (s *ClassSrc) Worst(c *InjCtx) fpval.Class {
-	switch s.kind {
-	case classConst:
-		return s.konst
-	case classCBank:
-		if s.fmt == fpval.FP64 {
-			lo := c.Dev.CBankRead(s.bank, s.off)
-			hi := c.Dev.CBankRead(s.bank, s.off+4)
-			return fpval.Classify64(fpval.Pair64(lo, hi))
-		}
-		return fpval.Classify(s.fmt, uint64(c.Dev.CBankRead(s.bank, s.off)))
+// executing lanes (NaN > INF > SUB > VAL > VAL0). Constant and
+// constant-bank operands classify their one warp-invariant value; register
+// operands walk the exec mask bit by bit with direct register-file access
+// and stop early once a NaN lane is seen.
+func (t *ToolSrc) Worst(c *InjCtx) fpval.Class {
+	if t.s.reg < 0 {
+		return fpval.Classify(t.s.fmt, t.s.entry(c.Dev))
 	}
-	w := c.Warp
 	worst := fpval.Zero
 	sev := uint8(0)
 	for m := c.ExecMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		var cl fpval.Class
-		switch s.kind {
-		case classReg32:
-			cl = fpval.Classify32(w.regs[l][s.reg])
-		case classReg64:
-			cl = fpval.Classify64(fpval.Pair64(w.regs[l][s.reg], w.regs[l][s.reg+1]))
-		case classReg16:
-			cl = fpval.Classify16(uint16(w.regs[l][s.reg]))
-		default:
-			cl = fpval.ClassifyBF16(uint16(w.regs[l][s.reg]))
-		}
+		cl := fpval.Classify(t.s.fmt, t.raw(c.Warp.regs[bits.TrailingZeros32(m)]))
 		if v := cl.Severity(); v > sev {
 			worst, sev = cl, v
 			if sev == fpval.MaxSeverity {
@@ -137,6 +79,59 @@ func (s *ClassSrc) Worst(c *InjCtx) fpval.Class {
 		}
 	}
 	return worst
+}
+
+// Reg returns the register a per-lane read covers, and whether the operand
+// is such a read at all — the only operand kind a shadow register file can
+// back. Constant and constant-bank operands report false.
+func (t *ToolSrc) Reg() (int, bool) { return int(t.s.reg), t.s.reg >= 0 }
+
+// Bits returns the raw 32-bit register content of a lane, before sign
+// modifiers — the identity a shadow cell is validated against. Only
+// meaningful for register operands.
+func (t *ToolSrc) Bits(c *InjCtx, lane int) uint32 { return c.Warp.regs[lane][t.s.reg] }
+
+// Base returns the unmodified promoted value of a lane's register read —
+// what a shadow cell stores, so sign modifiers can be applied per read the
+// way the executor applies them per operand. Only meaningful for register
+// operands.
+func (t *ToolSrc) Base(c *InjCtx, lane int) float64 {
+	return promote(t.s.fmt, t.raw(c.Warp.regs[lane]))
+}
+
+// Mod applies the operand's sign modifiers (|x| first, then negation) to a
+// value — bit-equivalent to the executor's sign masks under exact float64
+// promotion.
+func (t *ToolSrc) Mod(v float64) float64 {
+	if t.s.abs != 0 {
+		v = math.Abs(v)
+	}
+	if t.s.neg != 0 {
+		v = -v
+	}
+	return v
+}
+
+// Val reads the operand's modified value for a lane: register operands
+// promote the lane's register content, the others their warp-invariant
+// value.
+func (t *ToolSrc) Val(c *InjCtx, lane int) float64 {
+	if t.s.reg >= 0 {
+		return t.Mod(t.Base(c, lane))
+	}
+	return promote(t.s.fmt, t.s.entry(c.Dev))
+}
+
+// promote converts raw bits in format f (FP32, FP64 or FP16) to float64
+// exactly.
+func promote(f fpval.Format, v uint64) float64 {
+	switch f {
+	case fpval.FP64:
+		return math.Float64frombits(v)
+	case fpval.FP16:
+		return float64(fpval.F16ToFloat32(uint16(v)))
+	}
+	return float64(math.Float32frombits(uint32(v)))
 }
 
 // ExcMasks32 classifies a 32-bit register across the executing lanes in one

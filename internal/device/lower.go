@@ -141,119 +141,161 @@ func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 	return lk
 }
 
-// ---- lowered operand sources ----
+// ---- compiled operands ----
 //
-// Each source type resolves the operand class once at lower time. Compile-
-// time constants bake modifiers directly into the stored bits; constant-
-// bank reads are fetched once per dynamic execution (warp-invariant);
-// registers are read per lane with the sign masks applied unconditionally.
-// 32-bit sources are mopSrc (fuse_ops.go), whichever form reads them.
+// src is the one compiled form of a source operand. Mop closures, the
+// hand-written thunks and injected tool code (ToolSrc, inject_lower.go) all
+// read through it. lowerSrc resolves the operand's access class once, at
+// lower time: a per-lane register, a constant-bank read once per dynamic
+// execution (warp-invariant), or a constant baked with its modifiers. W is
+// the width the reader holds: uint32 for FP32 and integer sources, uint16
+// for FP16, uint64 for FP64 and for tool code, which takes any format.
 
-// src64 is a lowered FP64 source (register pair convention).
-type src64 struct {
-	reg       int
-	neg, abs  uint64
-	cb        bool
+// word is the raw-bits width of a compiled operand.
+type word interface{ ~uint16 | ~uint32 | ~uint64 }
+
+// fmtInt is the integer source format: Neg negates in two's complement,
+// IMM_DOUBLE truncates and GENERIC reads 0. It has no E_fp encoding.
+const fmtInt fpval.Format = fpval.NumFormats
+
+// src is a compiled source operand in format fmt. The sign masks and FTZ,
+// or the integer negation, apply to register and constant-bank reads;
+// baked constants carry them already.
+type src[W word] struct {
+	reg       int32 // >= 0: register index into the lane row (an FP64 pair's low word)
+	cb        bool  // constant-bank operand (reg < 0)
+	fmt       fpval.Format
+	ftz       bool // FP32: flush subnormal reads
+	ineg      bool // integer: two's-complement negation
 	bank, off int
-	bits      uint64
+	neg, abs  W // the format's sign bit when the operand has Neg or Abs
+	bits      W // baked value when reg < 0 && !cb
 }
 
-func lowerSrc64(op *sass.Operand) src64 {
-	neg, abs := op.SignMasks64()
-	s := src64{reg: -1, neg: neg, abs: abs}
+// lowerSrc compiles op as a source in format f (fmtInt for integer
+// sources), flushing FP32 subnormals when ftz is set.
+func lowerSrc[W word](op *sass.Operand, f fpval.Format, ftz bool) src[W] {
+	s := src[W]{reg: -1, fmt: f, ftz: ftz}
+	if f == fmtInt {
+		s.ineg = op.Neg
+	} else {
+		sign := uint64(1) << 31
+		switch f {
+		case fpval.FP64:
+			sign = 1 << 63
+		case fpval.FP16:
+			sign = 1 << 15
+		}
+		if op.Neg {
+			s.neg = W(sign)
+		}
+		if op.Abs {
+			s.abs = W(sign)
+		}
+	}
 	switch {
 	case op.IsPlainReg():
-		s.reg = op.Reg
-		return s
+		s.reg = int32(op.Reg)
 	case op.Type == sass.OperandCBank:
-		s.cb = true
-		s.bank, s.off = op.Bank, op.Off
-		return s
+		s.cb, s.bank, s.off = true, op.Bank, op.Off
+	default:
+		s.bits = s.apply(W(constBits(op, f)))
 	}
-	var raw uint64
-	switch op.Type {
-	case sass.OperandImmDouble:
-		raw = math.Float64bits(op.Imm)
-	case sass.OperandGeneric:
-		raw = genericBits(op.Gen, fpval.FP64)
-	}
-	s.bits = s.apply(raw)
 	return s
 }
 
-func (s *src64) apply(raw uint64) uint64 { return (raw &^ s.abs) ^ s.neg }
-
-func (s *src64) uniform() bool { return s.reg < 0 }
-
-func (s *src64) fetch(d *Device) uint64 {
-	if !s.cb {
-		return s.bits
-	}
-	return s.apply(fpval.Pair64(d.CBankRead(s.bank, s.off), d.CBankRead(s.bank, s.off+4)))
-}
-
-func (s *src64) lane(w *Warp, l int, uni uint64) uint64 {
-	if s.reg >= 0 {
-		r := w.regs[l]
-		return s.apply(fpval.Pair64(r[s.reg], r[s.reg+1]))
-	}
-	return uni
-}
-
-func (s *src64) f64(w *Warp, l int, uni uint64) float64 {
-	return math.Float64frombits(s.lane(w, l, uni))
-}
-
-// src16 is a lowered FP16 source; sign modifiers act on the FP16 sign bit.
-type src16 struct {
-	reg       int
-	neg, abs  uint16
-	cb        bool
-	bank, off int
-	bits      uint16
-}
-
-func lowerSrc16(op *sass.Operand) src16 {
-	neg, abs := op.SignMasks16()
-	s := src16{reg: -1, neg: neg, abs: abs}
-	switch {
-	case op.IsPlainReg():
-		s.reg = op.Reg
-		return s
-	case op.Type == sass.OperandCBank:
-		s.cb = true
-		s.bank, s.off = op.Bank, op.Off
-		return s
-	}
-	var raw uint16
+// constBits decodes a compile-time operand to raw bits in format f, the way
+// the interpreter's srcBits32, srcInt, srcF64 and srcF16 read it: IMM_DOUBLE
+// rounds to the format (integer sources truncate it), GENERIC follows
+// Listing 2's text rules (integer sources read 0), and IMM_INT is a raw
+// 32-bit pattern (FP64 reads 0, FP16 its low half). RZ and the kinds
+// without a value read 0.
+func constBits(op *sass.Operand, f fpval.Format) uint64 {
 	switch op.Type {
 	case sass.OperandImmDouble:
-		raw = fpval.F16FromFloat32(float32(op.Imm))
+		switch f {
+		case fmtInt:
+			return uint64(uint32(int32(op.Imm)))
+		case fpval.FP64:
+			return math.Float64bits(op.Imm)
+		case fpval.FP16:
+			return uint64(fpval.F16FromFloat32(float32(op.Imm)))
+		}
+		return uint64(math.Float32bits(float32(op.Imm)))
 	case sass.OperandGeneric:
-		raw = uint16(genericBits(op.Gen, fpval.FP16))
+		if f == fmtInt {
+			return 0
+		}
+		return genericBits(op.Gen, f)
 	case sass.OperandImmInt:
-		raw = uint16(uint32(op.IVal))
+		if f == fpval.FP64 {
+			return 0
+		}
+		return uint64(uint32(op.IVal))
 	}
-	s.bits = s.apply(raw)
-	return s
+	return 0
 }
 
-func (s *src16) apply(raw uint16) uint16 { return (raw &^ s.abs) ^ s.neg }
+// sign applies the Neg and Abs masks: |x| first, then negation.
+func (s *src[W]) sign(v W) W { return (v &^ s.abs) ^ s.neg }
 
-func (s *src16) uniform() bool { return s.reg < 0 }
+// apply applies all of the operand's modifiers to raw bits.
+func (s *src[W]) apply(v W) W {
+	v = s.sign(v)
+	if s.ftz {
+		v = W(fpval.Flush32(uint32(v)))
+	}
+	if s.ineg {
+		v = -v
+	}
+	return v
+}
 
-func (s *src16) fetch(d *Device) uint16 {
+// entry resolves the operand's warp-invariant value at closure entry: a
+// constant-bank read with the operand's modifiers applied, or the baked
+// constant. Meaningless (and unused) for register operands. It stays small
+// enough to inline, so only constant-bank operands pay a call.
+func (s *src[W]) entry(d *Device) W {
 	if !s.cb {
 		return s.bits
 	}
-	return s.apply(uint16(d.CBankRead(s.bank, s.off)))
+	return s.cbank(d)
 }
 
-func (s *src16) f32(w *Warp, l int, uni uint16) float32 {
-	if s.reg >= 0 {
-		return fpval.F16ToFloat32(s.apply(uint16(w.regs[l][s.reg])))
+// cbank reads a constant-bank operand (both words of an FP64 pair) and
+// applies its modifiers.
+func (s *src[W]) cbank(d *Device) W {
+	v := uint64(d.CBankRead(s.bank, s.off))
+	if s.fmt == fpval.FP64 {
+		v = fpval.Pair64(uint32(v), d.CBankRead(s.bank, s.off+4))
 	}
-	return fpval.F16ToFloat32(uni)
+	return s.apply(W(v))
+}
+
+// laneV64 reads an FP64 operand for one lane: the register pair with the
+// sign masks applied; ev is the entry-resolved value for other operands.
+func laneV64(s *src[uint64], r []uint32, ev uint64) uint64 {
+	if s.reg >= 0 {
+		return s.sign(fpval.Pair64(r[s.reg], r[s.reg+1]))
+	}
+	return ev
+}
+
+func laneF64(s *src[uint64], r []uint32, ev uint64) float64 {
+	return math.Float64frombits(laneV64(s, r, ev))
+}
+
+// laneV16 reads an FP16 operand for one lane from its register's low half;
+// the sign masks act on the FP16 sign bit.
+func laneV16(s *src[uint16], r []uint32, ev uint16) uint16 {
+	if s.reg >= 0 {
+		return s.sign(uint16(r[s.reg]))
+	}
+	return ev
+}
+
+func laneF16(s *src[uint16], r []uint32, ev uint16) float32 {
+	return fpval.F16ToFloat32(laneV16(s, r, ev))
 }
 
 // srcP is a lowered predicate source: the register read and an XOR mask

@@ -36,14 +36,15 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		return lowerArith64(in, pc, lk)
 
 	case sass.OpDSETP:
-		s1, s2 := lowerSrc64(&ops[2]), lowerSrc64(&ops[3])
+		s1, s2 := lowerSrc[uint64](&ops[2], fpval.FP64, false), lowerSrc[uint64](&ops[3], fpval.FP64, false)
 		core := lowerSetpCore(in, m, pc)
 		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
+			u1, u2 := s1.entry(ex.d), s2.entry(ex.d)
 			var o outcomes
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
-				o = o.or(outcome(s1.f64(w, l, u1), s2.f64(w, l, u2), l))
+				r := w.regs[l]
+				o = o.or(outcome(laneF64(&s1, r, u1), laneF64(&s2, r, u2), l))
 			}
 			core.write(w, exec, o)
 		}
@@ -56,13 +57,14 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		if pd < 0 {
 			return lk.nop(pc)
 		}
-		s1, s2 := lowerSrc64(&ops[1]), lowerSrc64(&ops[2])
+		s1, s2 := lowerSrc[uint64](&ops[1], fpval.FP64, false), lowerSrc[uint64](&ops[2], fpval.FP64, false)
 		return func(ex *executor, w *Warp, exec uint32) {
-			u1, u2 := s1.fetch(ex.d), s2.fetch(ex.d)
+			u1, u2 := s1.entry(ex.d), s2.entry(ex.d)
 			var c uint32
 			for msk := exec; msk != 0; msk &= msk - 1 {
 				l := bits.TrailingZeros32(msk)
-				c |= b2u(fchkSpecial64(s1.f64(w, l, u1), s2.f64(w, l, u2))) << uint(l)
+				r := w.regs[l]
+				c |= b2u(fchkSpecial64(laneF64(&s1, r, u1), laneF64(&s2, r, u2))) << uint(l)
 			}
 			w.writePred(pd, exec, c)
 		}
@@ -75,7 +77,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		if dst == sass.RZ {
 			return lk.nop(pc)
 		}
-		s := mopSrcI(&ops[1])
+		s := lowerSrc[uint32](&ops[1], fmtInt, false)
 		if s.reg < 0 {
 			return func(ex *executor, w *Warp, exec uint32) {
 				broadcast64(w, dst, math.Float64bits(float64(int32(s.entry(ex.d)))), exec)
@@ -95,16 +97,16 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		if dst == sass.RZ {
 			return lk.nop(pc)
 		}
-		s := lowerSrc64(&ops[1])
-		if s.uniform() {
+		s := lowerSrc[uint64](&ops[1], fpval.FP64, false)
+		if s.reg < 0 {
 			return func(ex *executor, w *Warp, exec uint32) {
-				broadcast32(w, dst, uint32(truncToI32(math.Float64frombits(s.fetch(ex.d)))), exec)
+				broadcast32(w, dst, uint32(truncToI32(math.Float64frombits(s.entry(ex.d)))), exec)
 			}
 		}
 		return func(ex *executor, w *Warp, exec uint32) {
-			u := s.fetch(ex.d)
+			u := s.entry(ex.d)
 			eachLane(exec, func(l int) {
-				w.regs[l][dst] = uint32(truncToI32(s.f64(w, l, u)))
+				w.regs[l][dst] = uint32(truncToI32(laneF64(&s, w.regs[l], u)))
 			})
 		}
 
@@ -278,10 +280,10 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	case sass.OpDFMA:
 		kind = d64Fma
 	}
-	s1, s2 := lowerSrc64(&ops[1]), lowerSrc64(&ops[2])
-	var s3 src64
+	s1, s2 := lowerSrc[uint64](&ops[1], fpval.FP64, false), lowerSrc[uint64](&ops[2], fpval.FP64, false)
+	s3 := src[uint64]{reg: -1}
 	if kind == d64Fma {
-		s3 = lowerSrc64(&ops[3])
+		s3 = lowerSrc[uint64](&ops[3], fpval.FP64, false)
 	}
 	eval := func(a, b, c float64) float64 {
 		switch kind {
@@ -293,31 +295,28 @@ func lowerArith64(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 			return add64(a, b)
 		}
 	}
-	if s1.uniform() && s2.uniform() && (kind != d64Fma || s3.uniform()) {
+	if s1.reg < 0 && s2.reg < 0 && s3.reg < 0 {
 		return func(ex *executor, w *Warp, exec uint32) {
-			a := math.Float64frombits(s1.fetch(ex.d))
-			b := math.Float64frombits(s2.fetch(ex.d))
-			c := math.Float64frombits(s3.fetch(ex.d))
+			a := math.Float64frombits(s1.entry(ex.d))
+			b := math.Float64frombits(s2.entry(ex.d))
+			c := math.Float64frombits(s3.entry(ex.d))
 			broadcast64(w, dst, math.Float64bits(eval(a, b, c)), exec)
 		}
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
-		u1, u2, u3 := s1.fetch(ex.d), s2.fetch(ex.d), s3.fetch(ex.d)
+		u1, u2, u3 := s1.entry(ex.d), s2.entry(ex.d), s3.entry(ex.d)
 		if exec == fullExec {
 			for l := 0; l < WarpSize; l++ {
-				v := eval(s1.f64(w, l, u1), s2.f64(w, l, u2), s3.f64(w, l, u3))
-				lo, hi := fpval.Split64(math.Float64bits(v))
 				r := w.regs[l]
-				r[dst], r[dst+1] = lo, hi
+				v := eval(laneF64(&s1, r, u1), laneF64(&s2, r, u2), laneF64(&s3, r, u3))
+				r[dst], r[dst+1] = fpval.Split64(math.Float64bits(v))
 			}
 			return
 		}
 		for msk := exec; msk != 0; msk &= msk - 1 {
-			l := bits.TrailingZeros32(msk)
-			v := eval(s1.f64(w, l, u1), s2.f64(w, l, u2), s3.f64(w, l, u3))
-			lo, hi := fpval.Split64(math.Float64bits(v))
-			r := w.regs[l]
-			r[dst], r[dst+1] = lo, hi
+			r := w.regs[bits.TrailingZeros32(msk)]
+			v := eval(laneF64(&s1, r, u1), laneF64(&s2, r, u2), laneF64(&s3, r, u3))
+			r[dst], r[dst+1] = fpval.Split64(math.Float64bits(v))
 		}
 	}
 }
@@ -342,10 +341,10 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 	case sass.OpHFMA2:
 		kind = h16Fma
 	}
-	s1, s2 := lowerSrc16(&ops[1]), lowerSrc16(&ops[2])
-	var s3 src16
+	s1, s2 := lowerSrc[uint16](&ops[1], fpval.FP16, false), lowerSrc[uint16](&ops[2], fpval.FP16, false)
+	s3 := src[uint16]{reg: -1}
 	if kind == h16Fma {
-		s3 = lowerSrc16(&ops[3])
+		s3 = lowerSrc[uint16](&ops[3], fpval.FP16, false)
 	}
 	eval := func(a, b, c float32) float32 {
 		switch kind {
@@ -357,19 +356,20 @@ func lowerArith16(in *sass.Instr, pc int, lk *loweredKernel) thunk {
 			return add32(a, b)
 		}
 	}
-	if s1.uniform() && s2.uniform() && (kind != h16Fma || s3.uniform()) {
+	if s1.reg < 0 && s2.reg < 0 && s3.reg < 0 {
 		return func(ex *executor, w *Warp, exec uint32) {
-			a := fpval.F16ToFloat32(s1.fetch(ex.d))
-			b := fpval.F16ToFloat32(s2.fetch(ex.d))
-			c := fpval.F16ToFloat32(s3.fetch(ex.d))
+			a := fpval.F16ToFloat32(s1.entry(ex.d))
+			b := fpval.F16ToFloat32(s2.entry(ex.d))
+			c := fpval.F16ToFloat32(s3.entry(ex.d))
 			broadcast32(w, dst, uint32(fpval.F16FromFloat32(eval(a, b, c))), exec)
 		}
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
-		u1, u2, u3 := s1.fetch(ex.d), s2.fetch(ex.d), s3.fetch(ex.d)
+		u1, u2, u3 := s1.entry(ex.d), s2.entry(ex.d), s3.entry(ex.d)
 		eachLane(exec, func(l int) {
-			v := eval(s1.f32(w, l, u1), s2.f32(w, l, u2), s3.f32(w, l, u3))
-			w.regs[l][dst] = uint32(fpval.F16FromFloat32(v))
+			r := w.regs[l]
+			v := eval(laneF16(&s1, r, u1), laneF16(&s2, r, u2), laneF16(&s3, r, u3))
+			r[dst] = uint32(fpval.F16FromFloat32(v))
 		})
 	}
 }
@@ -382,21 +382,21 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 	}
 	dstFmt, srcFmt := f2fFormats(m.sub[pc])
 	ftz := m.ftz[pc]
-	var s64 src64
-	var s32 mopSrc
+	var s64 src[uint64]
+	var s32 src[uint32]
 	var uniform bool
 	if srcFmt == fpval.FP64 {
-		s64 = lowerSrc64(&ops[1])
-		uniform = s64.uniform()
+		s64 = lowerSrc[uint64](&ops[1], fpval.FP64, false)
+		uniform = s64.reg < 0
 	} else {
 		// F16 sources mirror the interpreter: sign modifiers act on the
 		// 32-bit pattern before truncation to 16 bits.
-		s32 = mopSrc32(&ops[1], false)
+		s32 = lowerSrc[uint32](&ops[1], fpval.FP32, false)
 		uniform = s32.reg < 0
 	}
 	read := func(w *Warp, l int, u64 uint64, u32 uint32) uint64 {
 		if srcFmt == fpval.FP64 {
-			return s64.lane(w, l, u64)
+			return laneV64(&s64, w.regs[l], u64)
 		}
 		return uint64(laneV32(&s32, w.regs[l], u32))
 	}
@@ -409,7 +409,7 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 		r[dst] = uint32(v)
 	}
 	return func(ex *executor, w *Warp, exec uint32) {
-		u64, u32 := s64.fetch(ex.d), s32.entry(ex.d)
+		u64, u32 := s64.entry(ex.d), s32.entry(ex.d)
 		if uniform {
 			v := f2fEval(dstFmt, srcFmt, ftz, read(w, 0, u64, u32))
 			eachLane(exec, func(l int) { write(w, l, v) })
@@ -424,7 +424,7 @@ func lowerF2F(in *sass.Instr, pc int, m *kernelMeta, lk *loweredKernel) thunk {
 func lowerSHFL(in *sass.Instr, mode uint8) thunk {
 	dst := in.Operands[0].Reg
 	srcReg := in.Operands[1].Reg
-	off := mopSrcI(&in.Operands[2])
+	off := lowerSrc[uint32](&in.Operands[2], fmtInt, false)
 	return func(ex *executor, w *Warp, exec uint32) {
 		var snapshot [WarpSize]uint32
 		if srcReg != sass.RZ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"gpufpx/internal/fpval"
 	"gpufpx/internal/sass"
@@ -18,23 +19,23 @@ import (
 
 // The compiled readers under test. Each returns lane l's read.
 func compiledF32(ctx *InjCtx, op *sass.Operand, ftz bool, l int) uint32 {
-	s := mopSrc32(op, ftz)
+	s := lowerSrc[uint32](op, fpval.FP32, ftz)
 	return laneV32(&s, ctx.Warp.regs[l], s.entry(ctx.Dev))
 }
 
 func compiledInt(ctx *InjCtx, op *sass.Operand, l int) uint32 {
-	s := mopSrcI(op)
+	s := lowerSrc[uint32](op, fmtInt, false)
 	return laneI32(&s, ctx.Warp.regs[l], s.entry(ctx.Dev))
 }
 
 func compiledF64(ctx *InjCtx, op *sass.Operand, l int) uint64 {
-	s := lowerSrc64(op)
-	return s.lane(ctx.Warp, l, s.fetch(ctx.Dev))
+	s := lowerSrc[uint64](op, fpval.FP64, false)
+	return laneV64(&s, ctx.Warp.regs[l], s.entry(ctx.Dev))
 }
 
 func compiledF16(ctx *InjCtx, op *sass.Operand, l int) float32 {
-	s := lowerSrc16(op)
-	return s.f32(ctx.Warp, l, s.fetch(ctx.Dev))
+	s := lowerSrc[uint16](op, fpval.FP16, false)
+	return laneF16(&s, ctx.Warp.regs[l], s.entry(ctx.Dev))
 }
 
 // The register file: R2 holds a 32-bit pattern (with FP16 patterns in its
@@ -254,4 +255,12 @@ func TestShadowReadsMatchInterpreter(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSrc32Size keeps the 32-bit compiled operand at the size it had as a
+// separate FP32/integer type, 40 bytes: every mop holds three.
+func TestSrc32Size(t *testing.T) {
+	if n := unsafe.Sizeof(src[uint32]{}); n != 40 {
+		t.Errorf("src[uint32] is %d bytes, want 40", n)
+	}
 }

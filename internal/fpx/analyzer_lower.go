@@ -26,7 +26,7 @@ type siteProg struct {
 
 	// srcs[0..n) classify the tracked operands: destination first when the
 	// instruction writes a register, then the non-predicate sources.
-	srcs [maxSiteOps]device.ClassSrc
+	srcs [maxSiteOps]device.ToolSrc
 	n    int
 
 	// Statically known Table 2 shape: shared destination/source register,

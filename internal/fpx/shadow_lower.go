@@ -116,7 +116,7 @@ type shadowCand struct {
 type shadowSite struct {
 	sh *Shadow
 
-	srcs    [3]device.ValSrc
+	srcs    [3]device.ToolSrc
 	nsrc    int
 	dstReg  int
 	fmt     fpval.Format

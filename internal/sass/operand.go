@@ -177,43 +177,6 @@ func (o *Operand) IsPlainReg() bool {
 	return o.Type == OperandReg && o.Reg != RZ
 }
 
-// SignMasks32 returns the masks implementing the Abs and Neg source
-// modifiers on a 32-bit floating-point pattern: bits = (raw &^ abs) ^ neg.
-// Both are zero for an unmodified operand, so the masks can be applied
-// unconditionally.
-func (o *Operand) SignMasks32() (neg, abs uint32) {
-	if o.Neg {
-		neg = 0x8000_0000
-	}
-	if o.Abs {
-		abs = 0x8000_0000
-	}
-	return
-}
-
-// SignMasks64 is SignMasks32 for 64-bit patterns.
-func (o *Operand) SignMasks64() (neg, abs uint64) {
-	if o.Neg {
-		neg = 1 << 63
-	}
-	if o.Abs {
-		abs = 1 << 63
-	}
-	return
-}
-
-// SignMasks16 is SignMasks32 for FP16 patterns (the modifiers act on the
-// half-precision sign bit).
-func (o *Operand) SignMasks16() (neg, abs uint16) {
-	if o.Neg {
-		neg = 0x8000
-	}
-	if o.Abs {
-		abs = 0x8000
-	}
-	return
-}
-
 // String renders the operand in SASS syntax.
 func (o Operand) String() string {
 	switch o.Type {
