@@ -87,6 +87,18 @@ func TestAnalyzerNoExceptionPathAllocs(t *testing.T) {
 	}
 }
 
+// TestShadowNoExceptionPathAllocs pins the same guarantee for the shadow
+// sanitizer's source capture and paired FP64 execution on an FFMA site,
+// once the warp's shadow register file exists.
+func TestShadowNoExceptionPathAllocs(t *testing.T) {
+	sh := NewShadow(DefaultShadowConfig())
+	calls, ctx := toolSite(t, sh, sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
+	runCalls(t, calls, ctx)
+	if n := testing.AllocsPerRun(100, func() { runCalls(t, calls, ctx) }); n != 0 {
+		t.Errorf("shadow no-exception path allocates %v per run, want 0", n)
+	}
+}
+
 // TestDetectorNoExceptionPathAllocs pins the same guarantee for the
 // detector's slimmed check body.
 func TestDetectorNoExceptionPathAllocs(t *testing.T) {
@@ -138,6 +150,14 @@ func BenchmarkAnalyzerSiteFSETP(b *testing.B) {
 func BenchmarkAnalyzerStoreCheck(b *testing.B) {
 	benchCalls(b, NewAnalyzer(DefaultAnalyzerConfig()),
 		sass.NewInstr(sass.OpSTG, sass.Mem(2, 0), sass.Reg(5)).WithMods("E"))
+}
+
+// BenchmarkShadowSiteFFMA measures the shadow sanitizer's source capture
+// and paired FP64 execution on a 3-source FP32 site with no exceptional
+// lanes.
+func BenchmarkShadowSiteFFMA(b *testing.B) {
+	benchCalls(b, NewShadow(DefaultShadowConfig()),
+		sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
 }
 
 // BenchmarkDetectorCheckFADD measures the detector's lowered FP32
