@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strings"
 	"sync"
@@ -341,11 +343,7 @@ func (g *Gateway) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
-	cost := req.CycleBudget
-	if cost == 0 {
-		cost = g.cfg.DefaultCostCycles
-	}
-	if !g.admit(w, r, cost) {
+	if !g.admit(w, r, g.charge(0, req.CycleBudget)) {
 		return
 	}
 	g.proxy(w, r, ShardKey(req), body)
@@ -369,11 +367,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var cost uint64
 	for _, it := range req.Items {
-		c := it.CycleBudget
-		if c == 0 {
-			c = g.cfg.DefaultCostCycles
-		}
-		cost += c
+		cost = g.charge(cost, it.CycleBudget)
 	}
 	if !g.admit(w, r, cost) {
 		return
@@ -399,10 +393,6 @@ func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
-	perRun := req.CycleBudget
-	if perRun == 0 {
-		perRun = g.cfg.DefaultCostCycles
-	}
 	trials := uint64(req.TrialsPerSite)
 	if trials == 0 {
 		trials = serve.DefaultTrialsPerSite
@@ -411,10 +401,32 @@ func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if sites == 0 {
 		sites = serve.DefaultMaxSites
 	}
-	if !g.admit(w, r, perRun*trials*sites) {
+	if !g.admit(w, r, g.charge(0, req.CycleBudget, trials, sites)) {
 		return
 	}
 	g.proxy(w, r, ShardKey(req.CheckRequest), body)
+}
+
+// charge adds a request's declared cycle budget (the default estimate when
+// it declares none), times each of runs, to total. Every step saturates at
+// math.MaxUint64: a declared budget is client input, and a sum or product
+// that wrapped around would admit a huge request as a small one.
+func (g *Gateway) charge(total, budget uint64, runs ...uint64) uint64 {
+	if budget == 0 {
+		budget = g.cfg.DefaultCostCycles
+	}
+	for _, n := range runs {
+		hi, lo := bits.Mul64(budget, n)
+		if hi != 0 {
+			return math.MaxUint64
+		}
+		budget = lo
+	}
+	sum, carry := bits.Add64(total, budget, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
 }
 
 // readBody slurps a bounded request body.

@@ -287,6 +287,51 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestAdmissionChargeSaturates: a declared cycle_budget is client input, so
+// a batch's summed budget and a profile's budget × trials × sites must
+// saturate instead of wrapping around to a small charge that the bucket
+// admits.
+func TestAdmissionChargeSaturates(t *testing.T) {
+	_, gw, _ := fleet(t, 1, Config{
+		TenantRates:  map[string]float64{"metered": 1000},
+		BurstSeconds: 1,
+	})
+	post := func(path string, v any) int {
+		body, _ := json.Marshal(v)
+		req, _ := http.NewRequest("POST", gw.URL+path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderTenant, "metered")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	// A request inside the 1,000-cycle burst is admitted.
+	if code := post("/v1/check", serve.CheckRequest{Prog: "ill-sum", CycleBudget: 500}); code == http.StatusTooManyRequests {
+		t.Fatalf("check within the burst got %d", code)
+	}
+	big := serve.CheckRequest{Prog: "ill-sum", CycleBudget: 1 << 63}
+	cases := []struct {
+		name, path string
+		body       any
+	}{
+		{"check 2^63", "/v1/check", big},
+		{"batch 2 x 2^63", "/v1/batch", serve.BatchRequest{Items: []serve.CheckRequest{big, big}}},
+		{"profile 2^60 x 64 trials", "/v1/profile", serve.ProfileRequest{
+			CheckRequest:  serve.CheckRequest{Prog: "ill-sum", CycleBudget: 1 << 60},
+			TrialsPerSite: 64,
+		}},
+	}
+	for _, c := range cases {
+		if code := post(c.path, c.body); code != http.StatusTooManyRequests {
+			t.Errorf("%s: got %d, want 429", c.name, code)
+		}
+	}
+}
+
 // TestGatewayStreamPassthrough: ?stream=1 flows through the proxy and the
 // demuxed fragments still byte-equal the synchronous body.
 func TestGatewayStreamPassthrough(t *testing.T) {
