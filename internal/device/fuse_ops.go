@@ -80,35 +80,6 @@ const (
 	s2rChainLane
 )
 
-// laneV32 reads an operand for one lane as raw 32-bit value with FP sign
-// masks applied; ev is the entry-resolved value for non-register operands.
-func laneV32(s *src[uint32], r []uint32, ev uint32) uint32 {
-	if s.reg >= 0 {
-		b := s.sign(r[s.reg])
-		if s.ftz {
-			b = fpval.Flush32(b)
-		}
-		return b
-	}
-	return ev
-}
-
-func laneF32(s *src[uint32], r []uint32, ev uint32) float32 {
-	return math.Float32frombits(laneV32(s, r, ev))
-}
-
-// laneI32 reads an operand with integer-source semantics (Neg negates).
-func laneI32(s *src[uint32], r []uint32, ev uint32) uint32 {
-	if s.reg >= 0 {
-		v := r[s.reg]
-		if s.ineg {
-			v = uint32(-int32(v))
-		}
-		return v
-	}
-	return ev
-}
-
 // mop is one micro-op, the compile-time description a specialized closure
 // is built from.
 type mop struct {

@@ -254,7 +254,7 @@ func (s *src[W]) apply(v W) W {
 // entry resolves the operand's warp-invariant value at closure entry: a
 // constant-bank read with the operand's modifiers applied, or the baked
 // constant. Meaningless (and unused) for register operands. It stays small
-// enough to inline, so only constant-bank operands pay a call.
+// enough to inline.
 func (s *src[W]) entry(d *Device) W {
 	if !s.cb {
 		return s.bits
@@ -270,6 +270,35 @@ func (s *src[W]) cbank(d *Device) W {
 		v = fpval.Pair64(uint32(v), d.CBankRead(s.bank, s.off+4))
 	}
 	return s.apply(W(v))
+}
+
+// laneV32 reads an operand for one lane as raw 32-bit value with FP sign
+// masks applied; ev is the entry-resolved value for non-register operands.
+func laneV32(s *src[uint32], r []uint32, ev uint32) uint32 {
+	if s.reg >= 0 {
+		b := s.sign(r[s.reg])
+		if s.ftz {
+			b = fpval.Flush32(b)
+		}
+		return b
+	}
+	return ev
+}
+
+func laneF32(s *src[uint32], r []uint32, ev uint32) float32 {
+	return math.Float32frombits(laneV32(s, r, ev))
+}
+
+// laneI32 reads an operand with integer-source semantics (Neg negates).
+func laneI32(s *src[uint32], r []uint32, ev uint32) uint32 {
+	if s.reg >= 0 {
+		v := r[s.reg]
+		if s.ineg {
+			v = uint32(-int32(v))
+		}
+		return v
+	}
+	return ev
 }
 
 // laneV64 reads an FP64 operand for one lane: the register pair with the
