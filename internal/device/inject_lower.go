@@ -47,30 +47,32 @@ func LowerValSrc(op *sass.Operand, f fpval.Format) ToolSrc {
 	return ToolSrc{lowerSrc[uint64](op, f, false)}
 }
 
-// raw reads a register operand's unmodified bits for one lane in its
-// format: the pair for FP64, else the 32-bit word, whose low half the
-// 16-bit formats read.
-func (t *ToolSrc) raw(r []uint32) uint64 {
-	v := uint64(r[t.s.reg])
-	if t.s.fmt == fpval.FP64 {
-		v |= uint64(r[t.s.reg+1]) << 32
-	}
-	return v
-}
-
 // Worst returns the most severe IEEE class the operand takes across the
 // executing lanes (NaN > INF > SUB > VAL > VAL0). Constant and
 // constant-bank operands classify their one warp-invariant value; register
 // operands walk the exec mask bit by bit with direct register-file access
-// and stop early once a NaN lane is seen.
+// (the pair for FP64, the low half for FP16/BF16) and stop early once a
+// NaN lane is seen.
 func (t *ToolSrc) Worst(c *InjCtx) fpval.Class {
 	if t.s.reg < 0 {
 		return fpval.Classify(t.s.fmt, t.s.entry(c.Dev))
 	}
+	reg := t.s.reg
 	worst := fpval.Zero
 	sev := uint8(0)
 	for m := c.ExecMask; m != 0; m &= m - 1 {
-		cl := fpval.Classify(t.s.fmt, t.raw(c.Warp.regs[bits.TrailingZeros32(m)]))
+		r := c.Warp.regs[bits.TrailingZeros32(m)]
+		var cl fpval.Class
+		switch t.s.fmt {
+		case fpval.FP64:
+			cl = fpval.Classify64(fpval.Pair64(r[reg], r[reg+1]))
+		case fpval.FP16:
+			cl = fpval.Classify16(uint16(r[reg]))
+		case fpval.BF16:
+			cl = fpval.ClassifyBF16(uint16(r[reg]))
+		default:
+			cl = fpval.Classify32(r[reg])
+		}
 		if v := cl.Severity(); v > sev {
 			worst, sev = cl, v
 			if sev == fpval.MaxSeverity {
@@ -96,7 +98,7 @@ func (t *ToolSrc) Bits(c *InjCtx, lane int) uint32 { return c.Warp.regs[lane][t.
 // way the executor applies them per operand. Only meaningful for register
 // operands.
 func (t *ToolSrc) Base(c *InjCtx, lane int) float64 {
-	return promote(t.s.fmt, t.raw(c.Warp.regs[lane]))
+	return promote(t.s.fmt, uint64(c.Warp.regs[lane][t.s.reg]))
 }
 
 // Mod applies the operand's sign modifiers (|x| first, then negation) to a
@@ -122,13 +124,10 @@ func (t *ToolSrc) Val(c *InjCtx, lane int) float64 {
 	return promote(t.s.fmt, t.s.entry(c.Dev))
 }
 
-// promote converts raw bits in format f (FP32, FP64 or FP16) to float64
-// exactly.
+// promote converts raw bits in a shadowed format (FP32, or FP16 in the low
+// half) to float64 exactly.
 func promote(f fpval.Format, v uint64) float64 {
-	switch f {
-	case fpval.FP64:
-		return math.Float64frombits(v)
-	case fpval.FP16:
+	if f == fpval.FP16 {
 		return float64(fpval.F16ToFloat32(uint16(v)))
 	}
 	return float64(math.Float32frombits(uint32(v)))
