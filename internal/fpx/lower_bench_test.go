@@ -87,15 +87,37 @@ func TestAnalyzerNoExceptionPathAllocs(t *testing.T) {
 	}
 }
 
-// TestShadowNoExceptionPathAllocs pins the same guarantee for the shadow
-// sanitizer's source capture and paired FP64 execution on an FFMA site,
-// once the warp's shadow register file exists.
-func TestShadowNoExceptionPathAllocs(t *testing.T) {
+// shadowFFMASite instruments FFMA R4, R1, R2, R3 with the shadow sanitizer
+// and sets R4 = R1*R2 + R3 exactly in every lane. The standalone context
+// executes nothing, so the destination must already hold the real result
+// for the paired FP64 execution to agree with it: the site then stays on
+// its no-finding path.
+func shadowFFMASite(t testing.TB) (*Shadow, []device.InjectedCall, *device.InjCtx) {
 	sh := NewShadow(DefaultShadowConfig())
 	calls, ctx := toolSite(t, sh, sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
+	for lane := 0; lane < device.WarpSize; lane++ {
+		for r, v := range map[int]float32{1: 1.5, 2: 2, 3: 0.25, 4: 3.25} {
+			ctx.Warp.SetReg(lane, r, math.Float32bits(v))
+		}
+	}
+	return sh, calls, ctx
+}
+
+// TestShadowNoExceptionPathAllocs pins the same guarantee for the shadow
+// sanitizer's source capture and paired FP64 execution, once the warp's
+// shadow register file exists.
+func TestShadowNoExceptionPathAllocs(t *testing.T) {
+	sh, calls, ctx := shadowFFMASite(t)
 	runCalls(t, calls, ctx)
 	if n := testing.AllocsPerRun(100, func() { runCalls(t, calls, ctx) }); n != 0 {
 		t.Errorf("shadow no-exception path allocates %v per run, want 0", n)
+	}
+	st := sh.Stats()
+	if st.ShadowedOps == 0 {
+		t.Fatal("the shadow site never ran")
+	}
+	if n := len(sh.Findings()); n != 0 || st.SignificanceLosses+st.Cancellations+st.Divergences != 0 {
+		t.Fatalf("exact operands produced %d findings (%+v)", n, st)
 	}
 }
 
@@ -153,11 +175,15 @@ func BenchmarkAnalyzerStoreCheck(b *testing.B) {
 }
 
 // BenchmarkShadowSiteFFMA measures the shadow sanitizer's source capture
-// and paired FP64 execution on a 3-source FP32 site with no exceptional
-// lanes.
+// and paired FP64 execution on a 3-source FP32 site with no findings.
 func BenchmarkShadowSiteFFMA(b *testing.B) {
-	benchCalls(b, NewShadow(DefaultShadowConfig()),
-		sass.NewInstr(sass.OpFFMA, sass.Reg(4), sass.Reg(1), sass.Reg(2), sass.Reg(3)))
+	_, calls, ctx := shadowFFMASite(b)
+	runCalls(b, calls, ctx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runCalls(b, calls, ctx)
+	}
 }
 
 // BenchmarkDetectorCheckFADD measures the detector's lowered FP32
