@@ -184,7 +184,7 @@ func finishedView(t *testing.T, s *Server, rec *httptest.ResponseRecorder) (v Jo
 		case <-time.After(fuzzPatience):
 			t.Fatalf("job %s not finished within %v", id, fuzzPatience)
 		}
-		v = j.view()
+		v, _ = j.view()
 	default:
 		return v, false
 	}

@@ -45,7 +45,7 @@ func TestWorkerBarrierContainsPanic(t *testing.T) {
 			j.batch, j.views = []batchItem{{}}, make([]JobView, 1)
 			return j
 		}, func(t *testing.T, s *Server, j *job) {
-			v := j.view()
+			v, _ := j.view()
 			if v.Status != StatusDone || len(v.Items) != 1 {
 				t.Fatalf("batch = %q with %d items, want done with 1", v.Status, len(v.Items))
 			}
@@ -98,14 +98,14 @@ func wantInternal(t *testing.T, j *job, msg string) {
 
 func TestFinishIsIdempotent(t *testing.T) {
 	j := newJob("j-test", CheckRequest{}, nil, nil)
-	j.finish(nil, nil, fmt.Errorf("first"))
+	j.finish(result{}, fmt.Errorf("first"))
 	// A second finish (e.g. a recover path firing after a normal publish)
 	// must neither panic on the closed channel nor overwrite the outcome.
-	j.finish(&gpufpx.Report{}, nil, nil)
+	j.finish(result{rep: &gpufpx.Report{}}, nil)
 	if _, err := j.outcome(); err == nil || err.Error() != "first" {
 		t.Fatalf("outcome overwritten: %v", err)
 	}
-	if v := j.view(); v.Status != StatusFailed {
+	if v, _ := j.view(); v.Status != StatusFailed {
 		t.Fatalf("status = %q, want failed", v.Status)
 	}
 }

@@ -296,11 +296,19 @@ type job struct {
 	mu       sync.Mutex
 	status   string
 	finished bool
-	rep      *gpufpx.Report
-	prof     *gpufpx.ProfileReport
+	res      result
 	err      error
 
 	progDone, progTotal int
+}
+
+// result is what a job produced: a check's report, a reused check's held
+// view bytes after the job id (see Server.reusable), or a campaign's
+// profile. A batch's items are in the job's views.
+type result struct {
+	rep  *gpufpx.Report
+	tail []byte
+	prof *gpufpx.ProfileReport
 }
 
 // newJob builds an admitted job with its run context. Batch and campaign
@@ -358,18 +366,18 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish publishes the outcome — a report, a campaign's profile or an
-// error — and releases waiters. Idempotent: only the first outcome sticks,
-// so a recover path that fires after a normal finish cannot double-close
-// done or overwrite the published result.
-func (j *job) finish(rep *gpufpx.Report, prof *gpufpx.ProfileReport, err error) {
+// finish publishes the outcome — a result or an error — and releases
+// waiters. Idempotent: only the first outcome sticks, so a recover path
+// that fires after a normal finish cannot double-close done or overwrite
+// the published result.
+func (j *job) finish(res result, err error) {
 	j.mu.Lock()
 	if j.finished {
 		j.mu.Unlock()
 		return
 	}
 	j.finished = true
-	j.rep, j.prof, j.err = rep, prof, err
+	j.res, j.err = res, err
 	if err != nil {
 		j.status = StatusFailed
 	} else {
@@ -384,7 +392,7 @@ func (j *job) finish(rep *gpufpx.Report, prof *gpufpx.ProfileReport, err error) 
 func (j *job) outcome() (*gpufpx.Report, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.rep, j.err
+	return j.res.rep, j.err
 }
 
 // JobView is the wire shape of a job, for both the synchronous response and
@@ -443,22 +451,27 @@ func (v *JobView) setOutcome(rep *gpufpx.Report, err error) {
 	}
 }
 
-// view snapshots the job for the wire.
-func (j *job) view() JobView {
+// view snapshots the job for the wire. A reused check's view is its held
+// bytes, returned as tail: they follow the id, and v carries only the id
+// and status. Every other job's tail is nil and v is its whole view.
+func (j *job) view() (v JobView, tail []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{ID: j.id, Status: j.status}
+	v = JobView{ID: j.id, Status: j.status}
+	if j.res.tail != nil {
+		return v, j.res.tail
+	}
 	if j.batch != nil {
 		v.Items = append([]JobView(nil), j.views...)
 	}
 	if j.profile != nil {
 		v.Progress = &ProgressView{Done: j.progDone, Total: j.progTotal}
 	}
-	if j.prof != nil {
-		v.Profile = j.prof
-		v.Tool = j.prof.Tool
-		v.Cycles = j.prof.TotalCycles
+	if p := j.res.prof; p != nil {
+		v.Profile = p
+		v.Tool = p.Tool
+		v.Cycles = p.TotalCycles
 	}
-	v.setOutcome(j.rep, j.err)
-	return v
+	v.setOutcome(j.res.rep, j.err)
+	return v, nil
 }

@@ -228,10 +228,13 @@ func (s *Server) retire(j *job) {
 	}
 }
 
-// heldReport is one entry of the reuse index.
+// heldReport is one entry of the reuse index: a clean report until its
+// key's first reuse, and from then on, in its place, the bytes of the done
+// job view that follow the job id (see doneTail).
 type heldReport struct {
-	key [32]byte
-	rep *gpufpx.Report
+	key  [32]byte
+	rep  *gpufpx.Report
+	tail []byte
 }
 
 // hold records the clean report of a keyed job as its key's report, or
@@ -248,26 +251,36 @@ func (s *Server) hold(j *job, rep *gpufpx.Report) {
 		s.held.MoveToFront(e)
 		return
 	}
-	s.byKey[j.key] = s.held.PushFront(heldReport{j.key, rep})
+	s.byKey[j.key] = s.held.PushFront(&heldReport{key: j.key, rep: rep})
 	if s.held.Len() > maxFinishedJobs {
-		delete(s.byKey, s.held.Remove(s.held.Back()).(heldReport).key)
+		delete(s.byKey, s.held.Remove(s.held.Back()).(*heldReport).key)
 	}
 }
 
-// reusable returns the held report for j's content key, or nil. The report
-// is shared between the jobs and read-only. A job canceled before it ran
-// does not reuse: it runs and fails classified, as it would without the
-// index.
-func (s *Server) reusable(j *job) *gpufpx.Report {
+// reusable returns the held view bytes for j's content key and marks the
+// key used, or returns nil. The key's first reuse encodes the bytes from
+// the held report, which the entry then drops, so a key that is never
+// repeated costs no encode. The bytes are shared between the jobs and
+// read-only. A job canceled before it ran does not reuse: it runs and
+// fails classified, as it would without the index.
+func (s *Server) reusable(j *job) []byte {
 	if !j.keyed || j.ctx.Err() != nil {
 		return nil
 	}
 	s.finishedMu.Lock()
 	defer s.finishedMu.Unlock()
-	if e := s.byKey[j.key]; e != nil {
-		return e.Value.(heldReport).rep
+	e := s.byKey[j.key]
+	if e == nil {
+		return nil
 	}
-	return nil
+	s.held.MoveToFront(e)
+	h := e.Value.(*heldReport)
+	if h.tail == nil {
+		if h.tail = doneTail(h.rep); h.tail != nil {
+			h.rep = nil
+		}
+	}
+	return h.tail
 }
 
 // runJob executes one job of any kind and publishes its outcome. The
@@ -278,12 +291,12 @@ func (s *Server) reusable(j *job) *gpufpx.Report {
 func (s *Server) runJob(j *job) {
 	j.setRunning()
 	s.m.running.Add(1)
-	rep, prof, err := s.run(j)
+	res, err := s.run(j)
 	s.m.running.Add(-1)
-	if err == nil {
-		s.hold(j, rep)
+	if err == nil && res.rep != nil {
+		s.hold(j, res.rep)
 	}
-	j.finish(rep, prof, err)
+	j.finish(res, err)
 	completed, failed := &s.m.completed, &s.m.failed
 	if j.profile != nil {
 		completed, failed = &s.m.profilesCompleted, &s.m.profilesFailed
@@ -302,7 +315,7 @@ func (s *Server) runJob(j *job) {
 		if j.batch != nil {
 			item = -1
 		}
-		v := j.view()
+		v, _ := j.view()
 		j.stream.send(StreamLine{Item: item, Trailer: &v, Done: true})
 		j.stream.close()
 	}
@@ -310,25 +323,25 @@ func (s *Server) runJob(j *job) {
 
 // run is the job's per-kind body inside the worker recover barrier: a
 // campaign runs Session.Profile, a batch fans its items out, and a check
-// reuses a held report or runs its session. Checks and batches first meet
+// reuses a held view or runs its session. Checks and batches first meet
 // any service-plane chaos decision; a batch rides out an injected panic.
 // The barrier is unconditional — it guards real harness bugs, not just
 // injected ones.
-func (s *Server) run(j *job) (rep *gpufpx.Report, prof *gpufpx.ProfileReport, err error) {
+func (s *Server) run(j *job) (res result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep, prof, err = nil, nil, fmt.Errorf("worker panic: %v", r)
+			res, err = result{}, fmt.Errorf("worker panic: %v", r)
 		}
 	}()
 	if j.profile != nil {
-		prof, err = j.session.Profile(j.ctx, j.source)
-		return rep, prof, err
+		res.prof, err = j.session.Profile(j.ctx, j.source)
+		return res, err
 	}
-	// A repeat of a held clean check finishes with its report instead of
-	// re-simulating; it is still counted and retired.
-	if rep = s.reusable(j); rep != nil {
+	// A repeat of a held clean check finishes with its view's bytes
+	// instead of re-simulating; it is still counted and retired.
+	if res.tail = s.reusable(j); res.tail != nil {
 		s.m.reused.Add(1)
-		return rep, nil, nil
+		return res, nil
 	}
 	if sf, ok := s.cfg.Faults.ServiceDecision(j.chaosKey()); ok {
 		if sf.Kind != fault.ServicePanic {
@@ -347,10 +360,10 @@ func (s *Server) run(j *job) (rep *gpufpx.Report, prof *gpufpx.ProfileReport, er
 		pool.ForEachN(s.cfg.Workers, len(j.batch), func(i int) {
 			s.runBatchItem(j, i)
 		})
-		return nil, nil, nil
+		return res, nil
 	}
-	rep, err = j.exec(0, j.session, j.source)
-	return rep, nil, err
+	res.rep, err = j.exec(0, j.session, j.source)
+	return res, err
 }
 
 // exec runs one source of the job, streaming its report fragments as item
@@ -389,6 +402,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// idHead is how every job view's encoding begins; the job id follows it.
+const idHead = "{\n  \"id\": \""
+
+// doneTail encodes the view of a done check with report rep as writeJSON
+// would and returns the bytes after the job id: the part of the view that
+// every job with this report shares. It returns nil if rep does not
+// encode.
+func doneTail(rep *gpufpx.Report) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	v := JobView{Status: StatusDone}
+	v.setOutcome(rep, nil)
+	if enc.Encode(v) != nil || !bytes.HasPrefix(buf.Bytes(), []byte(idHead)) {
+		return nil
+	}
+	return bytes.Clone(buf.Bytes()[len(idHead):])
+}
+
+// writeJob writes a job's view: a reused check's held bytes after its id,
+// or the view encoded now. It is the one renderer of a job for every
+// reply and poll.
+func writeJob(w http.ResponseWriter, status int, j *job) {
+	v, tail := j.view()
+	if tail == nil {
+		writeJSON(w, status, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	io.WriteString(w, idHead)
+	io.WriteString(w, v.ID)
+	w.Write(tail)
 }
 
 // writeError maps a job failure to its HTTP status via the error taxonomy —
@@ -495,7 +543,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *job, wait bo
 	}
 	if !wait {
 		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeJob(w, http.StatusAccepted, j)
 		return
 	}
 	select {
@@ -512,7 +560,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *job, wait bo
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	writeJob(w, http.StatusOK, j)
 }
 
 // handleJob reports one job's state (and, once done, its report).
@@ -522,7 +570,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + r.PathValue("id")})
 		return
 	}
-	writeJSON(w, http.StatusOK, v.(*job).view())
+	writeJob(w, http.StatusOK, v.(*job))
 }
 
 // healthBody is the /healthz wire shape.
