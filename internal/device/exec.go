@@ -838,7 +838,10 @@ func (ex *executor) srcF64(w *Warp, l int, op *sass.Operand) float64 {
 	var bits uint64
 	switch op.Type {
 	case sass.OperandReg:
-		bits = fpval.Pair64(w.Reg(l, op.Reg), w.Reg(l, op.Reg+1))
+		// RZ reads 0 as a pair too: it has no partner register.
+		if op.Reg != sass.RZ {
+			bits = fpval.Pair64(w.Reg(l, op.Reg), w.Reg(l, op.Reg+1))
+		}
 	case sass.OperandCBank:
 		bits = fpval.Pair64(ex.d.CBankRead(op.Bank, op.Off), ex.d.CBankRead(op.Bank, op.Off+4))
 	case sass.OperandImmDouble:

@@ -150,9 +150,6 @@ func TestCompiledOperandReadsMatchInterpreter(t *testing.T) {
 			if got, want := math.Float32bits(compiledF16(ctx, op, l)), math.Float32bits(ex.srcF16(w, l, op)); got != want {
 				t.Errorf("lane %d FP16: compiled %#08x, interpreter %#08x", l, got, want)
 			}
-			if op.IsRZ() {
-				continue // validation rejects RZ as a 64-bit pair
-			}
 			if got, want := compiledF64(ctx, op, l), math.Float64bits(ex.srcF64(w, l, op)); got != want {
 				t.Errorf("lane %d FP64: compiled %#016x, interpreter %#016x", l, got, want)
 			}
@@ -190,9 +187,6 @@ func TestAnalyzerWorstMatchesInterpreter(t *testing.T) {
 	w := ctx.Warp
 	eachOperand(t, func(t *testing.T, op *sass.Operand) {
 		for _, f := range []fpval.Format{fpval.FP32, fpval.FP64, fpval.FP16, fpval.BF16} {
-			if f == fpval.FP64 && op.IsRZ() {
-				continue // validation rejects RZ as a 64-bit pair
-			}
 			s := LowerClassSrc(op, f)
 			worst := fpval.Zero
 			for l := 0; l < WarpSize; l++ {
