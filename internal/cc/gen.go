@@ -448,7 +448,7 @@ func (c *compiler) move(t Type, dst int, src sass.Operand) error {
 		c.emit(sass.NewInstr(sass.OpMOV32I, sass.Reg(dst+1), sass.ImmI(int64(uint32(bits>>32)))))
 	case sass.OperandCBank:
 		c.emit(sass.NewInstr(sass.OpMOV, sass.Reg(dst), src))
-		c.emit(sass.NewInstr(sass.OpMOV, sass.Reg(dst+1), sass.CBank(src.Bank, src.Off+4)))
+		c.emit(sass.NewInstr(sass.OpMOV, sass.Reg(dst+1), sass.CBank(int(src.Bank), int(src.Off)+4)))
 	default:
 		return fmt.Errorf("cannot move %v into an FP64 pair", src.Type)
 	}

@@ -639,10 +639,10 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 	case sass.OpFCHK:
 		if m.sub[pc] == subWide {
 			a, b := ex.srcF64(w, l, &ops[1]), ex.srcF64(w, l, &ops[2])
-			w.SetPred(l, ops[0].Pred, fchkSpecial64(a, b))
+			w.SetPred(l, int(ops[0].Pred), fchkSpecial64(a, b))
 		} else {
 			a, b := ex.srcF32(w, l, &ops[1], false), ex.srcF32(w, l, &ops[2], false)
-			w.SetPred(l, ops[0].Pred, fchkSpecial(a, b))
+			w.SetPred(l, int(ops[0].Pred), fchkSpecial(a, b))
 		}
 	case sass.OpF2F:
 		dst, src := f2fFormats(m.sub[pc])
@@ -740,7 +740,7 @@ func (ex *executor) lane(w *Warp, in *sass.Instr, pc, l int) {
 		}
 	case sass.OpLDC:
 		op := &ops[1]
-		w.SetReg(l, ops[0].Reg, ex.d.CBankRead(op.Bank, op.Off))
+		w.SetReg(l, ops[0].Reg, ex.d.CBankRead(int(op.Bank), int(op.Off)))
 	case sass.OpS2R:
 		w.SetReg(l, ops[0].Reg, ex.special(w, l, ops[1].SR))
 	case sass.OpEXIT, sass.OpNOP, sass.OpBAR:
@@ -770,9 +770,9 @@ func (ex *executor) special(w *Warp, lane int, sr sass.SpecialReg) uint32 {
 func (ex *executor) setp(w *Warp, in *sass.Instr, pc, l int, c bool) {
 	pd, pq := &in.Operands[0], &in.Operands[1]
 	pcv, comb := b2u(ex.predVal(w, l, &in.Operands[len(in.Operands)-1])), ex.meta.sub[pc]
-	w.SetPred(l, pd.Pred, combine(comb, b2u(c), pcv) != 0)
+	w.SetPred(l, int(pd.Pred), combine(comb, b2u(c), pcv) != 0)
 	if pq.Type == sass.OperandPred && pq.Pred != sass.PT {
-		w.SetPred(l, pq.Pred, combine(comb, b2u(!c), pcv) != 0)
+		w.SetPred(l, int(pq.Pred), combine(comb, b2u(!c), pcv) != 0)
 	}
 }
 
@@ -784,11 +784,11 @@ func (ex *executor) srcBits32(w *Warp, l int, op *sass.Operand) uint32 {
 	case sass.OperandReg:
 		bits = w.Reg(l, op.Reg)
 	case sass.OperandCBank:
-		bits = ex.d.CBankRead(op.Bank, op.Off)
+		bits = ex.d.CBankRead(int(op.Bank), int(op.Off))
 	case sass.OperandImmDouble:
 		bits = math.Float32bits(float32(op.Imm))
 	case sass.OperandGeneric:
-		bits = uint32(genericBits(op.Gen, fpval.FP32))
+		bits = uint32(genericBits(op.Text, fpval.FP32))
 	case sass.OperandImmInt:
 		bits = uint32(op.IVal)
 	default:
@@ -819,7 +819,7 @@ func (ex *executor) srcF16(w *Warp, l int, op *sass.Operand) float32 {
 	case sass.OperandImmDouble:
 		bits = fpval.F16FromFloat32(float32(op.Imm))
 	case sass.OperandGeneric:
-		bits = uint16(genericBits(op.Gen, fpval.FP16))
+		bits = uint16(genericBits(op.Text, fpval.FP16))
 	default:
 		raw := *op
 		raw.Neg, raw.Abs = false, false
@@ -843,11 +843,11 @@ func (ex *executor) srcF64(w *Warp, l int, op *sass.Operand) float64 {
 			bits = fpval.Pair64(w.Reg(l, op.Reg), w.Reg(l, op.Reg+1))
 		}
 	case sass.OperandCBank:
-		bits = fpval.Pair64(ex.d.CBankRead(op.Bank, op.Off), ex.d.CBankRead(op.Bank, op.Off+4))
+		bits = fpval.Pair64(ex.d.CBankRead(int(op.Bank), int(op.Off)), ex.d.CBankRead(int(op.Bank), int(op.Off)+4))
 	case sass.OperandImmDouble:
 		bits = math.Float64bits(op.Imm)
 	case sass.OperandGeneric:
-		bits = genericBits(op.Gen, fpval.FP64)
+		bits = genericBits(op.Text, fpval.FP64)
 	default:
 		bits = 0
 	}
@@ -867,7 +867,7 @@ func (ex *executor) srcInt(w *Warp, l int, op *sass.Operand) uint32 {
 	case sass.OperandReg:
 		v = w.Reg(l, op.Reg)
 	case sass.OperandCBank:
-		v = ex.d.CBankRead(op.Bank, op.Off)
+		v = ex.d.CBankRead(int(op.Bank), int(op.Off))
 	case sass.OperandImmInt:
 		v = uint32(op.IVal)
 	case sass.OperandImmDouble:
@@ -885,7 +885,7 @@ func (ex *executor) predVal(w *Warp, l int, op *sass.Operand) bool {
 	if op.Type != sass.OperandPred {
 		return true
 	}
-	v := w.Pred(l, op.Pred)
+	v := w.Pred(l, int(op.Pred))
 	if op.NegPred {
 		v = !v
 	}

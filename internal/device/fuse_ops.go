@@ -204,7 +204,7 @@ func buildMop(in *sass.Instr, m *kernelMeta, pc int) mop {
 		}
 	case sass.OpFCHK:
 		op.kind = mopFCHK
-		op.pd = predDst(ops[0].Pred)
+		op.pd = predDst(int(ops[0].Pred))
 		op.a, op.b = f32(1, false), f32(2, false)
 		return op
 	}

@@ -197,7 +197,7 @@ func lowerSrc[W word](op *sass.Operand, f fpval.Format, ftz bool) src[W] {
 	case op.IsPlainReg():
 		s.reg = int32(op.Reg)
 	case op.Type == sass.OperandCBank:
-		s.cb, s.bank, s.off = true, op.Bank, op.Off
+		s.cb, s.bank, s.off = true, int(op.Bank), int(op.Off)
 	default:
 		s.bits = s.apply(W(constBits(op, f)))
 	}
@@ -226,7 +226,7 @@ func constBits(op *sass.Operand, f fpval.Format) uint64 {
 		if f == fmtInt {
 			return 0
 		}
-		return genericBits(op.Gen, f)
+		return genericBits(op.Text, f)
 	case sass.OperandImmInt:
 		if f == fpval.FP64 {
 			return 0
@@ -338,7 +338,7 @@ func lowerSrcP(op *sass.Operand) srcP {
 	if op.Type != sass.OperandPred {
 		return srcP{pred: sass.PT}
 	}
-	return srcP{pred: op.Pred, neg: negMask(op.NegPred)}
+	return srcP{pred: int(op.Pred), neg: negMask(op.NegPred)}
 }
 
 // mask returns the source's value for every lane of the warp.
@@ -431,9 +431,9 @@ type setpCore struct {
 }
 
 func lowerSetpCore(in *sass.Instr, m *kernelMeta, pc int) setpCore {
-	c := setpCore{want: setMasksOf(m.cmp[pc]), comb: m.sub[pc], pd: predDst(in.Operands[0].Pred), pq: -1}
+	c := setpCore{want: setMasksOf(m.cmp[pc]), comb: m.sub[pc], pd: predDst(int(in.Operands[0].Pred)), pq: -1}
 	if q := &in.Operands[1]; q.Type == sass.OperandPred {
-		c.pq = predDst(q.Pred)
+		c.pq = predDst(int(q.Pred))
 	}
 	c.ps = lowerSrcP(&in.Operands[len(in.Operands)-1])
 	return c

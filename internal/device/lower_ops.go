@@ -53,7 +53,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		return lowerArith16(in, pc, lk)
 
 	case sass.OpFCHK: // .F64; FP32 is chainable
-		pd := predDst(ops[0].Pred)
+		pd := predDst(int(ops[0].Pred))
 		if pd < 0 {
 			return lk.nop(pc)
 		}
@@ -208,7 +208,7 @@ func lowerInstr(k *sass.Kernel, pc int, m *kernelMeta, lk *loweredKernel) thunk 
 		if dst == sass.RZ {
 			return lk.nop(pc)
 		}
-		bank, off := ops[1].Bank, ops[1].Off
+		bank, off := int(ops[1].Bank), int(ops[1].Off)
 		// Constant-bank reads are warp-invariant by construction.
 		return func(ex *executor, w *Warp, exec uint32) {
 			broadcast32(w, dst, ex.d.CBankRead(bank, off), exec)

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gpufpx/internal/cc"
 	"gpufpx/internal/cuda"
@@ -65,7 +66,7 @@ func kernelDigest(k *sass.Kernel) string {
 
 // operandText is the operand's text: a GENERIC constant's spelling or an
 // unresolved label's name.
-func operandText(o sass.Operand) string { return o.Gen + o.Label }
+func operandText(o sass.Operand) string { return o.Text }
 
 func num(h hash.Hash, v uint64) {
 	var b [8]byte
@@ -127,11 +128,13 @@ func TestCompiledCorpusPinned(t *testing.T) {
 	} {
 		var lines, reparsed []string
 		for k := range corpusKernels(t, cfg.opts) {
+			checkCompact(t, k)
 			lines = append(lines, cfg.name+"\t"+k.Name+"\t"+kernelDigest(k))
 			p, err := sass.Parse(k.Name, sass.Format(k))
 			if err != nil {
 				t.Fatalf("%s %s: listing does not reparse: %v", cfg.name, k.Name, err)
 			}
+			checkCompact(t, p)
 			reparsed = append(reparsed, kernelDigest(p))
 		}
 		sort.Strings(lines)
@@ -190,11 +193,59 @@ func TestParsedListingsPinned(t *testing.T) {
 			continue
 		}
 		n++
+		checkCompact(t, k)
 		io.WriteString(h, kernelDigest(k))
 	}
 	const want = "18/24 528e130ed1f71bb28082f9dcc27c789489b51db8b8b5a2418b0b616157656f8b"
 	if got := fmt.Sprintf("%d/%d %x", n, len(srcs), h.Sum(nil)); got != want {
 		t.Fatalf("parsed listings digest %s, want %s", got, want)
+	}
+}
+
+// TestRepresentationSizes pins the sizes a cached kernel pays per operand
+// and per instruction.
+func TestRepresentationSizes(t *testing.T) {
+	if n := unsafe.Sizeof(sass.Operand{}); n > 56 {
+		t.Errorf("sass.Operand is %d bytes, want at most 56", n)
+	}
+	if n := unsafe.Sizeof(sass.Instr{}); n > 120 {
+		t.Errorf("sass.Instr is %d bytes, want at most 120", n)
+	}
+}
+
+// TestOperandAppendStaysPrivate appends to one instruction's operands in a
+// finalized kernel and checks that the next instruction's are untouched.
+func TestOperandAppendStaysPrivate(t *testing.T) {
+	k := sass.MustParse("append", "FADD R1, R2, R3 ;\nFMUL R4, R5, R6 ;\nEXIT ;")
+	before := k.Instrs[1].String()
+	grown := append(k.Instrs[0].Operands, sass.Reg(9))
+	if got := k.Instrs[1].String(); got != before || len(grown) != 4 {
+		t.Fatalf("append to instr 0's operands changed instr 1: %q -> %q", before, got)
+	}
+}
+
+// checkCompact checks that a finalized kernel holds its instructions in an
+// exact-size array and all its operands in one array, each instruction's
+// cut without spare capacity and right after the previous instruction's.
+func checkCompact(t *testing.T, k *sass.Kernel) {
+	t.Helper()
+	if len(k.Instrs) != cap(k.Instrs) {
+		t.Fatalf("%s: %d instructions in an array of %d", k.Name, len(k.Instrs), cap(k.Instrs))
+	}
+	var next uintptr
+	for pc := range k.Instrs {
+		ops := k.Instrs[pc].Operands
+		if len(ops) != cap(ops) {
+			t.Fatalf("%s pc %d: %d operands with capacity %d", k.Name, pc, len(ops), cap(ops))
+		}
+		if len(ops) == 0 {
+			continue
+		}
+		at := uintptr(unsafe.Pointer(&ops[0]))
+		if next != 0 && at != next {
+			t.Fatalf("%s pc %d: operands do not follow the previous instruction's", k.Name, pc)
+		}
+		next = at + uintptr(len(ops))*unsafe.Sizeof(sass.Operand{})
 	}
 }
 

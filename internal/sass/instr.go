@@ -34,17 +34,20 @@ type Instr struct {
 	// the instruction's location id for exception records.
 	PC int
 
+	// Guard is the guard predicate register (@P0 ...); GuardNeg marks
+	// @!P0. A nil guard (Pred == PT, NegPred == false) always executes.
+	Guard    int
+	GuardNeg bool
+
 	Op Op
 	// Mods are the dot modifiers in order, e.g. ["RCP"] for MUFU.RCP,
 	// ["LT", "AND"] for FSETP.LT.AND, ["FTZ"] for FADD.FTZ,
 	// ["E", "64"] for LDG.E.64.
 	Mods []string
 
-	// Guard is the guard predicate register (@P0 ...); GuardNeg marks
-	// @!P0. A nil guard (Pred == PT, NegPred == false) always executes.
-	Guard    int
-	GuardNeg bool
-
+	// Operands are the instruction's operands. In a finalized kernel they
+	// are cut, without spare capacity, from one array the kernel's
+	// instructions share (see Finalize).
 	Operands []Operand
 
 	// Loc is the source location, when known.
@@ -327,7 +330,8 @@ type Kernel struct {
 	// Name is the (possibly mangled or templated) kernel name as it
 	// appears in reports.
 	Name string
-	// Instrs is the instruction sequence; Instr.PC indexes into it.
+	// Instrs is the instruction sequence; Instr.PC indexes into it. In a
+	// finalized kernel it has no spare capacity.
 	Instrs []Instr
 	// NumRegs is the highest general-purpose register used + 1 (the FP64
 	// pair convention counts the high register too).
@@ -356,7 +360,14 @@ func (k *Kernel) Program(build func(*Kernel) any) any {
 // Finalize assigns PCs, computes NumRegs, and resolves label operands
 // against the given label table (label name → instruction index). It
 // returns an error for dangling labels or malformed register pairs.
+//
+// Finalize also compacts the kernel, since a compiled kernel stays cached
+// for the life of the process: Instrs moves to an exact-size array, and
+// every instruction's operands move into one array for the whole kernel,
+// each instruction's cut with a full slice expression so that an append to
+// one instruction's operands cannot write into the next's.
 func (k *Kernel) Finalize(labels map[string]int) error {
+	k.compact()
 	max := -1
 	note := func(r int) {
 		if r != RZ && r > max {
@@ -382,9 +393,9 @@ func (k *Kernel) Finalize(labels map[string]int) error {
 			case OperandMem:
 				note(op.Reg)
 			case OperandLabel:
-				target, ok := labels[op.Label]
+				target, ok := labels[op.Text]
 				if !ok {
-					return fmt.Errorf("sass: kernel %s pc %d: undefined label %q", k.Name, pc, op.Label)
+					return fmt.Errorf("sass: kernel %s pc %d: undefined label %q", k.Name, pc, op.Text)
 				}
 				*op = Operand{Type: OperandImmInt, IVal: int64(target)}
 			}
@@ -392,6 +403,31 @@ func (k *Kernel) Finalize(labels map[string]int) error {
 	}
 	k.NumRegs = max + 1
 	return nil
+}
+
+// compact moves the instructions into an exact-size array and their
+// operands into one array per kernel. The arrays they leave behind become
+// garbage, so callers may build instructions and operands in whatever
+// scratch storage suits them.
+func (k *Kernel) compact() {
+	if len(k.Instrs) != cap(k.Instrs) {
+		k.Instrs = append(make([]Instr, 0, len(k.Instrs)), k.Instrs...)
+	}
+	n := 0
+	for i := range k.Instrs {
+		n += len(k.Instrs[i].Operands)
+	}
+	ops := make([]Operand, 0, n)
+	for i := range k.Instrs {
+		in := &k.Instrs[i]
+		if len(in.Operands) == 0 {
+			in.Operands = nil
+			continue
+		}
+		start := len(ops)
+		ops = append(ops, in.Operands...)
+		in.Operands = ops[start:len(ops):len(ops)]
+	}
 }
 
 // FPInstrCount returns the number of floating-point instructions — the

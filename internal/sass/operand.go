@@ -76,38 +76,40 @@ func (s SpecialReg) String() string {
 	return "SR_?"
 }
 
-// Operand is one instruction operand.
+// Operand is one instruction operand. Its fields are ordered widest first
+// and its narrow ones sized to their ranges, so that it packs into 56
+// bytes: a kernel holds one per operand for as long as it is cached.
 type Operand struct {
-	Type OperandType
-
-	// Reg is the register number for OperandReg and the base address
-	// register for OperandMem.
-	Reg int
-	// Neg and Abs are source modifiers (-R3, |R3|).
-	Neg, Abs bool
+	// Text is the text of an OperandGeneric ("+INF", "-QNAN", ...) and the
+	// target name of an OperandLabel.
+	Text string
 
 	// Imm is the value of an OperandImmDouble.
 	Imm float64
-	// Gen is the text of an OperandGeneric ("+INF", "-QNAN", ...).
-	Gen string
-
-	// Bank and Off locate an OperandCBank value c[Bank][Off].
-	Bank, Off int
-
-	// Pred is the predicate register number for OperandPred; NegPred
-	// marks !Pn.
-	Pred    int
-	NegPred bool
 
 	// IVal is the value of an OperandImmInt and the byte offset of an
 	// OperandMem.
 	IVal int64
 
+	// Reg is the register number for OperandReg and the base address
+	// register for OperandMem.
+	Reg int
+
+	// Bank and Off locate an OperandCBank value c[Bank][Off].
+	Bank, Off int32
+
+	Type OperandType
+
+	// Neg and Abs are source modifiers (-R3, |R3|).
+	Neg, Abs bool
+
+	// Pred is the predicate register number for OperandPred; NegPred
+	// marks !Pn.
+	Pred    uint8
+	NegPred bool
+
 	// SR is the special register for OperandSpecial.
 	SR SpecialReg
-
-	// Label is the target name of an OperandLabel.
-	Label string
 }
 
 // Convenience constructors.
@@ -125,13 +127,15 @@ func AbsReg(n int) Operand { return Operand{Type: OperandReg, Reg: n, Abs: true}
 func ImmF(v float64) Operand { return Operand{Type: OperandImmDouble, Imm: v} }
 
 // Generic returns a GENERIC operand with the given text.
-func Generic(s string) Operand { return Operand{Type: OperandGeneric, Gen: s} }
+func Generic(s string) Operand { return Operand{Type: OperandGeneric, Text: s} }
 
 // CBank returns a constant-bank operand c[bank][off].
-func CBank(bank, off int) Operand { return Operand{Type: OperandCBank, Bank: bank, Off: off} }
+func CBank(bank, off int) Operand {
+	return Operand{Type: OperandCBank, Bank: int32(bank), Off: int32(off)}
+}
 
 // PredOp returns a predicate-register operand, negated if neg.
-func PredOp(n int, neg bool) Operand { return Operand{Type: OperandPred, Pred: n, NegPred: neg} }
+func PredOp(n int, neg bool) Operand { return Operand{Type: OperandPred, Pred: uint8(n), NegPred: neg} }
 
 // ImmI returns an integer-immediate operand.
 func ImmI(v int64) Operand { return Operand{Type: OperandImmInt, IVal: v} }
@@ -143,7 +147,7 @@ func Mem(reg int, off int64) Operand { return Operand{Type: OperandMem, Reg: reg
 func Special(sr SpecialReg) Operand { return Operand{Type: OperandSpecial, SR: sr} }
 
 // Label returns an unresolved branch-target operand.
-func Label(name string) Operand { return Operand{Type: OperandLabel, Label: name} }
+func Label(name string) Operand { return Operand{Type: OperandLabel, Text: name} }
 
 // IsRZ reports whether the operand is the zero register.
 func (o Operand) IsRZ() bool { return o.Type == OperandReg && o.Reg == RZ }
@@ -192,7 +196,7 @@ func (o Operand) String() string {
 	case OperandImmDouble:
 		return formatImm(o.Imm)
 	case OperandGeneric:
-		return o.Gen
+		return o.Text
 	case OperandCBank:
 		s := fmt.Sprintf("c[0x%x][0x%x]", o.Bank, o.Off)
 		if o.Abs {
@@ -221,7 +225,7 @@ func (o Operand) String() string {
 	case OperandSpecial:
 		return o.SR.String()
 	case OperandLabel:
-		return "`" + o.Label + "`"
+		return "`" + o.Text + "`"
 	default:
 		return "<operand?>"
 	}

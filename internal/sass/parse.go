@@ -24,10 +24,15 @@ import (
 // (the analyzer recognizes them by text); on all other opcodes they are
 // IMM_DOUBLE, mirroring the operand typing in Listing 2 of the paper.
 func Parse(name, src string) (*Kernel, error) {
-	k := &Kernel{Name: name}
+	lines := strings.Split(src, "\n")
+	// An instruction takes at least a line, and each of its operands but
+	// the first follows a comma, so neither scratch array below grows;
+	// Finalize moves what they hold into exact-size arrays.
+	k := &Kernel{Name: name, Instrs: make([]Instr, 0, len(lines))}
+	ops := make([]Operand, 0, len(lines)+strings.Count(src, ","))
 	labels := make(map[string]int)
 	loc := SourceLoc{}
-	for ln, raw := range strings.Split(src, "\n") {
+	for ln, raw := range lines {
 		line := raw
 		if idx := strings.Index(line, "//"); idx >= 0 {
 			line = line[:idx]
@@ -70,7 +75,7 @@ func Parse(name, src string) (*Kernel, error) {
 		if line == "" {
 			continue
 		}
-		in, err := parseInstr(line)
+		in, err := parseInstr(line, &ops)
 		if err != nil {
 			return nil, fmt.Errorf("sass: line %d: %v", ln+1, err)
 		}
@@ -93,7 +98,9 @@ func MustParse(name, src string) *Kernel {
 	return k
 }
 
-func parseInstr(line string) (Instr, error) {
+// parseInstr parses one instruction, appending its operands to ops and
+// cutting its Operands from there.
+func parseInstr(line string, ops *[]Operand) (Instr, error) {
 	line = strings.TrimSuffix(strings.TrimSpace(line), ";")
 	line = strings.TrimSpace(line)
 
@@ -121,34 +128,38 @@ func parseInstr(line string) (Instr, error) {
 	if sp := strings.IndexAny(line, " \t"); sp >= 0 {
 		opText, rest = line[:sp], strings.TrimSpace(line[sp:])
 	}
-	parts := strings.Split(opText, ".")
-	op, ok := OpByName(parts[0])
+	opName, modText, hasMods := strings.Cut(opText, ".")
+	op, ok := OpByName(opName)
 	if !ok {
-		return in, fmt.Errorf("unknown opcode %q", parts[0])
+		return in, fmt.Errorf("unknown opcode %q", opName)
 	}
 	in.Op = op
-	if len(parts) > 1 {
-		in.Mods = parts[1:]
+	if hasMods {
+		in.Mods = strings.Split(modText, ".")
 	}
 
 	if rest != "" {
-		for _, tok := range splitOperands(rest) {
+		start := len(*ops)
+		for more := true; more; {
+			var tok string
+			tok, rest, more = cutOperand(rest)
 			operand, err := parseOperand(tok, op)
 			if err != nil {
 				return in, err
 			}
-			in.Operands = append(in.Operands, operand)
+			*ops = append(*ops, operand)
 		}
+		in.Operands = (*ops)[start:len(*ops):len(*ops)]
 	}
 	return in, nil
 }
 
-// splitOperands splits on commas that are not inside brackets
-// (c[0x0][0x160] and [R4+0x10] contain no commas today, but be safe).
-func splitOperands(s string) []string {
-	var out []string
+// cutOperand cuts the first operand, trimmed, off an operand list at the
+// first comma that is not inside brackets (c[0x0][0x160] and [R4+0x10]
+// contain no commas today, but be safe). found reports whether a comma
+// was cut, so that rest holds at least one more operand.
+func cutOperand(s string) (tok, rest string, found bool) {
 	depth := 0
-	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '[':
@@ -157,13 +168,11 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
+				return strings.TrimSpace(s[:i]), s[i+1:], true
 			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return strings.TrimSpace(s), "", false
 }
 
 func parsePredName(s string) (int, error) {
@@ -221,7 +230,10 @@ func parseOperand(tok string, op Op) (Operand, error) {
 		if _, err := fmt.Sscanf(t, "c[0x%x][0x%x]", &bank, &off); err != nil {
 			return Operand{}, fmt.Errorf("bad cbank operand %q", tok)
 		}
-		return Operand{Type: OperandCBank, Bank: bank, Off: off, Neg: neg, Abs: abs}, nil
+		if bank != int(int32(bank)) || off != int(int32(off)) {
+			return Operand{}, fmt.Errorf("cbank operand out of range: %q", tok)
+		}
+		return Operand{Type: OperandCBank, Bank: int32(bank), Off: int32(off), Neg: neg, Abs: abs}, nil
 	case strings.HasPrefix(t, "["):
 		body := strings.TrimSuffix(strings.TrimPrefix(t, "["), "]")
 		regPart := body

@@ -268,7 +268,7 @@ MOV32I R7, 0x7fc00000 ;
 	}
 	// MUFU.RSQ -QNAN is a GENERIC with NaN text (Listing 2 example).
 	gen := k.Instrs[1].Operands[1]
-	if gen.Type != OperandGeneric || !strings.Contains(gen.Gen, "QNAN") {
+	if gen.Type != OperandGeneric || !strings.Contains(gen.Text, "QNAN") {
 		t.Errorf("MUFU -QNAN parsed as %+v", gen)
 	}
 	neg := k.Instrs[3].Operands[1]
