@@ -369,7 +369,10 @@ func (j *job) setRunning() {
 // finish publishes the outcome — a result or an error — and releases
 // waiters. Idempotent: only the first outcome sticks, so a recover path
 // that fires after a normal finish cannot double-close done or overwrite
-// the published result.
+// the published result. It also drops the job's inputs, a batch's items'
+// among them: a finished job stays pollable for a while, and its requests,
+// sessions and sources (a SASS listing's text among them) are no longer
+// needed.
 func (j *job) finish(res result, err error) {
 	j.mu.Lock()
 	if j.finished {
@@ -378,6 +381,8 @@ func (j *job) finish(res result, err error) {
 	}
 	j.finished = true
 	j.res, j.err = res, err
+	j.req, j.session, j.source = CheckRequest{}, nil, nil
+	clear(j.batch)
 	if err != nil {
 		j.status = StatusFailed
 	} else {

@@ -30,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -395,13 +396,23 @@ type errorBody struct {
 	Kind  string `json:"kind,omitempty"`
 }
 
-// writeJSON serializes one response.
+// writeJSON serializes one response. It encodes into a buffer first, so
+// that the reply carries a Content-Length instead of going out chunked.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	writeHead(w, status, buf.Len())
+	w.Write(buf.Bytes())
+}
+
+// writeHead writes the headers of a JSON reply of n bytes.
+func writeHead(w http.ResponseWriter, status, n int) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(status)
 }
 
 // idHead is how every job view's encoding begins; the job id follows it.
@@ -432,8 +443,7 @@ func writeJob(w http.ResponseWriter, status int, j *job) {
 		writeJSON(w, status, v)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	writeHead(w, status, len(idHead)+len(v.ID)+len(tail))
 	io.WriteString(w, idHead)
 	io.WriteString(w, v.ID)
 	w.Write(tail)
