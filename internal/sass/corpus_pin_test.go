@@ -52,7 +52,7 @@ func kernelDigest(k *sass.Kernel) string {
 			flag(h, o.Neg)
 			flag(h, o.Abs)
 			num(h, math.Float64bits(o.Imm))
-			str(operandText(o))
+			str(o.Text)
 			num(h, uint64(int64(o.Bank)))
 			num(h, uint64(int64(o.Off)))
 			num(h, uint64(o.Pred))
@@ -63,10 +63,6 @@ func kernelDigest(k *sass.Kernel) string {
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
-
-// operandText is the operand's text: a GENERIC constant's spelling or an
-// unresolved label's name.
-func operandText(o sass.Operand) string { return o.Text }
 
 func num(h hash.Hash, v uint64) {
 	var b [8]byte
