@@ -2,56 +2,27 @@ package device
 
 import "gpufpx/internal/sass"
 
-// Instruction cycle costs. The absolute values are a conventional throughput
-// model (FP64 and SFU slower than FP32, memory slower still); only the
-// ratios matter for the slowdown experiments, which divide instrumented by
-// uninstrumented cycle counts.
-const (
-	costInt    = 1
-	costFP32   = 2
-	costFP64   = 8
-	costFP16   = 2
-	costMUFU   = 8
-	costGlobal = 24
-	costShared = 4
-	costBranch = 2
-	costMisc   = 1
-)
+// unitCycles is the per-warp cycle cost of one issue on each functional
+// unit. The absolute values are a conventional throughput model (FP64 and
+// SFU slower than FP32, memory slower still); only the ratios matter for
+// the slowdown experiments, which divide instrumented by uninstrumented
+// cycle counts.
+var unitCycles = [sass.NumUnits]uint64{
+	sass.UnitMisc: 1,
+	sass.UnitInt:  1,
+	sass.UnitFP32: 2,
+	sass.UnitFP64: 8,
+	sass.UnitFP16: 2,
+	sass.UnitMUFU: 8,
+	// One tensor-core op retires 8×8×4 MACs per warp; high throughput,
+	// but more work per issue than a scalar FP32 op.
+	sass.UnitTensor: 8,
+	sass.UnitGlobal: 24,
+	// Atomics serialize at the memory subsystem.
+	sass.UnitAtomic: 48,
+	sass.UnitShared: 4,
+	sass.UnitBranch: 2,
+}
 
 // instrCost returns the per-warp cycle cost of one dynamic execution of in.
-func instrCost(in *sass.Instr) uint64 {
-	switch in.Op {
-	case sass.OpMUFU:
-		return costMUFU
-	case sass.OpFADD, sass.OpFADD32I, sass.OpFMUL, sass.OpFMUL32I,
-		sass.OpFFMA, sass.OpFFMA32I, sass.OpFSEL, sass.OpFSET,
-		sass.OpFSETP, sass.OpFMNMX, sass.OpFCHK, sass.OpF2F,
-		sass.OpI2F, sass.OpF2I:
-		return costFP32
-	case sass.OpDADD, sass.OpDMUL, sass.OpDFMA, sass.OpDSETP:
-		return costFP64
-	case sass.OpHADD2, sass.OpHMUL2, sass.OpHFMA2:
-		return costFP16
-	case sass.OpHMMA:
-		// One tensor-core op retires 8×8×4 MACs per warp; high throughput,
-		// but more work per issue than a scalar FP32 op.
-		return costFP32 * 4
-	case sass.OpLDG, sass.OpSTG:
-		return costGlobal
-	case sass.OpRED:
-		// Atomics serialize at the memory subsystem.
-		return costGlobal * 2
-	case sass.OpLDS, sass.OpSTS, sass.OpLDC:
-		return costShared
-	case sass.OpBRA:
-		return costBranch
-	case sass.OpSHFL:
-		return costShared
-	case sass.OpMOV, sass.OpMOV32I, sass.OpIADD, sass.OpIADD3,
-		sass.OpIMAD, sass.OpISETP, sass.OpSHL, sass.OpSHR,
-		sass.OpLOP, sass.OpSEL, sass.OpS2R:
-		return costInt
-	default:
-		return costMisc
-	}
-}
+func instrCost(in *sass.Instr) uint64 { return unitCycles[in.Op.Unit()] }

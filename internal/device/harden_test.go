@@ -5,6 +5,7 @@ package device
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"gpufpx/internal/sass"
@@ -27,11 +28,6 @@ func TestWidePairHazardsRejected(t *testing.T) {
 	cases := []struct{ name, src string }{
 		// RZ has no pair partner: Reg+1 would index slot 256.
 		{"rz-pair", "DADD R2, RZ, R4 ;\nEXIT ;"},
-		// F2F.F64.F32's destination pair is invisible to Finalize's
-		// register sizing, so the pair can fall off the register file.
-		{"f2f-pair", "F2F.F64.F32 R4, R2 ;\nEXIT ;"},
-		// The same pair with .FTZ ahead of the formats.
-		{"f2f-ftz-pair", "F2F.FTZ.F64.F32 R4, R2 ;\nEXIT ;"},
 	}
 	for _, tc := range cases {
 		d := New(DefaultConfig())
@@ -39,6 +35,68 @@ func TestWidePairHazardsRejected(t *testing.T) {
 		_, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32})
 		if !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("%s: err = %v, want ErrUnsupported", tc.name, err)
+		}
+	}
+}
+
+// TestWidePairFormsRun launches, on every tier, listings whose conversion
+// or FCHK register pairs have a high register the listing names nowhere
+// else. Finalize sizes the register file by the pair rule validation
+// checks, so each runs, and each lane holds the value the form writes.
+func TestWidePairFormsRun(t *testing.T) {
+	cases := []struct {
+		name, src string
+		pc        int   // the checked instruction
+		regs      []int // registers read after it; nil reads P0
+		want      []uint32
+	}{
+		// 1.5f widened: (R4, R5) = 1.5.
+		{"f2f-pair", "MOV32I R2, 0x3fc00000 ;\nF2F.F64.F32 R4, R2 ;\nEXIT ;", 1, []int{4, 5}, []uint32{0, 0x3ff80000}},
+		// The same pair with .FTZ ahead of the formats.
+		{"f2f-ftz-pair", "MOV32I R2, 0x3fc00000 ;\nF2F.FTZ.F64.F32 R4, R2 ;\nEXIT ;", 1, []int{4, 5}, []uint32{0, 0x3ff80000}},
+		// 7 to FP64 in (R4, R5), narrowed back to 7.0f.
+		{"f2f-narrow-pair", "MOV32I R2, 0x7 ;\nI2F.F64 R4, R2 ;\nF2F.F32.F64 R2, R4 ;\nEXIT ;", 2, []int{2}, []uint32{0x40e00000}},
+		// -3 to FP64: (R4, R5) = -3.0.
+		{"i2f-pair", "MOV32I R2, 0xfffffffd ;\nI2F.F64 R4, R2 ;\nEXIT ;", 1, []int{4, 5}, []uint32{0, 0xc0080000}},
+		// 5.0f widened into (R4, R5), truncated to the integer 5.
+		{"f2i-pair", "MOV32I R2, 0x40a00000 ;\nF2F.F64.F32 R4, R2 ;\nF2I.F64 R2, R4 ;\nEXIT ;", 2, []int{2}, []uint32{5}},
+		// 1.0 / (R4, R5) = 1.0 / 0.0 needs the slow division path.
+		{"fchk-pair", "MOV32I R0, 0x3f800000 ;\nF2F.F64.F32 R2, R0 ;\nFCHK.F64 P0, R2, R4 ;\nEXIT ;", 2, nil, []uint32{1}},
+	}
+	for _, tc := range cases {
+		k := sass.MustParse(tc.name, tc.src)
+		for _, mode := range allTiers {
+			var got [][]uint32
+			tab := NewInjectTable(len(k.Instrs))
+			tab.Add(tc.pc, InjectedCall{When: After, Fn: func(ctx *InjCtx) error {
+				for l := 0; l < WarpSize; l++ {
+					var v []uint32
+					for _, r := range tc.regs {
+						v = append(v, ctx.Warp.Reg(l, r))
+					}
+					if tc.regs == nil {
+						p := uint32(0)
+						if ctx.Warp.Pred(l, 0) {
+							p = 1
+						}
+						v = append(v, p)
+					}
+					got = append(got, v)
+				}
+				return nil
+			}})
+			d := New(DefaultConfig())
+			if _, err := d.launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32, InjectTab: tab}, mode); err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, mode, err)
+			}
+			if len(got) != WarpSize {
+				t.Fatalf("%s/%v: %d lanes read, want %d", tc.name, mode, len(got), WarpSize)
+			}
+			for l, v := range got {
+				if !reflect.DeepEqual(v, tc.want) {
+					t.Fatalf("%s/%v: lane %d holds %#x, want %#x", tc.name, mode, l, v, tc.want)
+				}
+			}
 		}
 	}
 }

@@ -137,12 +137,8 @@ func decodeKernel(k *sass.Kernel) *kernelMeta {
 			case in.HasMod("MIN"):
 				m.sub[pc] = subRedMin
 			}
-		case sass.OpLDG, sass.OpSTG:
-			if in.HasMod("64") {
-				m.sub[pc] = subWide
-			}
-		case sass.OpFCHK, sass.OpI2F, sass.OpF2I:
-			if in.HasMod("F64") {
+		case sass.OpLDG, sass.OpSTG, sass.OpFCHK, sass.OpI2F, sass.OpF2I:
+			if in.PairMask() != 0 {
 				m.sub[pc] = subWide
 			}
 		case sass.OpMUFU:

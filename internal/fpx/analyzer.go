@@ -214,7 +214,7 @@ func anyExceptional(cs []fpval.Class) bool {
 // one mask pass through the device's lowered classifier; the per-category
 // counters are popcounts over the returned lane masks.
 func (a *Analyzer) storeFn(in *sass.Instr) device.InjectFn {
-	wide := in.HasMod("64")
+	wide := in.PairMask() != 0 // the data register is a pair (STG .64)
 	reg := in.Operands[1].Reg
 	return func(ctx *device.InjCtx) error {
 		var nan, inf, sub uint32

@@ -47,9 +47,9 @@ type siteProg struct {
 }
 
 // compileSite lowers one tracked instruction. The operand formats replicate
-// the interpretive classes() selection: sources read SrcFormat, the
-// destination DestFormat when the opcode has one, and FP64 compute (plus
-// DSETP) widens register sources to the pair convention.
+// the interpretive classes() selection: sources read SrcFormat (FP64, the
+// pair convention, for FP64 compute and DSETP), the destination DestFormat
+// when the opcode has one.
 func (a *Analyzer) compileSite(kernel string, in *sass.Instr) *siteProg {
 	s := &siteProg{
 		a:      a,
@@ -60,7 +60,6 @@ func (a *Analyzer) compileSite(kernel string, in *sass.Instr) *siteProg {
 	}
 	srcFmt, _ := in.Op.SrcFormat()
 	dstFmt, hasDstFmt := in.Op.DestFormat()
-	wide := in.Op.IsFP64Compute() || in.Op == sass.OpDSETP
 	ops := in.AnalyzerOperands(nil)
 	if len(ops) > maxSiteOps {
 		panic("fpx: analyzer site exceeds maxSiteOps tracked operands")
@@ -68,9 +67,6 @@ func (a *Analyzer) compileSite(kernel string, in *sass.Instr) *siteProg {
 	s.n = len(ops)
 	for i := range ops {
 		f := srcFmt
-		if wide {
-			f = fpval.FP64
-		}
 		if i == 0 && hasDstFmt {
 			f = dstFmt
 		}

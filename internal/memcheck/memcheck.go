@@ -98,7 +98,7 @@ func (t *Tool) checkFn(kernel string, in *sass.Instr) device.InjectFn {
 		memOp = in.Operands[0]
 	}
 	size := uint32(4)
-	if in.HasMod("64") {
+	if in.PairMask() != 0 { // a register pair moves (LDG/STG .64)
 		size = 8
 	}
 	key := fmt.Sprintf("%s:%d", kernel, in.PC)

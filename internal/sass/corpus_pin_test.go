@@ -192,7 +192,7 @@ func TestParsedListingsPinned(t *testing.T) {
 		checkCompact(t, k)
 		io.WriteString(h, kernelDigest(k))
 	}
-	const want = "18/24 528e130ed1f71bb28082f9dcc27c789489b51db8b8b5a2418b0b616157656f8b"
+	const want = "18/24 960d8ace55257cc1df3b6fbea3b667d60bc1504bda21221b95de226fd19cdff2"
 	if got := fmt.Sprintf("%d/%d %x", n, len(srcs), h.Sum(nil)); got != want {
 		t.Fatalf("parsed listings digest %s, want %s", got, want)
 	}

@@ -187,52 +187,68 @@ func (i *Instr) HMMAInputFormat() fpval.Format {
 	return fpval.FP16
 }
 
+// PairMask returns the operand positions that name a register pair
+// (Rn, Rn+1): bit n is set when operand n does. It mirrors exactly where
+// the executors read Reg+1, so Finalize sizes NumRegs by it and launch
+// validation checks it.
+func (i *Instr) PairMask() uint8 {
+	switch i.Op {
+	case OpF2F:
+		var m uint8
+		if dst, src, ok := i.ConvFormats(); ok {
+			if dst == fpval.FP64 {
+				m |= 1 << 0
+			}
+			if src == fpval.FP64 {
+				m |= 1 << 1
+			}
+		}
+		return m
+	case OpHMMA:
+		// FP32 accumulators are pairs: D (operand 0) and C (operand 3); the
+		// FP16 A/B fragments stay single registers.
+		if f, ok := i.HMMADestFormat(); ok && f == fpval.FP32 {
+			return 1<<0 | 1<<3
+		}
+		return 0
+	}
+	r := i.Op.info()
+	if r.pairMod != "" && !i.HasMod(r.pairMod) {
+		return 0
+	}
+	return r.pairs
+}
+
 // DestReg returns the destination general-purpose register number, if the
 // instruction writes one. Predicate-writing and store instructions report
 // false.
 func (i *Instr) DestReg() (int, bool) {
-	if len(i.Operands) == 0 {
-		return 0, false
-	}
-	switch i.Op {
-	case OpSTG, OpSTS, OpRED, OpBRA, OpEXIT, OpNOP, OpBAR, OpFSETP, OpDSETP, OpISETP, OpFCHK:
-		return 0, false
-	}
-	if i.Operands[0].Type != OperandReg {
+	if len(i.Operands) == 0 || i.Op.Dest() != DestRegister || i.Operands[0].Type != OperandReg {
 		return 0, false
 	}
 	return i.Operands[0].Reg, true
 }
 
-// SrcOperands returns the source operands: everything after the destination
-// (register or predicate pair) operand(s). For predicate-writing compares
-// the two leading predicate destinations are skipped.
+// SrcOperands returns the source operands: everything after the
+// destination operand(s). Stores and reductions have no destination, so
+// address and data are both sources; predicate-writing compares skip their
+// two leading predicate destinations, FCHK its one.
 func (i *Instr) SrcOperands() []Operand {
-	switch i.Op {
-	case OpSTG, OpSTS, OpRED:
-		// Stores and reductions have no destination register: address and
-		// data are both sources.
-		return i.Operands
-	case OpFSETP, OpDSETP, OpISETP:
-		// FSETP Pd, Pq, A, B, Pc — two predicate destinations.
-		if len(i.Operands) > 2 {
-			return i.Operands[2:]
-		}
+	var n int
+	switch i.Op.Dest() {
+	case DestControl:
 		return nil
-	case OpFCHK:
-		// FCHK Pd, A, B.
-		if len(i.Operands) > 1 {
-			return i.Operands[1:]
-		}
-		return nil
-	case OpBRA, OpEXIT, OpNOP, OpBAR:
-		return nil
+	case DestNone:
+		n = 0
+	case DestPredicates:
+		n = 2
 	default:
-		if len(i.Operands) > 1 {
-			return i.Operands[1:]
-		}
-		return nil
+		n = 1
 	}
+	if len(i.Operands) > n {
+		return i.Operands[n:]
+	}
+	return nil
 }
 
 // AnalyzerOperands appends the operands an exception-flow analyzer tracks —
@@ -262,15 +278,18 @@ func (i *Instr) SharesDestWithSource() bool {
 	if !ok || d == RZ {
 		return false
 	}
-	wide := i.Op.IsFP64Compute() // pair (d, d+1)
-	for _, s := range i.SrcOperands() {
+	pairs := i.PairMask()
+	width := func(pos int) int { return 1 + int(pairs>>pos&1) }
+	dw := width(0)
+	srcs := i.SrcOperands()
+	n := len(i.Operands) - len(srcs) // position of srcs[0]
+	for si, s := range srcs {
 		if s.Type != OperandReg && s.Type != OperandMem {
 			continue
 		}
-		if s.Reg == d {
-			return true
-		}
-		if wide && (s.Reg == d+1 || s.Reg+1 == d) {
+		// The destination (d, …, d+dw-1) and the source (s, …, s+sw-1)
+		// overlap.
+		if s.Reg < d+dw && d < s.Reg+width(n+si) {
 			return true
 		}
 	}
@@ -377,17 +396,13 @@ func (k *Kernel) Finalize(labels map[string]int) error {
 	for pc := range k.Instrs {
 		in := &k.Instrs[pc]
 		in.PC = pc
-		wide := in.Op.IsFP64Compute() || in.Op == OpDSETP || in.HasMod("64")
-		// HMMA with FP32 accumulators uses register pairs for D (operand 0)
-		// and C (operand 3); the FP16 A/B fragments stay single registers.
-		hmmaFmt, _ := in.HMMADestFormat()
-		hmmaWide := in.Op == OpHMMA && hmmaFmt == fpval.FP32
+		pairs := in.PairMask()
 		for oi := range in.Operands {
 			op := &in.Operands[oi]
 			switch op.Type {
 			case OperandReg:
 				note(op.Reg)
-				if (wide || (hmmaWide && (oi == 0 || oi == 3))) && op.Reg != RZ {
+				if pairs>>oi&1 != 0 && op.Reg != RZ {
 					note(op.Reg + 1)
 				}
 			case OperandMem:

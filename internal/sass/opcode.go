@@ -94,59 +94,164 @@ const (
 	opMax // sentinel
 )
 
-var opNames = [...]string{
-	OpInvalid: "<invalid>",
-	OpFADD:    "FADD",
-	OpFADD32I: "FADD32I",
-	OpFMUL:    "FMUL",
-	OpFMUL32I: "FMUL32I",
-	OpFFMA:    "FFMA",
-	OpFFMA32I: "FFMA32I",
-	OpMUFU:    "MUFU",
-	OpDADD:    "DADD",
-	OpDMUL:    "DMUL",
-	OpDFMA:    "DFMA",
-	OpFSEL:    "FSEL",
-	OpFSET:    "FSET",
-	OpFSETP:   "FSETP",
-	OpFMNMX:   "FMNMX",
-	OpDSETP:   "DSETP",
-	OpHADD2:   "HADD2",
-	OpHMUL2:   "HMUL2",
-	OpHFMA2:   "HFMA2",
-	OpHMMA:    "HMMA",
-	OpFCHK:    "FCHK",
-	OpF2F:     "F2F",
-	OpI2F:     "I2F",
-	OpF2I:     "F2I",
-	OpMOV:     "MOV",
-	OpMOV32I:  "MOV32I",
-	OpIADD:    "IADD",
-	OpIADD3:   "IADD3",
-	OpIMAD:    "IMAD",
-	OpISETP:   "ISETP",
-	OpSHL:     "SHL",
-	OpSHR:     "SHR",
-	OpLOP:     "LOP",
-	OpSEL:     "SEL",
-	OpLDG:     "LDG",
-	OpSTG:     "STG",
-	OpLDS:     "LDS",
-	OpSTS:     "STS",
-	OpLDC:     "LDC",
-	OpSHFL:    "SHFL",
-	OpRED:     "RED",
-	OpS2R:     "S2R",
-	OpBRA:     "BRA",
-	OpEXIT:    "EXIT",
-	OpNOP:     "NOP",
-	OpBAR:     "BAR",
+// DestKind says what an opcode's leading operands are.
+type DestKind uint8
+
+const (
+	// DestRegister: operand 0 is the destination register.
+	DestRegister DestKind = iota
+	// DestPredicate: operand 0 is a predicate destination (FCHK Pd, A, B).
+	DestPredicate
+	// DestPredicates: operands 0 and 1 are predicate destinations
+	// (FSETP Pd, Pq, A, B, Pc).
+	DestPredicates
+	// DestNone: no destination; every operand is a source (stores and
+	// reductions: address, then data).
+	DestNone
+	// DestControl: no destination and no sources (branches, EXIT, NOP,
+	// BAR).
+	DestControl
+)
+
+// Unit is the functional unit the cost model prices an opcode on.
+type Unit uint8
+
+const (
+	UnitMisc   Unit = iota // EXIT, NOP, BAR
+	UnitInt                // integer and data movement
+	UnitFP32               // FP32 arithmetic, compares and conversions
+	UnitFP64               // FP64 arithmetic and compares
+	UnitFP16               // packed FP16 arithmetic
+	UnitMUFU               // special-function unit
+	UnitTensor             // tensor-core HMMA
+	UnitGlobal             // global memory
+	UnitAtomic             // global-memory reductions
+	UnitShared             // shared and constant memory, warp shuffles
+	UnitBranch             // branches
+
+	NumUnits = iota
+)
+
+// opClass is an opcode's family in Algorithm 1's terms.
+type opClass uint8
+
+const (
+	classOther     opClass = iota // integer, memory and control
+	classFP32                     // FP32 compute ("Op has FP32 prefix")
+	classFP64                     // FP64 compute ("Op has FP64 prefix")
+	classFP16                     // FP16 compute
+	classFPControl                // FP control flow (Table 1, right column)
+	classFPOther                  // conversions, FCHK and HMMA
+)
+
+// fpFmt is an optional FP format: 0 for none, else the format plus one.
+type fpFmt uint8
+
+const (
+	noFmt fpFmt = iota
+	f32
+	f64
+	f16
+)
+
+func (f fpFmt) format() (fpval.Format, bool) {
+	if f == noFmt {
+		return 0, false
+	}
+	return fpval.Format(f - 1), true
 }
+
+// opInfo is one opcode's row: everything about its shape that does not
+// depend on modifiers. The modifier-dependent part, which operands are
+// register pairs, is Instr.PairMask, which reads pairs and pairMod.
+type opInfo struct {
+	name  string
+	arity int // the fewest operands the executors index
+	dest  DestKind
+	class opClass
+	dst   fpFmt // FP destination format
+	src   fpFmt // FP source format
+	unit  Unit
+	// pairs has bit n set when operand n is a register pair (Rn, Rn+1);
+	// when pairMod is set, only in instructions carrying that modifier.
+	pairs   uint8
+	pairMod string
+}
+
+var opTable = [opMax]opInfo{
+	OpInvalid: {name: "<invalid>"},
+	OpFADD:    {"FADD", 3, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpFADD32I: {"FADD32I", 3, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpFMUL:    {"FMUL", 3, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpFMUL32I: {"FMUL32I", 3, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpFFMA:    {"FFMA", 4, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpFFMA32I: {"FFMA32I", 4, DestRegister, classFP32, f32, f32, UnitFP32, 0, ""},
+	OpMUFU:    {"MUFU", 2, DestRegister, classFP32, f32, f32, UnitMUFU, 0, ""},
+	OpDADD:    {"DADD", 3, DestRegister, classFP64, f64, f64, UnitFP64, 0b111, ""},
+	OpDMUL:    {"DMUL", 3, DestRegister, classFP64, f64, f64, UnitFP64, 0b111, ""},
+	OpDFMA:    {"DFMA", 4, DestRegister, classFP64, f64, f64, UnitFP64, 0b1111, ""},
+	OpFSEL:    {"FSEL", 4, DestRegister, classFPControl, f32, f32, UnitFP32, 0, ""},
+	OpFSET:    {"FSET", 3, DestRegister, classFPControl, noFmt, f32, UnitFP32, 0, ""},
+	OpFSETP:   {"FSETP", 4, DestPredicates, classFPControl, noFmt, f32, UnitFP32, 0, ""},
+	OpFMNMX:   {"FMNMX", 4, DestRegister, classFPControl, f32, f32, UnitFP32, 0, ""},
+	OpDSETP:   {"DSETP", 4, DestPredicates, classFPControl, noFmt, f64, UnitFP64, 0b1100, ""},
+	OpHADD2:   {"HADD2", 3, DestRegister, classFP16, f16, f16, UnitFP16, 0, ""},
+	OpHMUL2:   {"HMUL2", 3, DestRegister, classFP16, f16, f16, UnitFP16, 0, ""},
+	OpHFMA2:   {"HFMA2", 4, DestRegister, classFP16, f16, f16, UnitFP16, 0, ""},
+	OpHMMA:    {"HMMA", 4, DestRegister, classFPOther, noFmt, noFmt, UnitTensor, 0, ""},
+	OpFCHK:    {"FCHK", 3, DestPredicate, classFPOther, noFmt, f32, UnitFP32, 0b110, "F64"},
+	OpF2F:     {"F2F", 2, DestRegister, classFPOther, noFmt, noFmt, UnitFP32, 0, ""},
+	OpI2F:     {"I2F", 2, DestRegister, classFPOther, noFmt, noFmt, UnitFP32, 0b1, "F64"},
+	OpF2I:     {"F2I", 2, DestRegister, classFPOther, noFmt, noFmt, UnitFP32, 0b10, "F64"},
+	OpMOV:     {"MOV", 2, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpMOV32I:  {"MOV32I", 2, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpIADD:    {"IADD", 3, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpIADD3:   {"IADD3", 4, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpIMAD:    {"IMAD", 4, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpISETP:   {"ISETP", 4, DestPredicates, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpSHL:     {"SHL", 3, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpSHR:     {"SHR", 3, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpLOP:     {"LOP", 3, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpSEL:     {"SEL", 4, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpLDG:     {"LDG", 2, DestRegister, classOther, noFmt, noFmt, UnitGlobal, 0b1, "64"},
+	OpSTG:     {"STG", 2, DestNone, classOther, noFmt, noFmt, UnitGlobal, 0b10, "64"},
+	OpLDS:     {"LDS", 2, DestRegister, classOther, noFmt, noFmt, UnitShared, 0, ""},
+	OpSTS:     {"STS", 2, DestNone, classOther, noFmt, noFmt, UnitShared, 0, ""},
+	OpLDC:     {"LDC", 2, DestRegister, classOther, noFmt, noFmt, UnitShared, 0, ""},
+	OpSHFL:    {"SHFL", 3, DestRegister, classOther, noFmt, noFmt, UnitShared, 0, ""},
+	OpRED:     {"RED", 2, DestNone, classOther, noFmt, noFmt, UnitAtomic, 0, ""},
+	OpS2R:     {"S2R", 2, DestRegister, classOther, noFmt, noFmt, UnitInt, 0, ""},
+	OpBRA:     {"BRA", 1, DestControl, classOther, noFmt, noFmt, UnitBranch, 0, ""},
+	OpEXIT:    {"EXIT", 0, DestControl, classOther, noFmt, noFmt, UnitMisc, 0, ""},
+	OpNOP:     {"NOP", 0, DestControl, classOther, noFmt, noFmt, UnitMisc, 0, ""},
+	OpBAR:     {"BAR", 0, DestControl, classOther, noFmt, noFmt, UnitMisc, 0, ""},
+}
+
+// info returns the opcode's row; opcodes past the table share OpInvalid's.
+func (o Op) info() *opInfo {
+	if o < opMax {
+		return &opTable[o]
+	}
+	return &opTable[OpInvalid]
+}
+
+// Known reports whether the opcode is one the executors implement.
+func (o Op) Known() bool { return o > OpInvalid && o < opMax }
+
+// MinOperands returns the fewest operands the executors index for the
+// opcode.
+func (o Op) MinOperands() int { return o.info().arity }
+
+// Dest returns what the opcode's leading operands are.
+func (o Op) Dest() DestKind { return o.info().dest }
+
+// Unit returns the functional unit the cost model prices the opcode on.
+func (o Op) Unit() Unit { return o.info().unit }
 
 // String returns the SASS mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o < opMax {
+		return opTable[o].name
 	}
 	return "<op?>"
 }
@@ -154,7 +259,7 @@ func (o Op) String() string {
 var opByName = func() map[string]Op {
 	m := make(map[string]Op, opMax)
 	for op := Op(1); op < opMax; op++ {
-		m[opNames[op]] = op
+		m[opTable[op].name] = op
 	}
 	return m
 }()
@@ -167,88 +272,41 @@ func OpByName(name string) (Op, bool) {
 
 // IsFP32Compute reports whether the opcode is an FP32 computation opcode
 // with an FP32 destination register ("Op has FP32 prefix" in Algorithm 1).
-func (o Op) IsFP32Compute() bool {
-	switch o {
-	case OpFADD, OpFADD32I, OpFMUL, OpFMUL32I, OpFFMA, OpFFMA32I, OpMUFU:
-		return true
-	}
-	return false
-}
+func (o Op) IsFP32Compute() bool { return o.info().class == classFP32 }
 
 // IsFP64Compute reports whether the opcode is an FP64 computation opcode
 // writing a register pair ("Op has FP64 prefix").
-func (o Op) IsFP64Compute() bool {
-	switch o {
-	case OpDADD, OpDMUL, OpDFMA:
-		return true
-	}
-	return false
-}
+func (o Op) IsFP64Compute() bool { return o.info().class == classFP64 }
 
 // IsFP16Compute reports whether the opcode is one of the FP16 extension
 // opcodes.
-func (o Op) IsFP16Compute() bool {
-	switch o {
-	case OpHADD2, OpHMUL2, OpHFMA2:
-		return true
-	}
-	return false
-}
+func (o Op) IsFP16Compute() bool { return o.info().class == classFP16 }
 
 // IsControlFlowFP reports whether the opcode is one of the floating-point
 // control-flow opcodes (Table 1, right column) that BinFPE misses and the
 // GPU-FPX analyzer tracks: selections, comparisons and min/max, which can
 // silently swallow or reroute exceptional values.
-func (o Op) IsControlFlowFP() bool {
-	switch o {
-	case OpFSEL, OpFSET, OpFSETP, OpFMNMX, OpDSETP:
-		return true
-	}
-	return false
-}
+func (o Op) IsControlFlowFP() bool { return o.info().class == classFPControl }
 
 // IsFP reports whether the opcode consumes or produces floating-point
 // values at all (compute, control-flow, conversions, tensor ops, or FCHK).
-func (o Op) IsFP() bool {
-	return o.IsFP32Compute() || o.IsFP64Compute() || o.IsFP16Compute() ||
-		o.IsControlFlowFP() || o == OpF2F || o == OpI2F || o == OpF2I ||
-		o == OpFCHK || o == OpHMMA
-}
+func (o Op) IsFP() bool { return o.info().class != classOther }
 
 // DestFormat returns the floating-point format of the destination register
 // for FP compute opcodes, and whether there is an FP destination at all.
 // Control-flow opcodes FSETP/DSETP write predicates, FSET writes an integer
 // mask, so they report no FP destination — exactly why a destination-only
 // checker (BinFPE) cannot see them.
-func (o Op) DestFormat() (fpval.Format, bool) {
-	switch {
-	case o.IsFP32Compute() || o == OpFSEL || o == OpFMNMX:
-		return fpval.FP32, true
-	case o.IsFP64Compute():
-		return fpval.FP64, true
-	case o.IsFP16Compute():
-		return fpval.FP16, true
-	}
-	return 0, false
-}
+func (o Op) DestFormat() (fpval.Format, bool) { return o.info().dst.format() }
 
 // SrcFormat returns the floating-point format of the source operands of an
 // FP opcode (the comparison opcodes read FP sources even though they do not
 // write an FP destination).
-func (o Op) SrcFormat() (fpval.Format, bool) {
-	switch {
-	case o.IsFP32Compute(), o == OpFSEL, o == OpFSET, o == OpFSETP, o == OpFMNMX, o == OpFCHK:
-		return fpval.FP32, true
-	case o.IsFP64Compute(), o == OpDSETP:
-		return fpval.FP64, true
-	case o.IsFP16Compute():
-		return fpval.FP16, true
-	}
-	return 0, false
-}
+func (o Op) SrcFormat() (fpval.Format, bool) { return o.info().src.format() }
 
 // WritesPredicate reports whether the opcode's first operand is a predicate
 // register destination.
 func (o Op) WritesPredicate() bool {
-	return o == OpFSETP || o == OpDSETP || o == OpISETP || o == OpFCHK
+	d := o.info().dest
+	return d == DestPredicate || d == DestPredicates
 }

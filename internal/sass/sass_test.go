@@ -75,6 +75,16 @@ func TestSrcFormat(t *testing.T) {
 	if _, ok := OpIADD.SrcFormat(); ok {
 		t.Error("IADD has no FP sources")
 	}
+	// An opcode without a format reports the zero format; the analyzer
+	// and the shadow tool read it unchecked.
+	for op := Op(0); op < opMax; op++ {
+		if f, ok := op.SrcFormat(); !ok && f != 0 {
+			t.Errorf("%v: SrcFormat = %v without a source format", op, f)
+		}
+		if f, ok := op.DestFormat(); !ok && f != 0 {
+			t.Errorf("%v: DestFormat = %v without a destination format", op, f)
+		}
+	}
 }
 
 func TestConvFormats(t *testing.T) {
@@ -149,6 +159,52 @@ func TestSharedDestSource(t *testing.T) {
 	in5 := NewInstr(OpFADD, Reg(RZ), Reg(RZ), Reg(RZ))
 	if in5.SharesDestWithSource() {
 		t.Error("RZ is not a real register; no sharing")
+	}
+	// Conversions overlap through whichever side is a pair.
+	for _, tc := range []struct {
+		src   string
+		share bool
+	}{
+		{"F2F.F64.F32 R2, R3 ;", true},  // dest pair (R2,R3) holds the source
+		{"F2F.F32.F64 R3, R2 ;", true},  // source pair (R2,R3) holds the dest
+		{"F2F.F32.F64 R4, R2 ;", false}, // source pair (R2,R3)
+		{"F2F.F32.F16 R3, R2 ;", false}, // no pairs
+		{"I2F.F64 R4, R5 ;", true},      // dest pair (R4,R5)
+	} {
+		in := MustParse("share", tc.src).Instrs[0]
+		if got := in.SharesDestWithSource(); got != tc.share {
+			t.Errorf("%s: SharesDestWithSource = %v, want %v", tc.src, got, tc.share)
+		}
+	}
+}
+
+func TestPairMask(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want uint8
+	}{
+		{"DADD R2, R4, R6 ;", 0b111},
+		{"DFMA R2, R4, R6, R8 ;", 0b1111},
+		{"DSETP.GT.AND P0, PT, R2, R4, PT ;", 0b1100},
+		{"LDG.E.64 R4, [R2] ;", 0b1},
+		{"LDG.E R4, [R2] ;", 0},
+		{"STG.E.64 [R2], R4 ;", 0b10},
+		{"FCHK.F64 P0, R2, R4 ;", 0b110},
+		{"FCHK P0, R2, R4 ;", 0},
+		{"I2F.F64 R4, R2 ;", 0b1},
+		{"F2I.F64 R2, R4 ;", 0b10},
+		{"F2F.F64.F32 R4, R2 ;", 0b1},
+		{"F2F.FTZ.F32.F64 R2, R4 ;", 0b10},
+		{"F2F.F16.F32 R2, R4 ;", 0},
+		{"HMMA.884.F32.F32 R8, R4, R5, R6 ;", 0b1001},
+		{"HMMA.884.F16.F16 R8, R4, R5, R6 ;", 0},
+		{"MUFU.RCP64H R3, R5 ;", 0},
+		{"FADD R2, R4, R6 ;", 0},
+	} {
+		in := MustParse("pairs", tc.src).Instrs[0]
+		if got := in.PairMask(); got != tc.want {
+			t.Errorf("%s: PairMask = %#b, want %#b", tc.src, got, tc.want)
+		}
 	}
 }
 
