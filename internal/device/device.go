@@ -93,7 +93,6 @@ type Device struct {
 // Stats counts simulator activity.
 type Stats struct {
 	Instructions   uint64 // dynamic instructions (per warp execution)
-	LaneOps        uint64 // dynamic instructions × active lanes
 	FPInstructions uint64
 	PacketsPushed  uint64
 	WordsPushed    uint64

@@ -110,7 +110,7 @@ EXIT ;
 type abortRun struct {
 	err    string
 	cycles uint64
-	stats  [3]uint64 // Instructions, LaneOps, FPInstructions
+	stats  [2]uint64 // Instructions, FPInstructions
 	mem    [128]uint32
 	// regs holds a snapshot of every lane's registers per injected call,
 	// in call order.
@@ -174,7 +174,7 @@ func TestInjectedAbortAccountingTiersAgree(t *testing.T) {
 			}
 			got.err = err.Error()
 			got.cycles = d.Cycles
-			got.stats = [3]uint64{d.Stats.Instructions, d.Stats.LaneOps, d.Stats.FPInstructions}
+			got.stats = [2]uint64{d.Stats.Instructions, d.Stats.FPInstructions}
 			for i := range got.mem {
 				got.mem[i] = d.Load32(out + uint32(4*i))
 			}
@@ -473,23 +473,6 @@ EXIT ;
 	}
 	if calls != 0 {
 		t.Fatalf("injected call ran %d times on a fully-predicated-off instruction", calls)
-	}
-}
-
-func TestLaneOpsCountsActiveLanesOnly(t *testing.T) {
-	d := New(DefaultConfig())
-	k := sass.MustParse("half", `
-S2R R0, SR_LANEID ;
-ISETP.LT.AND P0, PT, R0, 0x10, PT ;
-@P0 FADD R1, R1, R1 ;
-EXIT ;
-`)
-	if _, err := d.Launch(&Launch{Kernel: k, GridDim: 1, BlockDim: 32}); err != nil {
-		t.Fatal(err)
-	}
-	// S2R 32 + ISETP 32 + FADD 16 + EXIT 32.
-	if got := d.Stats.LaneOps; got != 112 {
-		t.Fatalf("LaneOps = %d, want 112", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"gpufpx/internal/fpval"
 	"gpufpx/internal/sass"
@@ -278,7 +277,6 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	n := uint64(r.end - r.start)
 	d.Cycles += r.cost
 	d.Stats.Instructions += n
-	d.Stats.LaneOps += n * uint64(bits.OnesCount32(exec))
 	d.Stats.FPInstructions += r.fp
 	for _, fn := range r.fns {
 		fn(ex, w, exec)
@@ -293,7 +291,6 @@ func (ex *executor) stepRegion(w *Warp, ri int32) error {
 	texec := exec & (w.pmask[r.tailPred] ^ r.tailNeg)
 	d.Cycles += r.tailCost
 	d.Stats.Instructions++
-	d.Stats.LaneOps += uint64(bits.OnesCount32(texec))
 	switch {
 	case texec == 0:
 		w.pc = r.end + 1
@@ -355,7 +352,6 @@ func (ex *executor) stepOne(w *Warp) error {
 
 	ex.d.Cycles += m.cost[pc]
 	ex.d.Stats.Instructions++
-	ex.d.Stats.LaneOps += uint64(bits.OnesCount32(exec))
 	if m.isFP[pc] {
 		ex.d.Stats.FPInstructions++
 	}
