@@ -31,6 +31,10 @@ const fuzzBudget = 200_000
 // in milliseconds, so a request still open after this long is a hang.
 const fuzzPatience = 20 * time.Second
 
+// fuzzMaxTrials bounds the trials (trials_per_site × max_sites) of a
+// FuzzProfile campaign the fuzzer runs; every seed asks for 8 or fewer.
+const fuzzMaxTrials = 16
+
 func FuzzCheck(f *testing.F) {
 	for _, seed := range []string{
 		`{"prog": "myocyte", "wait": true}`,
@@ -313,10 +317,18 @@ func FuzzProfile(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, body string) {
-		// As in FuzzCheck, a request's own cycle_budget bounds its runs.
+		// As in FuzzCheck, a request's own cycle_budget bounds its runs. An
+		// admissible campaign's length is its trials times its sites
+		// (defaults filled in): past 16 it can outlast fuzzPatience, so it
+		// is skipped. A body admission refuses still gets its 400.
 		var req ProfileRequest
-		if decodeBody([]byte(body), &req) == nil && req.CycleBudget > fuzzBudget {
-			t.Skip("cycle_budget above the fuzzing budget")
+		if decodeBody([]byte(body), &req) == nil {
+			if req.CycleBudget > fuzzBudget {
+				t.Skip("cycle_budget above the fuzzing budget")
+			}
+			if _, _, camp, err := req.plan(s.cfg); err == nil && camp.TrialsPerSite*camp.MaxSites > fuzzMaxTrials {
+				t.Skip("campaign longer than the fuzzing bound")
+			}
 		}
 		rec := fuzzPost(t, h, "/v1/profile", body)
 		checkOutcome(t, rec)
