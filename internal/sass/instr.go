@@ -234,7 +234,7 @@ func (i *Instr) DestReg() (int, bool) {
 // address and data are both sources; predicate-writing compares skip their
 // two leading predicate destinations, FCHK its one.
 func (i *Instr) SrcOperands() []Operand {
-	var n int
+	n := 1
 	switch i.Op.Dest() {
 	case DestControl:
 		return nil
@@ -242,8 +242,6 @@ func (i *Instr) SrcOperands() []Operand {
 		n = 0
 	case DestPredicates:
 		n = 2
-	default:
-		n = 1
 	}
 	if len(i.Operands) > n {
 		return i.Operands[n:]
@@ -376,9 +374,10 @@ func (k *Kernel) Program(build func(*Kernel) any) any {
 	return k.prog
 }
 
-// Finalize assigns PCs, computes NumRegs, and resolves label operands
-// against the given label table (label name → instruction index). It
-// returns an error for dangling labels or malformed register pairs.
+// Finalize assigns PCs, computes NumRegs (counting the high register of
+// every pair PairMask names), and resolves label operands against the
+// given label table (label name → instruction index). It returns an error
+// for dangling labels.
 //
 // Finalize also compacts the kernel, since a compiled kernel stays cached
 // for the life of the process: Instrs moves to an exact-size array, and
