@@ -148,6 +148,20 @@ func BenchmarkInstrumented(b *testing.B) {
 	b.Run("instrumented-fused", func(b *testing.B) { benchLaunch(b, ffmaDense, tierFused, true) })
 }
 
+// BenchmarkBuildProgram builds the program — decode, lower and fuse — of
+// every kernel in a fixed set of listings, once per op: the per-miss cost a
+// never-seen listing pays before its first launch.
+func BenchmarkBuildProgram(b *testing.B) {
+	ks := []*sass.Kernel{ffmaDense, predicated, fmulLoop, setpLoop, fmulShapes, faddShapes,
+		redShapes, cbankModKernel, deadDestKernel}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			buildProgram(k)
+		}
+	}
+}
+
 // TestBenchKernelsAgreeAcrossExecutors anchors the benchmark kernels to the
 // differential contract: same cycles and same instruction counts under all
 // three dispatch modes.

@@ -4,6 +4,9 @@ package gpufpx
 // parser, validator, compiler cache, executor, facade barrier — and asserts
 // the public contract: every outcome is either a valid report or a typed
 // *Error. A panic, an untyped error, or a nil-report success is a finding.
+// It is also a differential fuzzer: every input runs again on the reference
+// interpreter, which must give the same error kind and message, or the same
+// cycles, launch count and detector report bytes.
 //
 // The seed corpus spans the grammar the executors implement (FP32/FP64
 // arithmetic, MUFU, predication, control flow, memory, tensor cores) plus
@@ -11,9 +14,12 @@ package gpufpx
 // regression inputs; `go test` replays seeds and corpus without -fuzz.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
+
+	"gpufpx/internal/device"
 )
 
 func FuzzRun(f *testing.F) {
@@ -48,17 +54,38 @@ func FuzzRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// A small budget keeps fuzz iterations fast while still reaching
 		// the executors; budget exhaustion is a legitimate typed outcome.
-		s := New(WithCycleBudget(200_000))
-		rep, err := s.Run(context.Background(), SASSText("fuzz.sass", src, 1, 32))
+		run := func() (*Report, error) {
+			s := New(WithCycleBudget(200_000))
+			return s.Run(context.Background(), SASSText("fuzz.sass", src, 1, 32))
+		}
+		rep, err := run()
+		var ref *Report
+		var refErr error
+		func() {
+			defer device.ForceTierForTest("interp")()
+			ref, refErr = run()
+		}()
 		if err != nil {
 			var ge *Error
 			if !errors.As(err, &ge) {
 				t.Fatalf("untyped error %T: %v", err, err)
 			}
+			if refErr == nil || Classify(refErr) != ge.Kind || refErr.Error() != err.Error() {
+				t.Fatalf("error %v (%v); interpreter: %v", err, ge.Kind, refErr)
+			}
 			return
 		}
 		if rep == nil {
 			t.Fatal("nil report with nil error")
+		}
+		if refErr != nil {
+			t.Fatalf("interpreter failed where production ran: %v", refErr)
+		}
+		if rep.Cycles != ref.Cycles || rep.Launches != ref.Launches {
+			t.Fatalf("%d cycles, %d launches; interpreter %d, %d", rep.Cycles, rep.Launches, ref.Cycles, ref.Launches)
+		}
+		if !bytes.Equal(rep.ToolBody(), ref.ToolBody()) {
+			t.Fatalf("detector report differs from the interpreter's:\n%s\ninterpreter:\n%s", rep.ToolBody(), ref.ToolBody())
 		}
 	})
 }
