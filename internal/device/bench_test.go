@@ -261,8 +261,8 @@ func stepRunner(tb testing.TB, k *sass.Kernel) func() {
 
 // TestFusedStepNoAllocs is the no-exception hot-path allocation proof: once
 // the fused program and its launch scratch exist, stepping a warp through
-// fused regions — mop closures, hand-written thunks and the fused branch
-// tail — performs zero heap allocations.
+// fused regions — the lowered thunks and the fused branch tail — performs
+// zero heap allocations.
 func TestFusedStepNoAllocs(t *testing.T) {
 	for _, k := range []*sass.Kernel{ffmaDense, predicated, setpLoop} {
 		run := stepRunner(t, k)

@@ -85,7 +85,7 @@ func TestCBankModifiersAgree(t *testing.T) {
 	for _, r := range prog.fk.regions {
 		for pc := r.start; pc < r.end; pc++ {
 			covered[pc] = true
-			if len(r.fns) > 1 && chainable(&k.Instrs[pc], prog.meta, pc) && !prog.low.isNop[pc] && negCBank(&k.Instrs[pc]) {
+			if in := &k.Instrs[pc]; len(r.fns) > 1 && !discardsAll(in) && negCBank(in) {
 				inChain++
 			}
 		}

@@ -106,7 +106,7 @@ var fmulPairs = [32][2]uint32{
 func TestFMULTiersAgree(t *testing.T) {
 	const uniA, uniB = 0x1e3ce508, 0x9e3ce508 // the c-bank operands: ±1e-20
 	checkShapeTiers(t, fmulShapes, fmulPairs, uniA, uniB, bits32(refMulNaN32))
-	if n := chainedSites(fmulShapes, sass.OpFMUL); n != 8 {
+	if n := fusedSites(fmulShapes, sass.OpFMUL); n != 8 {
 		t.Fatalf("%d of 8 FMUL sites in fused region bodies: the fused tier never ran their closures fused", n)
 	}
 }
@@ -162,7 +162,7 @@ var faddPairs = [32][2]uint32{
 func TestFADDTiersAgree(t *testing.T) {
 	const uniA, uniB = 0x00400000, 0x80000003 // the c-bank operands: subnormals
 	checkShapeTiers(t, faddShapes, faddPairs, uniA, uniB, bits32(refAdd32))
-	if n := chainedSites(faddShapes, sass.OpFADD); n != 8 {
+	if n := fusedSites(faddShapes, sass.OpFADD); n != 8 {
 		t.Fatalf("%d of 8 FADD sites in fused region bodies: the fused tier never ran their closures fused", n)
 	}
 }
@@ -221,18 +221,16 @@ func checkShapeTiers(t *testing.T, k *sass.Kernel, pairs [32][2]uint32, uniA, un
 	}
 }
 
-// chainedSites counts the chainable sites with opcode op that k's fused
-// program runs inside a region body of more than one thunk.
-func chainedSites(k *sass.Kernel, op sass.Op) int {
-	prog := programFor(k)
+// fusedSites counts the sites with opcode op that k's fused program runs
+// inside a region body of more than one thunk (no-op sites have none).
+func fusedSites(k *sass.Kernel, op sass.Op) int {
 	n := 0
-	for _, r := range prog.fk.regions {
+	for _, r := range programFor(k).fk.regions {
 		if len(r.fns) < 2 {
 			continue
 		}
 		for pc := r.start; pc < r.end; pc++ {
-			in := &k.Instrs[pc]
-			if in.Op == op && chainable(in, prog.meta, pc) && !prog.low.isNop[pc] {
+			if in := &k.Instrs[pc]; in.Op == op && !discardsAll(in) {
 				n++
 			}
 		}
@@ -438,7 +436,7 @@ func TestFP16TiersAgree(t *testing.T) {
 
 // mufuShapesSrc runs one MUFU mode (%[1]s) in eight shapes: both pair
 // registers, each negated or absolute, the two c-bank operands (one
-// negated) and an immediate. Every site is chainable.
+// negated) and an immediate.
 const mufuShapesSrc = shapesHead + `
 MUFU.%[1]s R8, R5 ;
 MUFU.%[1]s R9, R6 ;
@@ -523,7 +521,7 @@ func TestMUFUTiersAgree(t *testing.T) {
 		k := sass.MustParse("mufu_shapes_"+c.mode, fmt.Sprintf(mufuShapesSrc, c.mode))
 		t.Run(c.mode, func(t *testing.T) {
 			checkShapeTiers(t, k, mufuPairs, uniA, uniB, c.want)
-			if n := chainedSites(k, sass.OpMUFU); n != 8 {
+			if n := fusedSites(k, sass.OpMUFU); n != 8 {
 				t.Fatalf("%d of 8 MUFU sites in fused region bodies", n)
 			}
 		})

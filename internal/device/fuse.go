@@ -8,9 +8,9 @@ import (
 
 // The fusion pass builds the third execution tier above interp and lowered:
 // maximal straight-line runs of @PT non-control instructions become fused
-// regions. A region's body is one flat list of its sites' thunks — mop
-// closures (fuse_ops.go) and hand-written thunks (lower_ops.go) alike — so
-// one region dispatch replaces per-instruction stepping: budget,
+// regions. A region's body is one flat list of its sites' thunks, as
+// lowerInstr (lower_ops.go) built them, less the no-op sites (discardsAll),
+// so one region dispatch replaces per-instruction stepping: budget,
 // cancellation and statistics are accounted once in bulk, the thunks run
 // with no dispatch between them, and a trailing compare-and-branch is
 // folded into the region as a fused tail. A region whose body holds
@@ -109,7 +109,7 @@ func fuseKernel(k *sass.Kernel, m *kernelMeta, lk *loweredKernel) *fusedKernel {
 			if m.isFP[bp] {
 				r.fp++
 			}
-			if k.Instrs[bp].Op != sass.OpNOP && !lk.isNop[bp] {
+			if !discardsAll(&k.Instrs[bp]) {
 				r.fns = append(r.fns, lk.thunks[bp])
 			}
 		}

@@ -15,10 +15,10 @@ import (
 // lower time (register vs immediate vs constant bank vs RZ, sign modifiers as
 // bit masks, FTZ and compare modifiers baked in). The executor's inner loop
 // becomes indexed thunk dispatch instead of a per-lane opcode switch.
-// Chainable lane-local sites get their mop closure (fuse_ops.go) as their
-// thunk; the rest are built in lower_ops.go. Each site has exactly one
-// compiled form, which per-instruction stepping and fused region bodies
-// share.
+// One switch on the opcode, lowerInstr (lower_ops.go), builds every site's
+// thunk, with one no-op rule before it and one broadcast rule after it.
+// Each site has exactly one compiled form, which per-instruction stepping
+// and fused region bodies share.
 //
 // Correctness contract: a thunk must be observationally identical to the
 // corresponding executor.lane / shfl / hmma path — same register and memory
@@ -83,18 +83,9 @@ type thunk func(ex *executor, w *Warp, exec uint32)
 // loweredKernel is the thunk program for one kernel, indexed by PC.
 type loweredKernel struct {
 	thunks []thunk
-	// isNop marks the sites lowered to no-ops, whose thunks the fusion
-	// pass leaves out of region bodies.
-	isNop []bool
 	// instrs counts the kernel's lowered instructions, folded into the
 	// global counter when the kernel's program is built.
 	instrs uint64
-}
-
-// nop records pc as a no-op site and returns its thunk.
-func (lk *loweredKernel) nop(pc int) thunk {
-	lk.isNop[pc] = true
-	return nopThunk
 }
 
 var lowKernels, lowInstrs atomic.Uint64
@@ -127,7 +118,6 @@ const fullExec = ^uint32(0)
 func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 	lk := &loweredKernel{
 		thunks: make([]thunk, len(k.Instrs)),
-		isNop:  make([]bool, len(k.Instrs)),
 		instrs: uint64(len(k.Instrs)),
 	}
 	if m.verr != nil {
@@ -136,16 +126,15 @@ func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 		return lk
 	}
 	for pc := range k.Instrs {
-		lk.thunks[pc] = lowerInstr(k, pc, m, lk)
+		lk.thunks[pc] = lowerInstr(k, pc, m)
 	}
 	return lk
 }
 
 // ---- compiled operands ----
 //
-// src is the one compiled form of a source operand. Mop closures, the
-// hand-written thunks and injected tool code (ToolSrc, inject_lower.go) all
-// read through it. lowerSrc resolves the operand's access class once, at
+// src is the one compiled form of a source operand. The thunks and
+// injected tool code (ToolSrc, inject_lower.go) all read through it. lowerSrc resolves the operand's access class once, at
 // lower time: a per-lane register, a constant-bank read once per dynamic
 // execution (warp-invariant), or a constant baked with its modifiers. W is
 // the width the reader holds: uint32 for FP32 and integer sources, uint16
@@ -375,35 +364,6 @@ func out32(v float32, ftz bool) uint32 {
 	return b
 }
 
-// broadcast32 writes a warp-invariant result to every executing lane.
-func broadcast32(w *Warp, dst int, v uint32, exec uint32) {
-	if exec == fullExec {
-		for l := 0; l < WarpSize; l++ {
-			w.regs[l][dst] = v
-		}
-		return
-	}
-	for m := exec; m != 0; m &= m - 1 {
-		w.regs[bits.TrailingZeros32(m)][dst] = v
-	}
-}
-
-// broadcast64 is broadcast32 for an FP64 register pair.
-func broadcast64(w *Warp, dst int, v uint64, exec uint32) {
-	lo, hi := fpval.Split64(v)
-	if exec == fullExec {
-		for l := 0; l < WarpSize; l++ {
-			r := w.regs[l]
-			r[dst], r[dst+1] = lo, hi
-		}
-		return
-	}
-	for m := exec; m != 0; m &= m - 1 {
-		r := w.regs[bits.TrailingZeros32(m)]
-		r[dst], r[dst+1] = lo, hi
-	}
-}
-
 // eachLane runs body for every executing lane, with the common all-lanes
 // case free of mask tests.
 func eachLane(exec uint32, body func(l int)) {
@@ -420,9 +380,8 @@ func eachLane(exec uint32, body func(l int)) {
 
 func nopThunk(*executor, *Warp, uint32) {}
 
-// setpCore is a compiled SETP's predicate side, shared by the FSETP and
-// ISETP mop closures and the DSETP thunk. Every mop embeds one: SEL and
-// FMNMX read only ps, FCHK writes only pd and FSET uses only want.
+// setpCore is a compiled SETP's predicate side, shared by the FSETP, ISETP
+// and DSETP thunks.
 type setpCore struct {
 	want   setMasks
 	comb   uint8
@@ -431,9 +390,12 @@ type setpCore struct {
 }
 
 func lowerSetpCore(in *sass.Instr, m *kernelMeta, pc int) setpCore {
-	c := setpCore{want: setMasksOf(m.cmp[pc]), comb: m.sub[pc], pd: predDst(int(in.Operands[0].Pred)), pq: -1}
-	if q := &in.Operands[1]; q.Type == sass.OperandPred {
-		c.pq = predDst(int(q.Pred))
+	c := setpCore{want: setMasksOf(m.cmp[pc]), comb: m.sub[pc], pd: -1, pq: -1}
+	if p := in.Operands[0].Pred; p != sass.PT {
+		c.pd = int32(p)
+	}
+	if q := &in.Operands[1]; q.Type == sass.OperandPred && q.Pred != sass.PT {
+		c.pq = int32(q.Pred)
 	}
 	c.ps = lowerSrcP(&in.Operands[len(in.Operands)-1])
 	return c

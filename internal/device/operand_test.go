@@ -252,7 +252,7 @@ func TestShadowReadsMatchInterpreter(t *testing.T) {
 }
 
 // TestSrc32Size keeps the 32-bit compiled operand at the size it had as a
-// separate FP32/integer type, 40 bytes: every mop holds three.
+// separate FP32/integer type, 40 bytes: an FFMA or IMAD thunk holds three.
 func TestSrc32Size(t *testing.T) {
 	if n := unsafe.Sizeof(src[uint32]{}); n != 40 {
 		t.Errorf("src[uint32] is %d bytes, want 40", n)
