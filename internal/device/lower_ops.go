@@ -486,19 +486,21 @@ func discardsAll(in *sass.Instr) bool {
 }
 
 // warpInvariant reports a register-writing lane-local site whose sources
-// every lane reads alike: no register but RZ, no predicate but PT and no
-// per-lane special register.
+// every lane reads alike: no register but RZ, no predicate but PT, and for
+// S2R no per-lane special register.
 func warpInvariant(in *sass.Instr) bool {
 	if in.Op.Dest() != sass.DestRegister || !laneLocal(in.Op) {
 		return false
 	}
+	if in.Op == sass.OpS2R {
+		// S2R reads its operand's special register whatever the operand's
+		// kind, as the interpreter does.
+		sr := in.Operands[1].SR
+		return sr != sass.SRTidX && sr != sass.SRLaneID
+	}
 	srcs := in.SrcOperands()
 	for i := range srcs {
-		s := &srcs[i]
-		switch {
-		case s.IsPlainReg(),
-			s.Type == sass.OperandPred && s.Pred != sass.PT,
-			s.Type == sass.OperandSpecial && (s.SR == sass.SRTidX || s.SR == sass.SRLaneID):
+		if s := &srcs[i]; s.IsPlainReg() || s.Type == sass.OperandPred && s.Pred != sass.PT {
 			return false
 		}
 	}
