@@ -134,9 +134,10 @@ func lowerKernel(k *sass.Kernel, m *kernelMeta) *loweredKernel {
 // ---- compiled operands ----
 //
 // src is the one compiled form of a source operand. The thunks and
-// injected tool code (ToolSrc, inject_lower.go) all read through it. lowerSrc resolves the operand's access class once, at
-// lower time: a per-lane register, a constant-bank read once per dynamic
-// execution (warp-invariant), or a constant baked with its modifiers. W is
+// injected tool code (ToolSrc, inject_lower.go) all read through it.
+// lowerSrc resolves the operand's access class once, at lower time: a
+// per-lane register, a constant-bank read once per dynamic execution
+// (warp-invariant), or a constant baked with its modifiers. W is
 // the width the reader holds: uint32 for FP32 and integer sources, uint16
 // for FP16, uint64 for FP64 and for tool code, which takes any format.
 

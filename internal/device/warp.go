@@ -29,9 +29,9 @@ type Warp struct {
 	regs [WarpSize][]uint32
 	// backing is the contiguous register storage behind regs, kept so
 	// reset can zero it in one pass. It is laid out lane-major with stride
-	// registers per lane; the column loops of the specialized thunks
-	// (laneCol, lower_ops.go) index it directly so
-	// one lane's whole working set sits on adjacent cache lines.
+	// registers per lane; the specialized thunks' column loops (laneCol,
+	// lower_ops.go) index it directly so one lane's whole working set sits
+	// on adjacent cache lines.
 	backing []uint32
 	// backingBox is the pooled box backing travels in; release hands the
 	// same box back so no slice header is re-heaped per launch.

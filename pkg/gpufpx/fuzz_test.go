@@ -46,6 +46,9 @@ func FuzzRun(f *testing.F) {
 		"BRA L_nowhere ;\n",
 		"MOV32I R0, 0x7fffff00 ;\nLDG.E R1, [R0] ;\nEXIT ;\n",
 		"L_top:\nFADD R2, R2, R3 ;\nBRA L_top ;\n",
+		// S2R reads its operand's special-register field whatever the
+		// operand's kind: here lane l's TID.X, on every tier.
+		"S2R R2,0\nFADD R0,[R0],R2",
 	}
 	for _, s := range seeds {
 		f.Add(s)
